@@ -32,7 +32,7 @@ from .bayes import SignTally, posterior_summary, posterior_theta_density, sign_t
 from .config import ConfigError, ExperimentConfig, canonical_dict, load_config
 from .core import analytic_mutual_information, cos_angle
 from .protocol import FrameEstimate, TransferResult, transfer_direction, transfer_frame
-from .serialize import ParseError, format_float, read_record_arrays_csv, write_csv_atomic, write_json_atomic
+from .serialize import format_float, read_record_arrays_csv, write_csv_atomic, write_json_atomic
 
 OUT_DIR_ENV = "SINGLET_FRAME_OUT_DIR"
 
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _dispatch(args)
-    except (ConfigError, ParseError) as e:
+    except ValueError as e:  # ConfigError, ParseError and the library's DomainError included
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

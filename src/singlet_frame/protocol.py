@@ -1,10 +1,11 @@
 """Direction transfer by maximizing estimated mutual information.
 
 One party holds a fixed direction; the other scores trial directions by
-the mutual information estimated from a shared measurement batch per
-trial, takes the best, sharpens it with a shrinking-cap ring search, and
-resolves the antipodal ambiguity with a hemisphere prior when one is
-available.  Repeating per axis transfers a full frame.
+the mutual information estimated from the joint counts of a shared
+measurement batch per trial, takes the best, sharpens it with a
+shrinking-cap ring search, and resolves the antipodal ambiguity with a
+hemisphere prior when one is available.  Repeating per axis transfers a
+full frame.
 
 Trial directions come from a deterministic Fibonacci-spiral layout
 (optionally jittered), restricted to the prior hemisphere when enabled.
@@ -21,8 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Direction, analytic_mutual_information, cos_angle
-from .estimator import CountTable, estimate_mutual_information, tally
-from .sampler import SamplerConfig, run_measurement_batch
+# tally and run_measurement_batch stay bound for perfbench's tracer, which wraps them by name
+from .estimator import CountTable, estimate_mutual_information, tally  # noqa: F401
+from .sampler import SamplerConfig, run_measurement_batch, sample_joint_counts  # noqa: F401
 
 __all__ = [
     "HemispherePrior",
@@ -117,12 +119,10 @@ class ProtocolParams:
     def __post_init__(self):
         if self.mode not in ("sampled", "exact"):
             raise ValueError(f"mode must be 'sampled' or 'exact', got {self.mode!r}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be >= 0")
+        for name, low in (("n_trials", 1), ("batch_size", 1), ("refine_rounds", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.mode == "sampled" and self.config is None:
             raise ValueError("sampled mode requires a sampler config")
 
@@ -248,19 +248,36 @@ def evaluate_trial(
     the returned record carries the trial direction, its counts, and the
     plug-in mutual-information estimate.
     """
-    record = run_measurement_batch(alice_direction, trial_direction, batch_size, config)
-    counts = tally(record)
-    return TrialRecord(
-        trial_index=trial_index,
-        direction=trial_direction,
-        mi_estimate=estimate_mutual_information(counts),
-        counts=counts,
-    )
+    score = _make_scorer(alice_direction, "sampled", batch_size, config)
+    return TrialRecord(trial_index, trial_direction, *score(trial_direction))
 
 
 def exact_trial_score(alice_direction: Direction, trial_direction: Direction) -> float:
     """Noise-free trial score: the closed-form mutual information."""
     return analytic_mutual_information(cos_angle(alice_direction, trial_direction))
+
+
+def _make_scorer(alice_direction: Direction, mode: str, batch_size: int, config: SamplerConfig | None):
+    """The trial scorer shared by coarse trials and refinement.
+
+    ``score(direction, *stream)`` returns ``(mi, counts)``.  In sampled
+    mode the counts are one joint-count draw from ``config.child(*stream)``,
+    so every evaluation owns its stream; in exact mode the score is the
+    closed form and counts is None.
+    """
+    if mode == "exact":
+        return lambda d, *stream: (exact_trial_score(alice_direction, d), None)
+    if mode != "sampled":
+        raise ValueError(f"mode must be 'sampled' or 'exact', got {mode!r}")
+    if config is None:
+        raise ValueError("sampled mode requires a sampler config")
+
+    def score(d, *stream):
+        joint = sample_joint_counts(alice_direction, d, batch_size, config.child(*stream))
+        counts = CountTable.from_joint_counts(*joint)
+        return estimate_mutual_information(counts), counts
+
+    return score
 
 
 def select_best(trials: list[TrialRecord] | tuple[TrialRecord, ...]) -> tuple[Direction, float]:
@@ -291,7 +308,7 @@ def _ring_candidates(center: Direction, half_angle: float) -> list[Direction]:
     return out
 
 
-def _refine_search(start, score_fn, rounds, initial_half_angle, prior):
+def _refine_search(start, score, rounds, initial_half_angle, prior):
     """Shrinking-cap ring search; returns (direction, score, evaluations).
 
     The objective is even under negation, so candidates may wander out of
@@ -301,27 +318,27 @@ def _refine_search(start, score_fn, rounds, initial_half_angle, prior):
     whenever the target sits near the equator and the climb approaches its
     antipode.
 
-    ``score_fn(direction, round_index, candidate_index)`` must be
-    deterministic per argument triple so that results do not depend on
+    ``score`` comes from ``_make_scorer``; candidate j of round r is scored
+    on stream (_STREAM_REFINE, r, j), so results do not depend on
     evaluation order.  Score is None when rounds == 0.
     """
     current = start
-    score = None
+    best_score = None
     evaluations = 0
     half_angle = initial_half_angle
     for r in range(rounds):
         candidates = [current] + _ring_candidates(current, half_angle)
         best = None
         for j, cand in enumerate(candidates):
-            s = score_fn(cand, r, j)
+            s, _ = score(cand, _STREAM_REFINE, r, j)
             evaluations += 1
             if best is None or s > best[0]:
                 best = (s, cand)
-        score, current = best
+        best_score, current = best
         half_angle *= 0.5
     if prior.enabled and prior.pole.dot(current) < 0.0:
         current = -current
-    return current, score, evaluations
+    return current, best_score, evaluations
 
 
 def refine(
@@ -346,59 +363,23 @@ def refine(
         raise ValueError("rounds must be >= 0")
     if initial_half_angle is None:
         initial_half_angle = default_initial_half_angle(50, prior.enabled)
-    if mode == "exact":
-        score_fn = lambda d, r, j: exact_trial_score(alice_direction, d)
-    elif mode == "sampled":
-        if config is None:
-            raise ValueError("sampled mode requires a sampler config")
-        def score_fn(d, r, j):
-            rec = run_measurement_batch(
-                alice_direction, d, batch_size, config.child(_STREAM_REFINE, r, j)
-            )
-            return estimate_mutual_information(tally(rec))
-    else:
-        raise ValueError(f"mode must be 'sampled' or 'exact', got {mode!r}")
-    direction, _, _ = _refine_search(coarse_best, score_fn, rounds, initial_half_angle, prior)
+    score = _make_scorer(alice_direction, mode, batch_size, config)
+    direction, _, _ = _refine_search(coarse_best, score, rounds, initial_half_angle, prior)
     return direction
 
 
 def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> TransferResult:
     """Full single-direction pipeline: layout, score, select, refine, resolve."""
-    exact = params.mode == "exact"
+    score = _make_scorer(alice_direction, params.mode, params.batch_size, params.config)
     directions = generate_trial_directions(params.n_trials, params.prior, params.jitter_seed)
-
-    trials = []
-    singlets = 0
-    for i, d in enumerate(directions):
-        if exact:
-            trials.append(TrialRecord(i, d, exact_trial_score(alice_direction, d)))
-        else:
-            trials.append(
-                evaluate_trial(
-                    alice_direction, d, params.batch_size,
-                    params.config.child(_STREAM_COARSE, i), trial_index=i,
-                )
-            )
-            singlets += params.batch_size
-
+    trials = [TrialRecord(i, d, *score(d, _STREAM_COARSE, i)) for i, d in enumerate(directions)]
     best_direction, best_score = select_best(trials)
 
-    if exact:
-        score_fn = lambda d, r, j: exact_trial_score(alice_direction, d)
-    else:
-        def score_fn(d, r, j):
-            rec = run_measurement_batch(
-                alice_direction, d, params.batch_size,
-                params.config.child(_STREAM_REFINE, r, j),
-            )
-            return estimate_mutual_information(tally(rec))
-
     refined, refined_score, evaluations = _refine_search(
-        best_direction, score_fn, params.refine_rounds,
+        best_direction, score, params.refine_rounds,
         params.resolved_initial_half_angle(), params.prior,
     )
-    if not exact:
-        singlets += evaluations * params.batch_size
+    singlets = 0 if params.mode == "exact" else (len(trials) + evaluations) * params.batch_size
 
     final, resolved = resolve_sign(refined, params.prior)
     return TransferResult(

@@ -1,11 +1,14 @@
-"""Seeded generation of correlated outcome pairs.
+"""Seeded generation of correlated outcome pairs and their joint counts.
 
 Outcome pairs are drawn by inverse-CDF sampling of the closed-form joint
 distribution, with the cumulative categories fixed in the order
-(+,+), (+,-), (-,+), (-,-).  Randomness comes from numpy's Philox (4x64)
-counter-based bit generator keyed by ``(seed, stream_id)``: the same
-configuration reproduces the same sequence on any platform, and distinct
-stream ids give independent streams that may be consumed in any order.
+(+,+), (+,-), (-,+), (-,-).  When only the four joint counts of a batch
+are needed, one multinomial draw over the same categories gives them with
+the same distribution at a cost independent of the batch size.
+Randomness comes from numpy's Philox (4x64) counter-based bit generator
+keyed by ``(seed, stream_id)``: the same configuration reproduces the
+same sequence on any platform, and distinct stream ids give independent
+streams that may be consumed in any order.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ import numpy as np
 
 from .core import Direction, _checked_cos, cos_angle
 
-__all__ = ["SamplerConfig", "OutcomeRecord", "sample_outcome_pair", "run_measurement_batch"]
+__all__ = [
+    "SamplerConfig",
+    "OutcomeRecord",
+    "sample_outcome_pair",
+    "run_measurement_batch",
+    "sample_joint_counts",
+]
 
 GENERATOR_NAME = "philox4x64"
 
@@ -64,7 +73,9 @@ class SamplerConfig:
         return SamplerConfig(self.seed, s)
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=(self.seed, self.stream_id)))
+        # an explicit uint64 key: a tuple holding a value >= 2**63 would go through float64
+        key = np.array((self.seed, self.stream_id), dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,14 +142,18 @@ def sample_outcome_pair(cos_theta: float, rng: np.random.Generator) -> tuple[int
     return (-1, -1)
 
 
+def _check_batch_size(batch_size: int) -> None:
+    if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
+        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+
+
 def run_measurement_batch(x: Direction, y: Direction, batch_size: int, config: SamplerConfig) -> OutcomeRecord:
     """Draw ``batch_size`` independent outcome pairs at settings (x, y).
 
     Deterministic in ``config``; a fresh generator is keyed from it, so
     batches for distinct configs are independent of evaluation order.
     """
-    if not isinstance(batch_size, int) or batch_size < 1:
-        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+    _check_batch_size(batch_size)
     c = cos_angle(x, y)
     bounds = np.array(_category_bounds(c))
     u = config.generator().random(batch_size)
@@ -146,3 +161,19 @@ def run_measurement_batch(x: Direction, y: Direction, batch_size: int, config: S
     a = np.where(cat <= 1, 1, -1).astype(np.int8)
     b = np.where(cat % 2 == 0, 1, -1).astype(np.int8)
     return OutcomeRecord(a=a, b=b, x=x, y=y)
+
+
+def sample_joint_counts(
+    x: Direction, y: Direction, batch_size: int, config: SamplerConfig
+) -> tuple[int, int, int, int]:
+    """Joint counts (m_pp, m_pm, m_mp, m_mm) of ``batch_size`` pairs at (x, y).
+
+    One multinomial draw over the four categories, so the counts have the
+    distribution of tallying ``run_measurement_batch`` at any batch size
+    (the two consume ``config``'s stream differently, so their values
+    differ).  Deterministic in ``config``.
+    """
+    _check_batch_size(batch_size)
+    c = _checked_cos(x.dot(y))
+    same, anti = (1.0 - c) / 4.0, (1.0 + c) / 4.0
+    return tuple(config.generator().multinomial(batch_size, (same, anti, anti, same)).tolist())

@@ -112,6 +112,12 @@ class TestMiSurface:
             expected = analytic_mutual_information(cos_angle(x0, direction_from_polar(t, p)))
             assert v == pytest.approx(expected, abs=1e-12)
 
+    def test_nan_angle_exits_1(self, tmp_path, capsys):
+        # the library's DomainError is a validation error, not a runtime error
+        assert _run(["mi-surface", "--theta-x", "nan", "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "s.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def family(tmp_path_factory):
@@ -212,6 +218,14 @@ class TestBayesCommand:
     def test_bad_level_exits_1(self, tmp_path, capsys):
         assert _run(["bayes", "--tally", "1,1", "--level", "1.5", "--out", str(tmp_path / "s.json")]) == 1
         assert "level" in capsys.readouterr().err
+
+    def test_empty_tally_exits_1(self, tmp_path, capsys):
+        assert _run(["bayes", "--tally", "0,0", "--out", str(tmp_path / "s.json")]) == 1
+        assert "empty tally" in capsys.readouterr().err
+
+    def test_missing_record_exits_3(self, tmp_path, capsys):
+        assert _run(["bayes", "--record", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "s.json")]) == 3
+        assert capsys.readouterr().err.startswith("io error: ")
 
 
 def _exact_config(tmp_path, **overrides):

@@ -239,6 +239,14 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             ProtocolParams(10, 10, -1, NO_PRIOR, mode="exact")
 
+    @pytest.mark.parametrize("field", ["n_trials", "batch_size", "refine_rounds"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_counts_must_be_plain_ints(self, field, value):
+        kwargs = {"n_trials": 10, "batch_size": 10, "refine_rounds": 1}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            ProtocolParams(**kwargs, prior=NO_PRIOR, mode="exact")
+
 
 class TestTransferDirection:
     def test_exact_mode_recovers_within_resolution(self, rng):
@@ -300,6 +308,25 @@ class TestTransferDirection:
         res = transfer_direction(truth, params)
         assert res.singlets_used == 0
         assert all(t.counts is None for t in res.trials)
+
+    def test_coarse_and_refine_streams_match_the_public_steps(self):
+        # coarse trial i draws from child(_STREAM_COARSE, i) and the ring search
+        # from child(_STREAM_REFINE, r, j): evaluate_trial and refine reproduce both
+        truth = direction_from_polar(0.9, 0.2)
+        cfg = SamplerConfig(61)
+        params = ProtocolParams(
+            8, 700, 2, HemispherePrior.around(direction_from_polar(0.7, 0.5)), config=cfg, mode="sampled",
+        )
+        res = transfer_direction(truth, params)
+        for t in res.trials:
+            assert t == evaluate_trial(
+                truth, t.direction, 700, cfg.child(_STREAM_COARSE, t.trial_index), trial_index=t.trial_index,
+            )
+        refined = refine(
+            select_best(res.trials)[0], truth, 2, 700, cfg, params.prior,
+            initial_half_angle=params.resolved_initial_half_angle(),
+        )
+        assert res.direction == refined
 
     def test_trial_records_carry_plug_in_scores(self):
         truth = direction_from_polar(0.9, 0.2)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from singlet_frame import (
     Direction,
@@ -10,8 +11,10 @@ from singlet_frame import (
     SamplerConfig,
     direction_from_polar,
     run_measurement_batch,
+    sample_joint_counts,
     sample_outcome_pair,
     singlet_joint_distribution,
+    tally,
 )
 
 Z = Direction(0.0, 0.0, 1.0)
@@ -47,6 +50,12 @@ class TestSamplerConfig:
     def test_child_rejects_negative_index(self):
         with pytest.raises(ValueError):
             SamplerConfig(42).child(-1)
+
+    def test_generator_keeps_full_64_bit_key(self):
+        # keys at or above 2**63 must reach Philox exactly, not through float64
+        for seed, stream in ((2**64 - 1, 2**63 + 1), (2**63 - 1, 2**63), (5, 2**64 - 2)):
+            key = SamplerConfig(seed, stream).generator().bit_generator.state["state"]["key"]
+            assert key.tolist() == [seed, stream]
 
 
 class TestSampleOutcomePair:
@@ -142,6 +151,78 @@ class TestRunMeasurementBatch:
         rec = run_measurement_batch(Z, X, 12, SamplerConfig(42, 0))
         assert rec.a.tolist() == [-1, 1, -1, 1, 1, 1, 1, 1, -1, -1, 1, 1]
         assert rec.b.tolist() == [-1, 1, -1, -1, -1, -1, 1, 1, -1, -1, -1, 1]
+
+
+class _FixedDot:
+    """Setting stand-in whose dot product with anything is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def dot(self, other):
+        return self.value
+
+
+class TestSampleJointCounts:
+    def test_pinned_count_stream_golden(self):
+        # regression pin for the count stream; the per-pair pin above is separate
+        assert sample_joint_counts(Z, X, 1000, SamplerConfig(42, 0)) == (256, 262, 244, 238)
+
+    def test_deterministic_and_streams_differ(self):
+        y = direction_from_polar(0.4, 2.0)
+        assert sample_joint_counts(Z, y, 500, SamplerConfig(5, 9)) == sample_joint_counts(Z, y, 500, SamplerConfig(5, 9))
+        assert sample_joint_counts(Z, y, 500, SamplerConfig(5, 1)) != sample_joint_counts(Z, y, 500, SamplerConfig(5, 2))
+
+    def test_plain_int_counts_summing_to_batch(self):
+        counts = sample_joint_counts(Z, direction_from_polar(1.0, 0.3), 10**8, SamplerConfig(3))
+        assert all(type(m) is int and m >= 0 for m in counts)
+        assert sum(counts) == 10**8
+
+    def test_parallel_settings_never_agree(self):
+        # c = +1: the (+,+) and (-,-) cells are forbidden
+        m_pp, m_pm, m_mp, m_mm = sample_joint_counts(Z, Z, 10_000, SamplerConfig(8))
+        assert m_pp == 0 and m_mm == 0 and m_pm + m_mp == 10_000
+
+    def test_antiparallel_settings_always_agree(self):
+        # c = -1: the (+,-) and (-,+) cells are forbidden
+        m_pp, m_pm, m_mp, m_mm = sample_joint_counts(Z, -Z, 10_000, SamplerConfig(8))
+        assert m_pm == 0 and m_mp == 0 and m_pp + m_mm == 10_000
+
+    @pytest.mark.parametrize("draw", [sample_joint_counts, run_measurement_batch])
+    @pytest.mark.parametrize("batch_size", [0, -3, 2.5, 1.0, True, "10", None])
+    def test_bad_batch_size_rejected_by_both_samplers(self, draw, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            draw(Z, X, batch_size, SamplerConfig(1))
+
+    @pytest.mark.parametrize("cosine", [1.5, -1.0 - 1e-9, math.nan, math.inf])
+    def test_bad_cosine_rejected(self, cosine):
+        with pytest.raises(DomainError):
+            sample_joint_counts(_FixedDot(cosine), X, 10, SamplerConfig(1))
+
+    def test_cosine_drift_clamped(self):
+        m_pp, _, _, m_mm = sample_joint_counts(_FixedDot(1.0 + 1e-13), X, 100, SamplerConfig(1))
+        assert m_pp == m_mm == 0
+
+    @pytest.mark.parametrize("c", [-0.6, 0.3])
+    def test_same_distribution_as_tallied_pairs(self, c):
+        # chi-square homogeneity test on the (m_pp, m_pm) cells of a small
+        # batch: count draws against tallies of per-pair batches, each over
+        # 3000 fixed streams
+        y = Direction(math.sqrt(1.0 - c * c), 0.0, c)
+        batch, runs = 6, 3000
+        draws = {"counts": [], "pairs": []}
+        for i in range(runs):
+            draws["counts"].append(sample_joint_counts(Z, y, batch, SamplerConfig(901, i))[:2])
+            t = tally(run_measurement_batch(Z, y, batch, SamplerConfig(902, i)))
+            draws["pairs"].append((t.m_pp, t.m_pm))
+        cells = sorted(set(draws["counts"]) | set(draws["pairs"]))
+        table = np.array([[rows.count(cell) for cell in cells] for rows in draws.values()])
+        # pool cells too rare for the chi-square approximation into one column
+        rare = table.sum(axis=0) < 20
+        table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+        assert table.shape[1] >= 8
+        _, p_value, _, _ = stats.chi2_contingency(table)
+        assert p_value > 1e-3
 
 
 class TestOutcomeRecord:
