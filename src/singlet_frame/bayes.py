@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 LOG_8PI2 = math.log(8.0 * math.pi**2)
+# half-width of the credible-interval grid window, in posterior standard deviations of c
+CI_WINDOW_SDS = 40.0
 
 
 @dataclass(frozen=True)
@@ -214,19 +216,35 @@ def _log_density_1d(c: np.ndarray, tally: SignTally, log_d: float) -> np.ndarray
     return logp
 
 
+def _posterior_window(tally: SignTally) -> tuple[float, float]:
+    """MAP cosine +/- CI_WINDOW_SDS posterior standard deviations, clipped to [-1, 1].
+
+    u = (1 - c)/2 follows Beta(n_plus + 1, n_minus + 1), so the window
+    holds all but a negligible share of the mass at any N.
+    """
+    alpha, beta = tally.n_plus + 1, tally.n_minus + 1
+    total = alpha + beta
+    sd_c = 2.0 * math.sqrt(alpha * beta / (total * total * (total + 1)))
+    peak = posterior_peak(tally)
+    return max(-1.0, peak - CI_WINDOW_SDS * sd_c), min(1.0, peak + CI_WINDOW_SDS * sd_c)
+
+
 def credible_interval(tally: SignTally, level: float, grid_size: int = 8193) -> tuple[float, float]:
     """Highest-density interval of the 1-d cosine posterior.
 
-    The threshold is located on a uniform grid and the interval endpoints
-    are then refined by bisection on the (unimodal) density, so the mass
-    matches ``level`` to grid accuracy.  Always contains the MAP point.
+    The threshold is located on a uniform grid over the posterior window
+    (so a posterior narrowed by a large N still spans thousands of grid
+    steps), and the interval endpoints are then refined by bisection on
+    the (unimodal) density, so the mass matches ``level`` to grid
+    accuracy.  Always contains the MAP point.
     """
     if not isinstance(level, float) or not 0.0 < level < 1.0:
         raise ValueError(f"credible level must lie strictly in (0, 1), got {level!r}")
     if tally.n_total < 1:
         raise ValueError("credible interval is undefined for an empty tally")
     log_d = log_normalization_d(tally)
-    grid = np.linspace(-1.0, 1.0, grid_size)
+    window_lo, window_hi = _posterior_window(tally)
+    grid = np.linspace(window_lo, window_hi, grid_size)
     dens = np.exp(_log_density_1d(grid, tally, log_d))
     step = grid[1] - grid[0]
     weights = np.full(grid_size, step)
@@ -254,8 +272,8 @@ def credible_interval(tally: SignTally, level: float, grid_size: int = 8193) -> 
                 outside = mid
         return inside
 
-    lo = -1.0 if lo_i == 0 else bisect_edge(float(grid[lo_i]), float(grid[lo_i - 1]))
-    hi = 1.0 if hi_i == grid_size - 1 else bisect_edge(float(grid[hi_i]), float(grid[hi_i + 1]))
+    lo = window_lo if lo_i == 0 else bisect_edge(float(grid[lo_i]), float(grid[lo_i - 1]))
+    hi = window_hi if hi_i == grid_size - 1 else bisect_edge(float(grid[hi_i]), float(grid[hi_i + 1]))
     return (float(lo), float(hi))
 
 

@@ -102,8 +102,8 @@ def direction_from_polar(theta: float, phi: float) -> Direction:
 
 
 def cos_angle(u: Direction, v: Direction) -> float:
-    """Cosine of the angle between two unit vectors, clamped to [-1, 1]."""
-    return min(1.0, max(-1.0, u.dot(v)))
+    """Cosine of the angle between two unit vectors; float drift is clamped, NaN is a DomainError."""
+    return _checked_cos(u.dot(v))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 RECORD_CSV_HEADER = ["index", "a", "b"]
+_RECORD_HEADER_LINE = (",".join(RECORD_CSV_HEADER) + "\n").encode("ascii")
+# Rows exactly as record_to_csv writes them; any other file takes the csv.reader loop.
+_PLAIN_RECORD_BODY = re.compile(rb"(?:[0-9]++,-?1,-?1\n)*+")
+_ZERO, _COMMA, _MINUS, _ONE, _NEWLINE = b"0,-1\n"
 
 
 class ParseError(ValueError):
@@ -51,13 +56,13 @@ def format_float(value: float) -> str:
     return "%.17g" % value
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write UTF-8 text via a temp file and rename, so readers never see partial files."""
+def _write_bytes_atomic(path, data) -> None:
+    """Write a bytes-like object via a temp file and rename, so readers never see partial files."""
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -65,6 +70,11 @@ def write_text_atomic(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write UTF-8 text atomically (see ``_write_bytes_atomic``)."""
+    _write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def write_csv_atomic(path, header: list[str], rows) -> None:
@@ -80,20 +90,81 @@ def write_json_atomic(path, obj) -> None:
     write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _record_csv_bytes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The record CSV as one uint8 array, byte-identical to ``csv.writer``.
+
+    Row i is its decimal index, ``,``, ``1`` or ``-1``, ``,``, ``1`` or
+    ``-1`` and LF.  Row lengths give each row's offset; the characters are
+    then scattered in column order.
+    """
+    n = a.size
+    index = np.arange(n)
+    neg_a = a < 0
+    neg_b = b < 0
+    digits = np.ones(n, dtype=np.int64)
+    power = 10
+    while power < n:
+        digits += index >= power
+        power *= 10
+    lengths = digits + 5
+    lengths += neg_a
+    lengths += neg_b
+    head = len(_RECORD_HEADER_LINE)
+    pos = np.cumsum(lengths)
+    out = np.empty(head + int(pos[-1]), dtype=np.uint8)
+    out[:head] = np.frombuffer(_RECORD_HEADER_LINE, dtype=np.uint8)
+    pos -= lengths
+    pos += digits
+    pos += head  # the cursor now sits on each row's first comma
+    del lengths, digits
+    # index digits from the least significant; rows below 10**k have no k-th digit
+    place, low = 0, 0
+    while low < n:
+        out[pos[low:] - (place + 1)] = index[low:] % 10 + _ZERO
+        index[low:] //= 10
+        place += 1
+        low = 10**place
+    del index
+    for neg in (neg_a, neg_b):
+        out[pos] = _COMMA
+        pos += 1
+        out[pos[neg]] = _MINUS
+        pos += neg
+        out[pos] = _ONE
+        pos += 1
+    out[pos] = _NEWLINE
+    return out
+
+
 def record_to_csv(record: OutcomeRecord, path) -> None:
-    rows = ((i, int(a), int(b)) for i, (a, b) in enumerate(record.pairs()))
-    write_csv_atomic(path, RECORD_CSV_HEADER, rows)
+    _write_bytes_atomic(path, _record_csv_bytes(record.a, record.b))
 
 
 def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse an outcome CSV back into (a, b) arrays.
 
-    Raises ParseError naming the 1-based line of the first offending row.
+    Accepts what ``csv.reader`` accepts, with an ``index,a,b`` header and
+    rows whose outcomes parse as -1 or +1.  Raises ParseError naming the
+    1-based line of the first offending row.  Files laid out exactly as
+    ``record_to_csv`` writes them are parsed as one byte array; the row
+    loop below defines the format and gives the error messages.
     """
     path = Path(path)
+    data = path.read_bytes()
+    if data.startswith(_RECORD_HEADER_LINE):
+        body = data[len(_RECORD_HEADER_LINE):]
+        if body and not body.endswith(b"\n"):
+            body += b"\n"
+        if body and _PLAIN_RECORD_BODY.fullmatch(body):
+            buf = np.frombuffer(body, dtype=np.uint8)
+            # each row has two commas, and an outcome starts right after each
+            after_comma = buf[np.flatnonzero(buf == _COMMA) + 1]
+            outcomes = np.where(after_comma == _MINUS, np.int8(-1), np.int8(1))
+            a, b = outcomes.reshape(-1, 2).T.copy()
+            return a, b
     a_vals: list[int] = []
     b_vals: list[int] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != RECORD_CSV_HEADER:

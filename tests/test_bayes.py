@@ -274,6 +274,36 @@ class TestCredibleInterval:
         lo, hi = credible_interval(SignTally(8, 8), 0.8)
         assert lo == pytest.approx(-hi, abs=1e-9)
 
+    # N from 1 to 1e8: one-sided tallies, tallies on the prior's equator
+    # (n_plus close to n_minus) and tallies in between
+    LARGE_N_TALLIES = (
+        [(n, 0) for n in (1, 10, 10**3, 10**5, 10**7, 10**8)]
+        + [(0, n) for n in (1, 10, 10**3, 10**5, 10**7, 10**8)]
+        + [(n, n) for n in (1, 50, 5 * 10**4, 5 * 10**7)]
+        + [(n + 1, n - 1) for n in (10**3, 10**6, 5 * 10**7)]
+        + [(n - 3, 3) for n in (10**4, 10**8)]
+        + [(5 * 10**4, 6 * 10**4), (5 * 10**6, 6 * 10**6), (31_415_926, 68_584_074), (10_031, 700)]
+    )
+
+    @pytest.mark.parametrize("level", [0.95, 0.99])
+    def test_mass_matches_beta_oracle_up_to_1e8(self, level):
+        # u = (1 - c)/2 follows Beta(n_plus + 1, n_minus + 1)
+        from scipy.stats import beta
+
+        for n_plus, n_minus in self.LARGE_N_TALLIES:
+            lo, hi = credible_interval(SignTally(n_plus, n_minus), level)
+            u = beta(n_plus + 1, n_minus + 1)
+            mass = u.cdf((1.0 - lo) / 2.0) - u.cdf((1.0 - hi) / 2.0)
+            assert abs(mass - level) <= 1e-3, (n_plus, n_minus, lo, hi, mass)
+            assert lo <= posterior_peak(SignTally(n_plus, n_minus)) <= hi
+
+    def test_one_sided_large_n_interval_not_degenerate(self):
+        # the 95% interval of a one-sided tally of N is about 6/N wide
+        lo, hi = credible_interval(SignTally(10**7, 0), 0.95)
+        assert lo == -1.0 and -1.0 + 5e-7 < hi < -1.0 + 7e-7
+        lo, hi = credible_interval(SignTally(0, 10**8), 0.95)
+        assert hi == 1.0 and 1.0 - 7e-8 < lo < 1.0 - 5e-8
+
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             credible_interval(SignTally(1, 1), 1.0)

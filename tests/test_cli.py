@@ -215,6 +215,12 @@ class TestBayesCommand:
         assert _run(["bayes", "--record", str(rec), "--out", str(tmp_path / "s.json")]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_record_non_utf8_byte_exits_1(self, tmp_path, capsys):
+        rec = tmp_path / "rec.csv"
+        rec.write_bytes(b"index,a,b\n0,1,-1\n1,\xff1,1\n")
+        assert _run(["bayes", "--record", str(rec), "--out", str(tmp_path / "s.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_level_exits_1(self, tmp_path, capsys):
         assert _run(["bayes", "--tally", "1,1", "--level", "1.5", "--out", str(tmp_path / "s.json")]) == 1
         assert "level" in capsys.readouterr().err

@@ -1,10 +1,13 @@
+import csv
+import hashlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from singlet_frame import Direction, OutcomeRecord, SamplerConfig, run_measurement_batch
+from singlet_frame import Direction, OutcomeRecord, SamplerConfig, direction_from_polar, run_measurement_batch
 from singlet_frame.config import ConfigError, canonical_dict, load_config, parse_config
 from singlet_frame.serialize import (
     ParseError,
@@ -109,6 +112,87 @@ class TestRecordSerialization:
         path.write_text('{\n  "a": [1,\n}')
         with pytest.raises(ParseError, match="line 3"):
             record_from_json(path)
+
+
+def _csv_writer_bytes(rec: OutcomeRecord) -> bytes:
+    """The record CSV as the csv module writes it, one row tuple per pair."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "a", "b"])
+    writer.writerows((i, int(a), int(b)) for i, (a, b) in enumerate(rec.pairs()))
+    return buf.getvalue().encode("utf-8")
+
+
+def _record_text(rec: OutcomeRecord, row="{i},{a},{b}", end="\n") -> str:
+    rows = [row.format(i=i, a=a, b=b) for i, (a, b) in enumerate(rec.pairs())]
+    return "index,a,b" + end + end.join(rows) + end
+
+
+class TestRecordCsvBytes:
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 100001])
+    def test_bytes_equal_csv_writer_across_digit_widths(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        rec = OutcomeRecord(a=rng.choice([-1, 1], n), b=rng.choice([-1, 1], n), x=X, y=Z)
+        path = tmp_path / "rec.csv"
+        record_to_csv(rec, path)
+        assert path.read_bytes() == _csv_writer_bytes(rec)
+
+    def test_golden_sha256_of_seed_7_record(self, tmp_path):
+        rec = run_measurement_batch(X, direction_from_polar(2.0, 0.5), 100_000, SamplerConfig(7))
+        path = tmp_path / "rec.csv"
+        record_to_csv(rec, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "75a59818faef04b9b162ef0400f9ced8cf612477878a1dd0101798d2e657da37"
+
+
+class TestRecordCsvReader:
+    """Files written by record_to_csv parse without a row loop; every other
+    layout goes through the csv.reader loop, and both must agree."""
+
+    REC = run_measurement_batch(X, direction_from_polar(1.0, 2.0), 2000, SamplerConfig(11))
+
+    def _read(self, tmp_path, data: bytes):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(data)
+        return read_record_arrays_csv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(_record_text(REC, end="\r\n"), id="crlf"),
+            pytest.param(_record_text(REC).replace("\n1,", "\n\n1,", 1), id="blank-line"),
+            pytest.param(_record_text(REC, row="{i},{a:+d},{b:+d}"), id="plus-sign"),
+            pytest.param(_record_text(REC, row="{i}, {a}, {b}"), id="padding-space"),
+            pytest.param(_record_text(REC, row='"{i}","{a}",{b}'), id="quoted"),
+            pytest.param(_record_text(REC).rstrip("\n"), id="no-final-newline"),
+            pytest.param(_record_text(REC), id="as-written"),
+        ],
+    )
+    def test_layouts_agree(self, tmp_path, text):
+        path = tmp_path / "ref.csv"
+        record_to_csv(self.REC, path)
+        assert path.read_text() == _record_text(self.REC)
+        a, b = self._read(tmp_path, text.encode("utf-8"))
+        assert a.dtype == b.dtype == np.int8
+        assert np.array_equal(a, self.REC.a) and np.array_equal(b, self.REC.b)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1,-1\n1,2,-1\n", "line 3: outcomes must be -1 or +1"),
+            ("0,x,-1\n", "line 2: outcomes must be integers"),
+            ("0,1,-1\n1,1,11\n", "line 3: outcomes must be -1 or +1"),
+            ("0,1,-1\n1,1\n", "line 3: expected 3 fields, got 2"),
+            ("0,1,-1\n1,1,-1,1\n", "line 3: expected 3 fields, got 4"),
+            ("0,1,-1\n1,--1,1\n", "line 3: outcomes must be integers"),
+            ("0,1,-1\n" * 1000 + "1000,0,1\n", "line 1002: outcomes must be -1 or +1"),
+            ("", "no outcome rows"),
+        ],
+    )
+    def test_errors_keep_line_and_message(self, tmp_path, body, message):
+        with pytest.raises(ParseError) as err:
+            self._read(tmp_path, b"index,a,b\n" + body.encode("ascii"))
+        assert str(err.value) == f"{tmp_path / 'rec.csv'}: {message}"
 
 
 class TestDensityCurveCsv:

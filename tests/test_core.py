@@ -98,6 +98,15 @@ class TestCosAngle:
         d = Direction(1.0, 0.0, 0.0)
         assert -1.0 <= cos_angle(d, d) <= 1.0
 
+    @pytest.mark.parametrize("dot", [math.nan, math.inf, -math.inf, 1.5, -1.0 - 1e-9])
+    def test_bad_dot_product_rejected(self, dot):
+        class Setting:  # duck-typed: only ``dot`` is used
+            def dot(self, other):
+                return dot
+
+        with pytest.raises(DomainError):
+            cos_angle(Setting(), Direction(1.0, 0.0, 0.0))
+
 
 class TestJointOutcomeProbability:
     def test_parallel_settings_forbid_equal_outcomes(self):

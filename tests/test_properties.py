@@ -1,17 +1,23 @@
-"""Property tests of the joint-count sampler over any cosine and batch."""
+"""Property tests of the joint-count sampler, the cosine and the record CSV."""
 
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlet_frame import (
     CountTable,
     Direction,
+    OutcomeRecord,
     SamplerConfig,
+    cos_angle,
     estimate_mutual_information,
     sample_joint_counts,
 )
+from singlet_frame.serialize import read_record_arrays_csv, record_to_csv
 
 Z = Direction(0.0, 0.0, 1.0)
 
@@ -53,3 +59,22 @@ def test_plug_in_mi_of_drawn_table_is_a_bit_at_most(c, batch, config):
 @given(x=directions, y=directions, batch=batches, config=configs)
 def test_swapping_settings_keeps_the_count_stream(x, y, batch, config):
     assert sample_joint_counts(x, y, batch, config) == sample_joint_counts(y, x, batch, config)
+
+
+@given(x=directions, y=directions)
+def test_cos_angle_of_directions_is_the_clamped_dot(x, y):
+    assert cos_angle(x, y) == min(1.0, max(-1.0, x.dot(y)))
+
+
+outcome_pairs = st.lists(st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])), min_size=1, max_size=2000)
+
+
+@settings(deadline=None)
+@given(pairs=outcome_pairs)
+def test_record_csv_round_trip(pairs):
+    a, b = (np.array(v, dtype=np.int8) for v in zip(*pairs))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rec.csv"
+        record_to_csv(OutcomeRecord(a=a, b=b, x=Z, y=Z), path)
+        back_a, back_b = read_record_arrays_csv(path)
+    assert np.array_equal(back_a, a) and np.array_equal(back_b, b)

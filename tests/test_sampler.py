@@ -199,6 +199,11 @@ class TestSampleJointCounts:
         with pytest.raises(DomainError):
             sample_joint_counts(_FixedDot(cosine), X, 10, SamplerConfig(1))
 
+    @pytest.mark.parametrize("cosine", [1.5, -1.0 - 1e-9, math.nan, math.inf])
+    def test_bad_cosine_rejected_by_record_sampler(self, cosine):
+        with pytest.raises(DomainError):
+            run_measurement_batch(_FixedDot(cosine), X, 10, SamplerConfig(1))
+
     def test_cosine_drift_clamped(self):
         m_pp, _, _, m_mm = sample_joint_counts(_FixedDot(1.0 + 1e-13), X, 100, SamplerConfig(1))
         assert m_pp == m_mm == 0
