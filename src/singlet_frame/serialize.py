@@ -17,7 +17,6 @@ import io
 import json
 import math
 import os
-import re
 import tempfile
 from pathlib import Path
 
@@ -42,8 +41,6 @@ __all__ = [
 
 RECORD_CSV_HEADER = ["index", "a", "b"]
 _RECORD_HEADER_LINE = (",".join(RECORD_CSV_HEADER) + "\n").encode("ascii")
-# Rows exactly as record_to_csv writes them; any other file takes the csv.reader loop.
-_PLAIN_RECORD_BODY = re.compile(rb"(?:[0-9]++,-?1,-?1\n)*+")
 _ZERO, _COMMA, _MINUS, _ONE, _NEWLINE = b"0,-1\n"
 
 
@@ -140,28 +137,43 @@ def record_to_csv(record: OutcomeRecord, path) -> None:
     _write_bytes_atomic(path, _record_csv_bytes(record.a, record.b))
 
 
+def _plain_record_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(a, b) if ``data`` is exactly what ``record_to_csv`` writes for them, else None.
+
+    A missing final LF is allowed.  The outcomes are read from the byte
+    after each comma of the body, and the file is accepted only if
+    writing those outcomes gives back the same bytes.
+    """
+    if not data.startswith(_RECORD_HEADER_LINE) or len(data) == len(_RECORD_HEADER_LINE):
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    commas = np.flatnonzero(buf == _COMMA)[2:]  # the first two are the header's
+    if commas.size == 0 or commas.size % 2:
+        return None
+    outcomes = np.where(buf[commas + 1] == _MINUS, np.int8(-1), np.int8(1))
+    a, b = outcomes.reshape(-1, 2).T.copy()
+    if not np.array_equal(_record_csv_bytes(a, b), buf):
+        return None
+    return a, b
+
+
 def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse an outcome CSV back into (a, b) arrays.
 
     Accepts what ``csv.reader`` accepts, with an ``index,a,b`` header and
     rows whose outcomes parse as -1 or +1.  Raises ParseError naming the
     1-based line of the first offending row.  Files laid out exactly as
-    ``record_to_csv`` writes them are parsed as one byte array; the row
-    loop below defines the format and gives the error messages.
+    ``record_to_csv`` writes them are parsed as one byte array
+    (``_plain_record_arrays``); the row loop below defines the format and
+    gives the error messages.
     """
     path = Path(path)
     data = path.read_bytes()
-    if data.startswith(_RECORD_HEADER_LINE):
-        body = data[len(_RECORD_HEADER_LINE):]
-        if body and not body.endswith(b"\n"):
-            body += b"\n"
-        if body and _PLAIN_RECORD_BODY.fullmatch(body):
-            buf = np.frombuffer(body, dtype=np.uint8)
-            # each row has two commas, and an outcome starts right after each
-            after_comma = buf[np.flatnonzero(buf == _COMMA) + 1]
-            outcomes = np.where(after_comma == _MINUS, np.int8(-1), np.int8(1))
-            a, b = outcomes.reshape(-1, 2).T.copy()
-            return a, b
+    plain = _plain_record_arrays(data)
+    if plain is not None:
+        return plain
     a_vals: list[int] = []
     b_vals: list[int] = []
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:

@@ -194,6 +194,29 @@ class TestRecordCsvReader:
             self._read(tmp_path, b"index,a,b\n" + body.encode("ascii"))
         assert str(err.value) == f"{tmp_path / 'rec.csv'}: {message}"
 
+    @pytest.mark.parametrize(
+        "text, byte_path",
+        [
+            pytest.param(_record_text(REC), True, id="as-written"),
+            pytest.param(_record_text(REC).rstrip("\n"), True, id="no-final-newline"),
+            pytest.param(_record_text(REC).replace("\n5,", "\n05,", 1), False, id="padded-index"),
+            pytest.param(_record_text(REC).replace("\n5,", "\n6,", 1), False, id="repeated-index"),
+            pytest.param(_record_text(REC).replace("\n", "\n\n", 1), False, id="blank-line"),
+            pytest.param(_record_text(REC, end="\r\n"), False, id="crlf"),
+        ],
+    )
+    def test_only_bytes_record_to_csv_writes_skip_the_row_loop(self, tmp_path, monkeypatch, text, byte_path):
+        def no_row_loop(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(csv, "reader", no_row_loop)
+        if byte_path:
+            a, b = self._read(tmp_path, text.encode("ascii"))
+            assert np.array_equal(a, self.REC.a) and np.array_equal(b, self.REC.b)
+        else:
+            with pytest.raises(AssertionError, match="csv.reader called"):
+                self._read(tmp_path, text.encode("ascii"))
+
 
 class TestDensityCurveCsv:
     def test_columns_and_even_peak_pair(self, tmp_path):
