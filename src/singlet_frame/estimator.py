@@ -46,35 +46,29 @@ class CountTable:
     total: int
 
     def __post_init__(self):
-        fields = (
-            self.m_pp, self.m_pm, self.m_mp, self.m_mm,
-            self.m_a_plus, self.m_a_minus, self.m_b_plus, self.m_b_minus,
-            self.total,
-        )
-        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in fields):
+        m_pp, m_pm, m_mp, m_mm = self.m_pp, self.m_pm, self.m_mp, self.m_mm
+        fields = (m_pp, m_pm, m_mp, m_mm, self.m_a_plus, self.m_a_minus, self.m_b_plus, self.m_b_minus, self.total)
+        for v in fields:
+            # a plain int passes on the first test; int subclasses other than bool are ints too
+            if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
+                raise ValueError("counts must be nonnegative integers")
+        if min(fields) < 0:
             raise ValueError("counts must be nonnegative integers")
         if self.total < 1:
             raise ValueError("count table must cover at least one pair")
-        joint_sum = self.m_pp + self.m_pm + self.m_mp + self.m_mm
-        ok = (
-            joint_sum == self.total
-            and self.m_a_plus == self.m_pp + self.m_pm
-            and self.m_a_minus == self.m_mp + self.m_mm
-            and self.m_b_plus == self.m_pp + self.m_mp
-            and self.m_b_minus == self.m_pm + self.m_mm
-        )
-        if not ok:
+        if (
+            m_pp + m_pm + m_mp + m_mm != self.total
+            or self.m_a_plus != m_pp + m_pm
+            or self.m_a_minus != m_mp + m_mm
+            or self.m_b_plus != m_pp + m_mp
+            or self.m_b_minus != m_pm + m_mm
+        ):
             raise ValueError("marginal counts inconsistent with joint counts")
 
     @classmethod
     def from_joint_counts(cls, m_pp: int, m_pm: int, m_mp: int, m_mm: int) -> "CountTable":
         """Build a table from the four joint counts, deriving the marginals."""
-        return cls(
-            m_pp=m_pp, m_pm=m_pm, m_mp=m_mp, m_mm=m_mm,
-            m_a_plus=m_pp + m_pm, m_a_minus=m_mp + m_mm,
-            m_b_plus=m_pp + m_mp, m_b_minus=m_pm + m_mm,
-            total=m_pp + m_pm + m_mp + m_mm,
-        )
+        return cls(m_pp, m_pm, m_mp, m_mm, m_pp + m_pm, m_mp + m_mm, m_pp + m_mp, m_pm + m_mm, m_pp + m_pm + m_mp + m_mm)
 
     def joint_count(self, a: int, b: int) -> int:
         return {(1, 1): self.m_pp, (1, -1): self.m_pm, (-1, 1): self.m_mp, (-1, -1): self.m_mm}[(a, b)]

@@ -24,7 +24,7 @@ import numpy as np
 from .core import Direction, analytic_mutual_information, cos_angle
 # tally and run_measurement_batch stay bound for perfbench's tracer, which wraps them by name
 from .estimator import CountTable, estimate_mutual_information, tally  # noqa: F401
-from .sampler import SamplerConfig, run_measurement_batch, sample_joint_counts  # noqa: F401
+from .sampler import SamplerConfig, joint_count_sampler, run_measurement_batch  # noqa: F401
 
 __all__ = [
     "HemispherePrior",
@@ -46,6 +46,11 @@ __all__ = [
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 RING_SIZE = 8
+
+# cos and sin of the ring azimuths, one row per candidate
+_RING_AZIMUTHS = [2.0 * math.pi * j / RING_SIZE for j in range(RING_SIZE)]
+_RING_COS = np.array([math.cos(az) for az in _RING_AZIMUTHS])[:, None]
+_RING_SIN = np.array([math.sin(az) for az in _RING_AZIMUTHS])[:, None]
 
 # substream namespaces, so coarse trials, refinement evaluations, and
 # per-axis runs never share a random stream
@@ -179,14 +184,24 @@ def refinement_resolution(initial_half_angle: float, rounds: int) -> float:
     return initial_half_angle * 0.5 ** (rounds - 1)
 
 
+def _cross(a, b) -> tuple[float, float, float]:
+    """``np.cross`` of two 3-vectors, with its operation order."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 def _tangent_basis(d: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal basis of the plane perpendicular to ``d``."""
-    v = d.as_array()
-    helper = np.zeros(3)
-    helper[int(np.argmin(np.abs(v)))] = 1.0
-    e1 = np.cross(v, helper)
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(v, e1)
+    """Deterministic orthonormal basis of the plane perpendicular to ``d``.
+
+    The helper axis is the first one along which ``d`` is smallest (as
+    ``np.argmin`` picks it); the norm is ``np.linalg.norm``'s sqrt(e1.dot(e1)).
+    """
+    v = (d.x, d.y, d.z)
+    magnitudes = [abs(t) for t in v]
+    helper = [0.0, 0.0, 0.0]
+    helper[magnitudes.index(min(magnitudes))] = 1.0
+    e1 = np.array(_cross(v, helper))
+    e1 /= math.sqrt(e1.dot(e1))
+    return e1, np.array(_cross(v, e1.tolist()))
 
 
 def generate_trial_directions(
@@ -232,7 +247,7 @@ def generate_trial_directions(
             below = dots < 0.0
             points[below] -= 2.0 * dots[below, None] * pole_v
 
-    return [Direction(*row) for row in points]
+    return [Direction(*row) for row in points.tolist()]
 
 
 def evaluate_trial(
@@ -262,8 +277,8 @@ def _make_scorer(alice_direction: Direction, mode: str, batch_size: int, config:
 
     ``score(direction, *stream)`` returns ``(mi, counts)``.  In sampled
     mode the counts are one joint-count draw from ``config.child(*stream)``,
-    so every evaluation owns its stream; in exact mode the score is the
-    closed form and counts is None.
+    so every evaluation owns its stream (one re-keyed Philox serves them
+    all); in exact mode the score is the closed form and counts is None.
     """
     if mode == "exact":
         return lambda d, *stream: (exact_trial_score(alice_direction, d), None)
@@ -272,9 +287,10 @@ def _make_scorer(alice_direction: Direction, mode: str, batch_size: int, config:
     if config is None:
         raise ValueError("sampled mode requires a sampler config")
 
+    draw = joint_count_sampler(batch_size, config)
+
     def score(d, *stream):
-        joint = sample_joint_counts(alice_direction, d, batch_size, config.child(*stream))
-        counts = CountTable.from_joint_counts(*joint)
+        counts = CountTable.from_joint_counts(*draw(alice_direction, d, *stream))
         return estimate_mutual_information(counts), counts
 
     return score
@@ -299,13 +315,8 @@ def resolve_sign(estimate: Direction, prior: HemispherePrior) -> tuple[Direction
 
 def _ring_candidates(center: Direction, half_angle: float) -> list[Direction]:
     e1, e2 = _tangent_basis(center)
-    c_v = center.as_array()
-    ch, sh = math.cos(half_angle), math.sin(half_angle)
-    out = []
-    for j in range(RING_SIZE):
-        az = 2.0 * math.pi * j / RING_SIZE
-        out.append(Direction(*(ch * c_v + sh * (math.cos(az) * e1 + math.sin(az) * e2))))
-    return out
+    ring = math.cos(half_angle) * center.as_array() + math.sin(half_angle) * (_RING_COS * e1 + _RING_SIN * e2)
+    return [Direction(*row) for row in ring.tolist()]
 
 
 def _refine_search(start, score, rounds, initial_half_angle, prior):

@@ -8,7 +8,11 @@ the same distribution at a cost independent of the batch size.
 Randomness comes from numpy's Philox (4x64) counter-based bit generator
 keyed by ``(seed, stream_id)``: the same configuration reproduces the
 same sequence on any platform, and distinct stream ids give independent
-streams that may be consumed in any order.
+streams that may be consumed in any order.  A counter-based generator's
+whole state is its key and counter, so ``joint_count_sampler`` keeps one
+Philox for many draws and re-keys it before each one: the state is set to
+the key ``(seed, child stream id)`` with a zero counter, and each draw is
+bit-for-bit the one ``config.child(...).generator()`` gives.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "sample_outcome_pair",
     "run_measurement_batch",
     "sample_joint_counts",
+    "joint_count_sampler",
 ]
 
 GENERATOR_NAME = "philox4x64"
@@ -38,6 +43,15 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _fold(stream_id: int, path) -> int:
+    """Fold a substream index path into ``stream_id`` with splitmix64."""
+    for k in path:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise ValueError(f"substream indices must be nonnegative integers, got {k!r}")
+        stream_id = _splitmix64((stream_id + _splitmix64(k)) & _MASK64)
+    return stream_id
 
 
 @dataclass(frozen=True)
@@ -65,12 +79,7 @@ class SamplerConfig:
         per-trial streams do not depend on evaluation order and distinct
         paths give distinct streams.
         """
-        s = self.stream_id
-        for k in path:
-            if not isinstance(k, int) or k < 0:
-                raise ValueError(f"substream indices must be nonnegative integers, got {k!r}")
-            s = _splitmix64((s + _splitmix64(k)) & _MASK64)
-        return SamplerConfig(self.seed, s)
+        return SamplerConfig(self.seed, _fold(self.stream_id, path))
 
     def generator(self) -> np.random.Generator:
         # an explicit uint64 key: a tuple holding a value >= 2**63 would go through float64
@@ -173,7 +182,37 @@ def sample_joint_counts(
     (the two consume ``config``'s stream differently, so their values
     differ).  Deterministic in ``config``.
     """
+    return joint_count_sampler(batch_size, config)(x, y)
+
+
+def joint_count_sampler(batch_size: int, config: SamplerConfig):
+    """``draw(x, y, *path)``, equal to ``sample_joint_counts(x, y, batch_size, config.child(*path))``.
+
+    ``batch_size`` is checked once, and every draw re-keys the same Philox
+    instead of building a generator.  The state each draw starts from is
+    the one a Philox keyed ``(seed, child stream id)`` is built in: zero
+    counter, empty buffer.  Re-keying and drawing are two steps on shared
+    state, so a ``draw`` must not be called from two threads at once; build
+    one sampler per thread.
+    """
     _check_batch_size(batch_size)
-    c = _checked_cos(x.dot(y))
-    same, anti = (1.0 - c) / 4.0, (1.0 + c) / 4.0
-    return tuple(config.generator().multinomial(batch_size, (same, anti, anti, same)).tolist())
+    key = np.array((config.seed, config.stream_id), dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bit_generator = np.random.Philox(key=key)
+    generator = np.random.Generator(bit_generator)
+
+    def draw(x: Direction, y: Direction, *path: int) -> tuple[int, int, int, int]:
+        c = _checked_cos(x.dot(y))
+        same, anti = (1.0 - c) / 4.0, (1.0 + c) / 4.0
+        key[1] = _fold(config.stream_id, path)
+        bit_generator.state = state
+        return tuple(generator.multinomial(batch_size, (same, anti, anti, same)).tolist())
+
+    return draw

@@ -159,6 +159,14 @@ def _plain_record_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     return a, b
 
 
+def _csv_rows(reader, path):
+    """The rows of ``reader``; a csv.Error (not a ValueError) becomes a ParseError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise ParseError(f"{path}: line {reader.line_num}: {e}") from None
+
+
 def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse an outcome CSV back into (a, b) arrays.
 
@@ -177,11 +185,11 @@ def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
     a_vals: list[int] = []
     b_vals: list[int] = []
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(csv.reader(fh), path)
+        header = next(rows, None)
         if header != RECORD_CSV_HEADER:
             raise ParseError(f"{path}: line 1: expected header 'index,a,b', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if not row:
                 continue
             if len(row) != 3:

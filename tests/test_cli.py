@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -221,6 +222,14 @@ class TestBayesCommand:
         assert _run(["bayes", "--record", str(rec), "--out", str(tmp_path / "s.json")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_record_oversized_field_exits_1(self, tmp_path, capsys):
+        # a field over csv's 131072-character limit raises csv.Error, which is not a ValueError
+        rec = tmp_path / "rec.csv"
+        rec.write_text("index,a,b\n0,1,-1\n1," + "1" * 140_000 + ",1\n")
+        assert _run(["bayes", "--record", str(rec), "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 3" in err and "field larger than field limit" in err
+
     def test_bad_level_exits_1(self, tmp_path, capsys):
         assert _run(["bayes", "--tally", "1,1", "--level", "1.5", "--out", str(tmp_path / "s.json")]) == 1
         assert "level" in capsys.readouterr().err
@@ -351,6 +360,27 @@ class TestRunCommand:
         assert report["result"]["kind"] == "frame"
         assert report["result"]["orthonormalized"] is True
         assert len(report["result"]["axes"]) == 3
+
+    def test_sampled_frame_report_pinned(self, tmp_path):
+        # regression pin for the bytes of a sampled frame report: a rotated
+        # frame, tilted per-axis poles, a seed above 2**63 and a nonzero stream
+        frame = [
+            {"theta": math.pi / 2, "phi": 0.7},
+            {"theta": math.pi / 2, "phi": 0.7 + math.pi / 2},
+            {"theta": 0.0, "phi": 0.0},
+        ]
+        poles = [{"theta": 1.3, "phi": 0.9}, {"theta": 1.2, "phi": 2.0}, {"theta": 0.4, "phi": 2.5}]
+        cfg = _sampled_config(
+            tmp_path, alice_frame=frame, prior={"enabled": True, "poles": poles},
+            orthonormalize=True, refine_rounds=3, seed=2**63 + 12345, stream=7,
+        )
+        data = json.loads(cfg.read_text())
+        del data["alice_direction"]
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert _run(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "4a5cafe9561affdd5729d6c9cfc28ab8bea281e6ab5a8c59676b24ec4d4883d1"
 
     def test_unwritable_out_exits_3(self, tmp_path, capsys):
         cfg = _exact_config(tmp_path)

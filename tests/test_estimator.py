@@ -30,6 +30,10 @@ def _batch_at(c, m, seed):
     return run_measurement_batch(Z, y, m, SamplerConfig(seed))
 
 
+FIELDS = ("m_pp", "m_pm", "m_mp", "m_mm", "m_a_plus", "m_a_minus", "m_b_plus", "m_b_minus", "total")
+ONE_PAIR = (1, 0, 0, 0, 1, 0, 1, 0, 1)  # the fields of from_joint_counts(1, 0, 0, 0)
+
+
 class TestCountTable:
     def test_inconsistent_marginals_rejected(self):
         with pytest.raises(ValueError):
@@ -43,6 +47,30 @@ class TestCountTable:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             CountTable.from_joint_counts(0, 0, 0, 0)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("as_other_type", [bool, float, np.int64, str])
+    def test_count_of_another_type_rejected(self, field, as_other_type):
+        # the value is numerically right, so only the type check can reject it
+        values = dict(zip(FIELDS, ONE_PAIR))
+        values[field] = as_other_type(values[field])
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            CountTable(**values)
+
+    def test_int_subclass_counts_accepted(self):
+        class Count(int):
+            pass
+
+        table = CountTable(*map(Count, ONE_PAIR))
+        assert table == CountTable.from_joint_counts(1, 0, 0, 0)
+
+    @pytest.mark.parametrize("field", FIELDS[4:])
+    def test_each_derived_count_checked(self, field):
+        values = dict(zip(FIELDS, (3, 1, 4, 1, 4, 5, 7, 2, 9)))
+        CountTable(**values)
+        values[field] += 1
+        with pytest.raises(ValueError, match="inconsistent"):
+            CountTable(**values)
 
     def test_merge(self):
         t1 = CountTable.from_joint_counts(1, 2, 3, 4)

@@ -15,6 +15,7 @@ from singlet_frame import (
     SamplerConfig,
     cos_angle,
     estimate_mutual_information,
+    joint_count_sampler,
     sample_joint_counts,
 )
 from singlet_frame.serialize import read_record_arrays_csv, record_to_csv
@@ -59,6 +60,20 @@ def test_plug_in_mi_of_drawn_table_is_a_bit_at_most(c, batch, config):
 @given(x=directions, y=directions, batch=batches, config=configs)
 def test_swapping_settings_keeps_the_count_stream(x, y, batch, config):
     assert sample_joint_counts(x, y, batch, config) == sample_joint_counts(y, x, batch, config)
+
+
+paths = st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=4).map(tuple)
+
+
+@settings(deadline=None)
+@given(config=configs, batch=batches, c=cosines, path=paths, earlier_c=cosines, earlier_path=paths)
+def test_rekeyed_draw_is_the_freshly_keyed_child_draw(config, batch, c, path, earlier_c, earlier_path):
+    draw = joint_count_sampler(batch, config)
+    draw(Z, _at_cosine(earlier_c), *earlier_path)  # leaves the shared Philox mid-stream
+    y = _at_cosine(c)
+    same, anti = (1.0 - cos_angle(Z, y)) / 4.0, (1.0 + cos_angle(Z, y)) / 4.0
+    fresh = config.child(*path).generator().multinomial(batch, (same, anti, anti, same))
+    assert draw(Z, y, *path) == tuple(fresh.tolist())
 
 
 @given(x=directions, y=directions)

@@ -24,8 +24,14 @@ from singlet_frame import (
     transfer_direction,
     transfer_frame,
 )
-from singlet_frame.protocol import _STREAM_COARSE, exact_trial_score
-from conftest import random_direction, tilted_pole
+from singlet_frame.protocol import (
+    RING_SIZE,
+    _STREAM_COARSE,
+    _ring_candidates,
+    _tangent_basis,
+    exact_trial_score,
+)
+from conftest import orthonormal_tangents, random_direction, tilted_pole
 
 Z = Direction(0.0, 0.0, 1.0)
 POLE_PRIOR = HemispherePrior.around(Z)
@@ -90,6 +96,45 @@ class TestGenerateTrialDirections:
             v = random_direction(rng)
             gap = math.acos(min(1.0, float(np.max(np.abs(mat @ v.as_array())))))
             assert gap < 1.1 * cap
+
+
+def _bits(d: Direction) -> bytes:
+    return np.array([d.x, d.y, d.z]).tobytes()
+
+
+# axis-aligned settings, signed zeros and ties for the smallest component
+EDGE_DIRECTIONS = [
+    Direction(*v) for v in (
+        (1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (1.0, 1.0, 0.0),
+        (1.0, -1.0, 1.0), (3.0, 4.0, 0.0), (0.0, 3.0, 4.0), (1.0, 2.0, 2.0), (1e-300, 1.0, 0.0),
+    )
+]
+
+
+class TestGeometryBits:
+    """The geometry reproduces, bit for bit, the numpy expressions it replaced."""
+
+    def test_tangent_basis_matches_numpy_cross_and_norm(self, rng):
+        # orthonormal_tangents is the np.cross / np.linalg.norm formulation
+        for d in EDGE_DIRECTIONS + [random_direction(rng) for _ in range(500)]:
+            for got, want in zip(_tangent_basis(d), orthonormal_tangents(d)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_ring_matches_per_candidate_formula(self, rng):
+        for d in EDGE_DIRECTIONS + [random_direction(rng) for _ in range(200)]:
+            for half_angle in (1e-3, 0.3, 1.2):
+                e1, e2 = orthonormal_tangents(d)
+                ch, sh = math.cos(half_angle), math.sin(half_angle)
+                want = []
+                for j in range(RING_SIZE):
+                    az = 2.0 * math.pi * j / RING_SIZE
+                    want.append(Direction(*(ch * d.as_array() + sh * (math.cos(az) * e1 + math.sin(az) * e2))))
+                assert [_bits(c) for c in _ring_candidates(d, half_angle)] == [_bits(w) for w in want]
+
+    def test_directions_hold_python_floats(self):
+        prior = HemispherePrior.around(direction_from_polar(0.7, 0.5))
+        made = generate_trial_directions(20, prior, jitter_seed=3) + _ring_candidates(Z, 0.2)
+        assert all(type(t) is float for d in made for t in (d.x, d.y, d.z))
 
 
 class TestEvaluateTrial:
@@ -327,6 +372,45 @@ class TestTransferDirection:
             initial_half_angle=params.resolved_initial_half_angle(),
         )
         assert res.direction == refined
+
+    def test_pinned_sampled_transfer_golden(self):
+        # regression pin for a whole sampled transfer (coarse and refinement
+        # streams, full 64-bit seed and stream id)
+        params = ProtocolParams(
+            10, 5000, 3, HemispherePrior.around(direction_from_polar(0.8, 0.9)),
+            config=SamplerConfig(2**64 - 3, 2**63 + 1), mode="sampled",
+        )
+        res = transfer_direction(direction_from_polar(1.1, 0.4), params)
+        assert (res.direction.x, res.direction.y, res.direction.z) == (
+            0.8294647092183367, 0.30049251215948136, 0.47084237946198526,
+        )
+        assert res.mi_score == 0.9905440576517781
+        assert [(t.counts.m_pp, t.counts.m_pm, t.counts.m_mp, t.counts.m_mm) for t in res.trials] == [
+            (153, 2347, 2335, 165), (412, 2063, 2107, 418), (12, 2502, 2475, 11), (847, 1641, 1690, 822),
+            (501, 1990, 1981, 528), (464, 2087, 2016, 433), (1333, 1161, 1146, 1360), (413, 2074, 2104, 409),
+            (1309, 1253, 1192, 1246), (1324, 1173, 1147, 1356),
+        ]
+        assert (res.singlets_used, res.refine_evaluations) == (185000, 27)
+
+    def test_one_philox_per_sampled_transfer(self, monkeypatch):
+        # guards the fixed cost per evaluation: all 30 evaluations re-key one bit generator
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        params = ProtocolParams(
+            12, 300, 2, HemispherePrior.around(direction_from_polar(0.7, 0.5)), config=SamplerConfig(5), mode="sampled",
+        )
+        res = transfer_direction(direction_from_polar(0.9, 0.2), params)
+        assert len(res.trials) + res.refine_evaluations == 30
+        per_transfer = len(built)
+        SamplerConfig(1).generator()
+        assert len(built) == per_transfer + 1  # the counter sees every construction
+        assert per_transfer <= 1
 
     def test_trial_records_carry_plug_in_scores(self):
         truth = direction_from_polar(0.9, 0.2)

@@ -10,6 +10,7 @@ from singlet_frame import (
     OutcomeRecord,
     SamplerConfig,
     direction_from_polar,
+    joint_count_sampler,
     run_measurement_batch,
     sample_joint_counts,
     sample_outcome_pair,
@@ -50,6 +51,12 @@ class TestSamplerConfig:
     def test_child_rejects_negative_index(self):
         with pytest.raises(ValueError):
             SamplerConfig(42).child(-1)
+
+    @pytest.mark.parametrize("index", [True, False])
+    def test_child_rejects_bool_index(self, index):
+        # a bool is an int to isinstance; as an index it would silently be 1 or 0
+        with pytest.raises(ValueError, match="substream"):
+            SamplerConfig(42).child(0, index)
 
     def test_generator_keeps_full_64_bit_key(self):
         # keys at or above 2**63 must reach Philox exactly, not through float64
@@ -228,6 +235,31 @@ class TestSampleJointCounts:
         assert table.shape[1] >= 8
         _, p_value, _, _ = stats.chi2_contingency(table)
         assert p_value > 1e-3
+
+
+class TestJointCountSampler:
+    def test_draws_equal_sample_joint_counts_on_child_streams(self):
+        cfg = SamplerConfig(77, 5)
+        y = direction_from_polar(0.4, 2.0)
+        draw = joint_count_sampler(300, cfg)
+        # repeated paths, shared prefixes and the empty path, in one sampler
+        for path in [(0, 3), (), (1, 2, 8), (1, 2, 0), (0, 3), (0,), (1, 2, 8), ()]:
+            assert draw(Z, y, *path) == sample_joint_counts(Z, y, 300, cfg.child(*path))
+
+    @pytest.mark.parametrize("batch_size", [0, 2.5, True])
+    def test_batch_size_checked_when_built(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            joint_count_sampler(batch_size, SamplerConfig(1))
+
+    @pytest.mark.parametrize("path", [(-1,), (0, True), (True, 2, 3), (1, 2.0, 3), (1.0, 2, 3), (1, "2", 3)])
+    def test_bad_path_rejected_after_an_equal_good_one(self, path):
+        # True and 1.0 compare equal to 1, so nothing may be looked up by the path
+        cfg = SamplerConfig(1)
+        draw = joint_count_sampler(10, cfg)
+        good = draw(Z, X, 1, 2, 3)
+        with pytest.raises(ValueError, match="substream"):
+            draw(Z, X, *path)
+        assert draw(Z, X, 1, 2, 3) == good == sample_joint_counts(Z, X, 10, cfg.child(1, 2, 3))
 
 
 class TestOutcomeRecord:
