@@ -18,11 +18,12 @@ per-command default name.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,26 +44,6 @@ _DEFAULT_OUT = {
     "run": "run_report.json",
     "bayes": "posterior_summary.json",
 }
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Everything a transfer run produced.  ``wall_time_s`` is excluded from
-    the serialized report (it goes to the sidecar log) so reports are
-    byte-identical across reruns."""
-
-    config_echo: dict
-    result: dict
-    budget: dict
-    wall_time_s: float
-
-    def report_dict(self) -> dict:
-        return {
-            "config": self.config_echo,
-            "result": self.result,
-            "budget": self.budget,
-            "version": __version__,
-        }
 
 
 def cmd_mi_curve(resolution: int, out_path) -> None:
@@ -148,8 +129,12 @@ def _direction_result(res: TransferResult, truth, include_counts: bool) -> dict:
     return out
 
 
-def cmd_run(cfg: ExperimentConfig, out_path, include_counts: bool = True) -> RunReport:
-    """Execute the configured transfer and write the JSON report."""
+def cmd_run(cfg: ExperimentConfig, out_path, include_counts: bool = True) -> None:
+    """Execute the configured transfer and write the JSON report.
+
+    The wall time goes to the ``.log`` sidecar, not the report, so reports
+    are byte-identical across reruns.
+    """
     started = time.perf_counter()
     params = cfg.protocol_params()
     if cfg.is_frame:
@@ -175,16 +160,16 @@ def cmd_run(cfg: ExperimentConfig, out_path, include_counts: bool = True) -> Run
         res = transfer_direction(cfg.truth_direction(), params)
         result = {"kind": "direction", **_direction_result(res, cfg.truth_direction(), include_counts)}
         singlets = res.singlets_used
-    report = RunReport(
-        config_echo=canonical_dict(cfg),
-        result=result,
-        budget={"singlets_used": singlets, "batch_size": cfg.batch, "coarse_trials": cfg.trials},
-        wall_time_s=time.perf_counter() - started,
-    )
-    write_json_atomic(out_path, report.report_dict())
+    report = {
+        "config": canonical_dict(cfg),
+        "result": result,
+        "budget": {"singlets_used": singlets, "batch_size": cfg.batch, "coarse_trials": cfg.trials},
+        "version": __version__,
+    }
+    wall_time_s = time.perf_counter() - started
+    write_json_atomic(out_path, report)
     sidecar = Path(str(out_path) + ".log")
-    sidecar.write_text(f"wall_time_s: {report.wall_time_s:.6f}\n", encoding="utf-8")
-    return report
+    sidecar.write_text(f"wall_time_s: {wall_time_s:.6f}\n", encoding="utf-8")
 
 
 def cmd_bayes(tally: SignTally, level: float, out_path) -> None:
@@ -222,7 +207,9 @@ def _resolve_out(arg_out, command: str) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, ".")) / _DEFAULT_OUT[command]
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parse_args keeps no state in it."""
     parser = _Parser(prog="singlet-frame", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

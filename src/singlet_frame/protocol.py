@@ -234,7 +234,7 @@ def generate_trial_directions(
         points = local
 
     if jitter_seed is not None:
-        rng = np.random.Generator(np.random.Philox(key=(jitter_seed, _JITTER_STREAM)))
+        rng = SamplerConfig(jitter_seed, _JITTER_STREAM).generator()  # checks the seed is a uint64
         sigma = 0.5 * math.sqrt((2.0 if prior.enabled else 4.0) / count)
         noise = sigma * rng.normal(size=(count, 3))
         if prior.enabled:

@@ -2,8 +2,11 @@
 
 All text output is UTF-8 with LF line endings and a header row on CSV.
 Floats are written with 17 significant digits in CSV; JSON floats use
-Python's shortest round-trip representation.  Files are written
-atomically (temp file + rename in the target directory).
+Python's shortest round-trip representation.  JSON is the C encoder's
+compact form re-indented as one byte array, byte-identical to
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a final LF (any
+``indent`` selects the slower pure-Python encoder before Python 3.13).
+Files are written atomically (temp file + rename in the target directory).
 
 Outcome-record CSV: header ``index,a,b``; one row per pair with a 0-based
 index and outcomes in {-1, +1}.  Settings are not carried by the CSV
@@ -42,6 +45,12 @@ __all__ = [
 RECORD_CSV_HEADER = ["index", "a", "b"]
 _RECORD_HEADER_LINE = (",".join(RECORD_CSV_HEADER) + "\n").encode("ascii")
 _ZERO, _COMMA, _MINUS, _ONE, _NEWLINE = b"0,-1\n"
+_QUOTE, _SPACE = b'" '
+# 1 at a string delimiter or a possible structural byte of JSON
+_JSON_MARKS = bytes(c in b'"[]{},' for c in range(256))
+_DEPTH_STEP = np.zeros(256, dtype=np.int64)
+_DEPTH_STEP[list(b"[{")] = 1
+_DEPTH_STEP[list(b"]}")] = -1
 
 
 class ParseError(ValueError):
@@ -82,9 +91,43 @@ def write_csv_atomic(path, header: list[str], rows) -> None:
     write_text_atomic(path, buf.getvalue())
 
 
+def _indented_json_bytes(obj) -> np.ndarray:
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` as one uint8 array.
+
+    The C encoder writes the compact form; the line breaks and indents are
+    then inserted as bytes.  With the escaped backslashes and then the
+    escaped quotes blanked, every quote left opens or closes a string, so a
+    bracket or comma is structure when an even number of quotes precedes
+    it.  A line break and ``2 * depth`` spaces go after each open bracket
+    and comma and before each close bracket, except between ``[]`` or ``{}``.
+    """
+    text = json.dumps(obj, sort_keys=True, separators=(",", ": ")).encode("ascii")
+    src = np.frombuffer(text, dtype=np.uint8)
+    plain = text.replace(b"\\\\", b"  ").replace(b'\\"', b"  ")
+    marks = np.flatnonzero(np.frombuffer(plain.translate(_JSON_MARKS), dtype=bool))
+    kinds = src[marks]
+    quote = kinds == _QUOTE
+    structure = ~(quote | np.logical_xor.accumulate(quote))
+    marks = marks[structure]
+    step = _DEPTH_STEP[kinds[structure]]
+    at = marks + (step >= 0)  # the byte each break goes before
+    keep = (_DEPTH_STEP[src[at - 1]] <= 0) | (_DEPTH_STEP[src[at]] >= 0)  # none inside [] or {}
+    at = at[keep]
+    width = 2 * np.cumsum(step)[keep] + 1
+    dest = np.ones(src.size, dtype=np.int64)  # becomes where each compact byte lands
+    dest[0] = 0
+    dest[at] += width
+    np.cumsum(dest, out=dest)
+    out = np.full(int(dest[-1]) + 2, _SPACE, dtype=np.uint8)
+    out[dest] = src
+    out[dest[at] - width] = _NEWLINE
+    out[-1] = _NEWLINE
+    return out
+
+
 def write_json_atomic(path, obj) -> None:
     """Canonical JSON: sorted keys, 2-space indent, trailing newline."""
-    write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_bytes_atomic(path, _indented_json_bytes(obj))
 
 
 def _record_csv_bytes(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from singlet_frame.cli import main
+from singlet_frame.cli import build_parser, main
 
 TRUTH_THETA, TRUTH_PHI = 1.5, 2.1
 
@@ -242,6 +242,21 @@ class TestBayesCommand:
         assert _run(["bayes", "--record", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "s.json")]) == 3
         assert capsys.readouterr().err.startswith("io error: ")
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--tally", "5000,6000"], "640c27a0d27536e90f3559da0c453442fb2fcc129fb6fb740d61d8046cc796e0"),
+            (
+                ["--tally", "10000000,0", "--level", "0.99"],
+                "d8d83b7847cac5811b7471e180a8c50c4bdd6d2f563b632a6a19d45605adbacd",
+            ),
+        ],
+    )
+    def test_tally_summary_pinned(self, tmp_path, argv, digest):
+        out = tmp_path / "s.json"
+        assert _run(["bayes", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 def _exact_config(tmp_path, **overrides):
     data = {
@@ -420,3 +435,24 @@ class TestCliBasics:
         with pytest.raises(SystemExit) as exc:
             _run(["--version"])
         assert exc.value.code == 0
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_run_options_do_not_leak_into_the_next_call(self, tmp_path):
+        cfg = _sampled_config(tmp_path)
+        first, overridden, second = (tmp_path / f"{name}.json" for name in ("first", "overridden", "second"))
+        build_parser.cache_clear()
+        assert _run(["run", "--config", str(cfg), "--out", str(first)]) == 0
+        argv = ["run", "--config", str(cfg), "--seed", "5", "--mode", "exact", "--no-counts"]
+        assert _run([*argv, "--out", str(overridden)]) == 0
+        assert _run(["run", "--config", str(cfg), "--out", str(second)]) == 0
+        assert json.loads(overridden.read_text())["config"]["mode"] == "exact"
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_bayes_level_does_not_leak_into_the_next_call(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert _run(["bayes", "--tally", "5,6", "--level", "0.9", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["credible_level"] == 0.9
+        assert _run(["bayes", "--tally", "5,6", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["credible_level"] == 0.95

@@ -145,6 +145,42 @@ class TestRecordCsvBytes:
         assert digest == "75a59818faef04b9b162ef0400f9ced8cf612477878a1dd0101798d2e657da37"
 
 
+class TestJsonBytes:
+    """write_json_atomic re-indents the C encoder's compact form; the bytes
+    must stay those of ``json.dumps(obj, sort_keys=True, indent=2)``."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "[a, {b}]",
+            17,
+            [],
+            [[], {}, [[]], {"": {}}],
+            {"a\\": {'\\"': ["]", "\\\\", '\\\\"', ",{"]}, "b": [None, True, 1.5]},
+            [float("nan"), float("inf"), -float("inf"), 10**25, -(2**64)],
+            {"\u00e9\x00\n": "\u2603\U0001f600\ud800"},
+        ],
+    )
+    def test_edge_values_match_the_indented_encoder(self, tmp_path, value):
+        path = tmp_path / "v.json"
+        write_json_atomic(path, value)
+        assert path.read_bytes() == (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
+
+    def test_record_to_json_pinned(self, tmp_path):
+        rec = run_measurement_batch(X, direction_from_polar(2.0, 0.5), 10_000, SamplerConfig(7))
+        path = tmp_path / "rec.json"
+        record_to_json(rec, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "dae0cb708f8ef064f97616541fbdb78330309ae25f79bad4e4a1e6d599c95b64"
+
+    def test_circular_object_raises_value_error(self, tmp_path):
+        loop = {"a": []}
+        loop["a"].append(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            write_json_atomic(tmp_path / "v.json", loop)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRecordCsvReader:
     """Files written by record_to_csv parse without a row loop; every other
     layout goes through the csv.reader loop, and both must agree."""

@@ -1,5 +1,6 @@
-"""Property tests of the joint-count sampler, the cosine and the record CSV."""
+"""Property tests of the joint-count sampler, the cosine, the record CSV and the JSON writer."""
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -18,7 +19,7 @@ from singlet_frame import (
     joint_count_sampler,
     sample_joint_counts,
 )
-from singlet_frame.serialize import read_record_arrays_csv, record_to_csv
+from singlet_frame.serialize import read_record_arrays_csv, record_to_csv, write_json_atomic
 
 Z = Direction(0.0, 0.0, 1.0)
 
@@ -93,3 +94,30 @@ def test_record_csv_round_trip(pairs):
         record_to_csv(OutcomeRecord(a=a, b=b, x=Z, y=Z), path)
         back_a, back_b = read_record_arrays_csv(path)
     assert np.array_equal(back_a, a) and np.array_equal(back_b, b)
+
+
+# characters that are JSON syntax, need escaping, or are not ASCII
+json_text = st.text(
+    alphabet=st.sampled_from(list('"\\[]{},: \n\x00\x1f/a\u00e9\u2603\ud800\U0001f600')) | st.characters(),
+    max_size=8,
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats()
+    | json_text
+    | st.sampled_from([[], {}, [[]], {"": {}}, [{}, []]]),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(value=json_values)
+def test_json_bytes_are_the_indented_encoder_bytes(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.json"
+        write_json_atomic(path, value)
+        data = path.read_bytes()
+    assert data == (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +83,40 @@ class TestGenerateTrialDirections:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             generate_trial_directions(0, NO_PRIOR)
+
+    def test_jitter_seeds_above_2_63_differ(self):
+        # a (seed, stream) tuple key went through float64 and merged these two seeds
+        a = generate_trial_directions(20, NO_PRIOR, jitter_seed=2**63 + 1)
+        b = generate_trial_directions(20, NO_PRIOR, jitter_seed=2**63 + 2)
+        assert a != b
+
+    def test_largest_jitter_seed_runs_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dirs = generate_trial_directions(20, POLE_PRIOR, jitter_seed=2**64 - 1)
+        assert len(dirs) == 20
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_jitter_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            generate_trial_directions(3, NO_PRIOR, jitter_seed=seed)
+
+    def test_jitter_layout_below_2_63_pinned(self):
+        # layouts of seeds below 2**63 are the ones the tuple key gave
+        tilted = generate_trial_directions(4, HemispherePrior.around(Direction(0.6, 0.0, 0.8)), 2**63 - 1)
+        assert [(d.x, d.y, d.z) for d in tilted] == [
+            (0.6, 0.0, 0.8),
+            (0.6660029834199147, -0.7455918477209716, -0.023082952319844596),
+            (0.6714043642144847, 0.6871146733005428, 0.27765014937657106),
+            (-0.26138332311053447, -0.5676814449670153, 0.7806513533196848),
+        ]
+        sphere = generate_trial_directions(4, NO_PRIOR, 2**63 - 1)
+        assert [(d.x, d.y, d.z) for d in sphere] == [
+            (0.4873654912397921, -0.5546821553969825, 0.6743905281309592),
+            (-0.9602124628405218, 0.12873397307362086, -0.24782976088924402),
+            (0.5201320464665422, -0.7925528242350742, -0.3183122288501245),
+            (0.4932010810664625, 0.7976711422489935, -0.3470928441470072),
+        ]
 
     def test_full_sphere_covers_both_hemispheres(self):
         zs = [d.z for d in generate_trial_directions(40, NO_PRIOR)]

@@ -1,0 +1,21 @@
+"""The package parses as Python 3.10, the oldest version pyproject.toml allows."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FLOOR = (3, 10)
+SOURCES = sorted((ROOT / "src" / "singlet_frame").glob("*.py"))
+
+
+def test_floor_is_the_declared_requires_python():
+    declared = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert tuple(map(int, declared.groups())) == FLOOR
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_parses_at_the_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=FLOOR)
