@@ -2,111 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .bayes import (
-    PosteriorSummary,
-    SignTally,
-    conditional_direction_density,
-    credible_interval,
-    log_likelihood,
-    log_normalization_d,
-    posterior_density,
-    posterior_peak,
-    posterior_summary,
-    posterior_theta_density,
-    sign_tally,
-    sign_tally_from_arrays,
-)
-from .core import (
-    Direction,
-    DistributionError,
-    DomainError,
-    JointDistribution2x2,
-    analytic_mutual_information,
-    cos_angle,
-    direction_from_polar,
-    joint_outcome_probability,
-    mutual_information_from_joint,
-    singlet_joint_distribution,
-)
-from .estimator import (
-    CountTable,
-    estimate_joint,
-    estimate_marginals,
-    estimate_mutual_information,
-    tally,
-)
-from .protocol import (
-    FrameEstimate,
-    HemispherePrior,
-    ProtocolParams,
-    TransferResult,
-    TrialRecord,
-    default_initial_half_angle,
-    evaluate_trial,
-    generate_trial_directions,
-    refine,
-    refinement_resolution,
-    resolve_sign,
-    select_best,
-    transfer_direction,
-    transfer_frame,
-)
-from .sampler import (
-    OutcomeRecord,
-    SamplerConfig,
-    joint_count_sampler,
-    run_measurement_batch,
-    sample_joint_counts,
-    sample_outcome_pair,
-)
+from . import bayes, core, estimator, protocol, sampler
+from .bayes import *  # noqa: F403
+from .core import *  # noqa: F403
+from .estimator import *  # noqa: F403
+from .protocol import *  # noqa: F403
+from .sampler import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "Direction",
-    "DomainError",
-    "DistributionError",
-    "JointDistribution2x2",
-    "direction_from_polar",
-    "cos_angle",
-    "joint_outcome_probability",
-    "singlet_joint_distribution",
-    "mutual_information_from_joint",
-    "analytic_mutual_information",
-    "SamplerConfig",
-    "OutcomeRecord",
-    "sample_outcome_pair",
-    "run_measurement_batch",
-    "sample_joint_counts",
-    "joint_count_sampler",
-    "CountTable",
-    "tally",
-    "estimate_marginals",
-    "estimate_joint",
-    "estimate_mutual_information",
-    "HemispherePrior",
-    "TrialRecord",
-    "ProtocolParams",
-    "TransferResult",
-    "FrameEstimate",
-    "generate_trial_directions",
-    "evaluate_trial",
-    "select_best",
-    "refine",
-    "resolve_sign",
-    "transfer_direction",
-    "transfer_frame",
-    "default_initial_half_angle",
-    "refinement_resolution",
-    "SignTally",
-    "PosteriorSummary",
-    "sign_tally",
-    "sign_tally_from_arrays",
-    "log_likelihood",
-    "log_normalization_d",
-    "posterior_density",
-    "posterior_theta_density",
-    "posterior_peak",
-    "conditional_direction_density",
-    "credible_interval",
-    "posterior_summary",
-]
+__all__ = ["__version__", *core.__all__, *sampler.__all__, *estimator.__all__, *protocol.__all__, *bayes.__all__]

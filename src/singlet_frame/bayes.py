@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COS_DOMAIN_TOL, Direction, DomainError, LN2, cos_angle
+from .core import LN2, Direction, _checked_cos, _checked_cos_array, _checked_int, _shaped, cos_angle
 from .sampler import OutcomeRecord
 
 __all__ = [
@@ -52,10 +52,8 @@ class SignTally:
     n_minus: int
 
     def __post_init__(self):
-        for name in ("n_plus", "n_minus"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+        _checked_int(self.n_plus, "n_plus")
+        _checked_int(self.n_minus, "n_minus")
 
     @property
     def n_total(self) -> int:
@@ -117,10 +115,7 @@ def log_likelihood(tally: SignTally, cos_theta: float) -> float:
     Returns -inf when a zero-probability factor is hit (|cos| = 1 with a
     count on the forbidden side); an empty tally gives 0.
     """
-    c = float(cos_theta)
-    if not math.isfinite(c) or abs(c) > 1.0 + COS_DOMAIN_TOL:
-        raise DomainError(f"cosine of an angle must lie in [-1, 1], got {cos_theta!r}")
-    c = min(1.0, max(-1.0, c))
+    c = _checked_cos(cos_theta)
     out = 0.0
     if tally.n_plus:
         p = (1.0 - c) / 4.0
@@ -142,30 +137,14 @@ def log_normalization_d(tally: SignTally) -> float:
     return (n1 + n2 + 1) * LN2 + log_beta
 
 
-def _checked_cos_array(cos_theta):
-    arr = np.asarray(cos_theta, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(np.abs(arr) > 1.0 + COS_DOMAIN_TOL):
-        raise DomainError("cosine of an angle must lie in [-1, 1]")
-    return arr, np.atleast_1d(np.clip(arr, -1.0, 1.0))
-
-
 def posterior_density(cos_theta, tally: SignTally):
     """Posterior density per double solid angle at a relative-angle cosine.
 
     Accepts a scalar or an array.  Finite everywhere, including the
     endpoints when the corresponding count is zero.
     """
-    arr, c = _checked_cos_array(cos_theta)
-    logp = np.full(c.shape, -LOG_8PI2 - log_normalization_d(tally))
-    with np.errstate(divide="ignore"):
-        if tally.n_plus:
-            logp += tally.n_plus * np.log1p(-c)
-        if tally.n_minus:
-            logp += tally.n_minus * np.log1p(c)
-    out = np.exp(logp)
-    if np.ndim(cos_theta) == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    logp = _log_density_1d(_checked_cos_array(cos_theta), tally, -LOG_8PI2 - log_normalization_d(tally))
+    return _shaped(np.exp(logp), cos_theta)
 
 
 def posterior_theta_density(theta, tally: SignTally):
@@ -174,8 +153,7 @@ def posterior_theta_density(theta, tally: SignTally):
     Uses the half-angle form 2^N sin(t/2)^(2 n_plus) cos(t/2)^(2 n_minus),
     so it is exactly even in theta.  Accepts a scalar or an array.
     """
-    arr = np.asarray(theta, dtype=float)
-    t = np.atleast_1d(arr)
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
     n = tally.n_total
     logp = np.full(t.shape, n * LN2 - LOG_8PI2 - log_normalization_d(tally))
     with np.errstate(divide="ignore"):
@@ -183,10 +161,7 @@ def posterior_theta_density(theta, tally: SignTally):
             logp += tally.n_plus * np.log(np.sin(t / 2.0) ** 2)
         if tally.n_minus:
             logp += tally.n_minus * np.log(np.cos(t / 2.0) ** 2)
-    out = np.exp(logp)
-    if np.ndim(theta) == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _shaped(np.exp(logp), theta)
 
 
 def posterior_peak(tally: SignTally) -> float:
@@ -205,9 +180,13 @@ def conditional_direction_density(x: Direction, tally: SignTally, y: Direction) 
     return 4.0 * math.pi * posterior_density(cos_angle(x, y), tally)
 
 
-def _log_density_1d(c: np.ndarray, tally: SignTally, log_d: float) -> np.ndarray:
-    """Log of the 1-d normalized density in cos (integrates to 1 on [-1, 1])."""
-    logp = np.full(np.shape(c), -log_d)
+def _log_density_1d(c: np.ndarray, tally: SignTally, offset: float) -> np.ndarray:
+    """``offset`` plus the log of the unnormalized density in cos: n_plus*log(1 - c) + n_minus*log(1 + c).
+
+    With offset -log(d) it integrates to 1 on [-1, 1]; with -log(8 pi^2 d) it is
+    the density per double solid angle.
+    """
+    logp = np.full(np.shape(c), offset)
     with np.errstate(divide="ignore"):
         if tally.n_plus:
             logp = logp + tally.n_plus * np.log1p(-c)
@@ -242,10 +221,10 @@ def credible_interval(tally: SignTally, level: float, grid_size: int = 8193) -> 
         raise ValueError(f"credible level must lie strictly in (0, 1), got {level!r}")
     if tally.n_total < 1:
         raise ValueError("credible interval is undefined for an empty tally")
-    log_d = log_normalization_d(tally)
+    offset = -log_normalization_d(tally)
     window_lo, window_hi = _posterior_window(tally)
     grid = np.linspace(window_lo, window_hi, grid_size)
-    dens = np.exp(_log_density_1d(grid, tally, log_d))
+    dens = np.exp(_log_density_1d(grid, tally, offset))
     step = grid[1] - grid[0]
     weights = np.full(grid_size, step)
     weights[0] = weights[-1] = step / 2.0  # trapezoid ends, exact for boundary-peaked tallies
@@ -260,7 +239,7 @@ def credible_interval(tally: SignTally, level: float, grid_size: int = 8193) -> 
     lo_i, hi_i = int(included[0]), int(included[-1])
 
     def density(c: float) -> float:
-        return float(np.exp(_log_density_1d(np.asarray(c), tally, log_d)))
+        return float(np.exp(_log_density_1d(np.asarray(c), tally, offset)))
 
     def bisect_edge(inside: float, outside: float) -> float:
         # density is monotone between an included point and its excluded neighbor

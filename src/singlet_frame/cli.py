@@ -23,15 +23,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bayes import SignTally, posterior_summary, posterior_theta_density, sign_tally_from_arrays
-from .config import ConfigError, ExperimentConfig, canonical_dict, load_config
-from .core import analytic_mutual_information, cos_angle
+from .config import ConfigError, ExperimentConfig, _field, canonical_dict, load_config, parse_config
+from .core import _checked_int, analytic_mutual_information, cos_angle
 from .protocol import FrameEstimate, TransferResult, transfer_direction, transfer_frame
 from .serialize import format_float, read_record_arrays_csv, write_csv_atomic, write_json_atomic
 
@@ -48,8 +47,7 @@ _DEFAULT_OUT = {
 
 def cmd_mi_curve(resolution: int, out_path) -> None:
     """CSV of (theta, mi_bits) over [0, pi], endpoints included."""
-    if resolution < 2:
-        raise ConfigError("field 'resolution': must be >= 2")
+    _field(_checked_int, resolution, "resolution", 2)
     thetas = np.linspace(0.0, math.pi, resolution)
     values = analytic_mutual_information(np.cos(thetas))
     rows = ((format_float(t), format_float(v)) for t, v in zip(thetas, values))
@@ -63,8 +61,7 @@ def cmd_mi_surface(theta_x: float, phi_x: float, resolution: int, out_path) -> N
     on [0, 2*pi).  The cosine is formed from the polar-angle expansion and
     the two maxima sit at the fixed direction and its antipode.
     """
-    if resolution < 2:
-        raise ConfigError("field 'resolution': must be >= 2")
+    _field(_checked_int, resolution, "resolution", 2)
     thetas = np.linspace(0.0, math.pi, resolution)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
     st, ct = np.sin(thetas), np.cos(thetas)
@@ -90,8 +87,7 @@ def cmd_posterior_family(tallies: list[SignTally], out_path, resolution: int = 2
     """CSV of angle-form posterior curves, one block of rows per tally."""
     if not tallies:
         raise ConfigError("field 'tally': at least one tally is required")
-    if resolution < 2:
-        raise ConfigError("field 'resolution': must be >= 2")
+    _field(_checked_int, resolution, "resolution", 2)
     thetas = np.linspace(-math.pi, math.pi, resolution)
 
     def rows():
@@ -173,9 +169,7 @@ def cmd_run(cfg: ExperimentConfig, out_path, include_counts: bool = True) -> Non
 
 
 def cmd_bayes(tally: SignTally, level: float, out_path) -> None:
-    """Write the posterior summary JSON for a sign tally."""
-    if not 0.0 < level < 1.0:
-        raise ConfigError("field 'level': must lie strictly in (0, 1)")
+    """Write the posterior summary JSON for a sign tally; ``credible_interval`` checks ``level``."""
     summary = posterior_summary(tally, level=level)
     write_json_atomic(out_path, summary.to_dict())
 
@@ -256,17 +250,9 @@ def _dispatch(args) -> int:
         cmd_posterior_family(tallies, _resolve_out(args.out, "posterior-family"), args.resolution)
     elif args.command == "run":
         cfg = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("field 'seed': must be an integer in [0, 2**64)")
-            overrides["seed"] = args.seed
-        if args.mode is not None:
-            overrides["mode"] = args.mode
+        overrides = {k: v for k, v in (("seed", args.seed), ("mode", args.mode)) if v is not None}
         if overrides:
-            cfg = replace(cfg, **overrides)
-            if cfg.mode == "sampled" and cfg.seed is None:
-                raise ConfigError("field 'seed': required when mode='sampled'")
+            cfg = parse_config({**canonical_dict(cfg), **overrides})
         out = Path(args.out) if args.out else (Path(cfg.out) if cfg.out else _resolve_out(None, "run"))
         cmd_run(cfg, out, include_counts=not args.no_counts)
     elif args.command == "bayes":

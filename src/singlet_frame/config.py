@@ -20,13 +20,11 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import Direction, direction_from_polar
+from .core import UINT64_MAX, Direction, _check_orthonormal, _checked_int, direction_from_polar
 from .protocol import HemispherePrior, ProtocolParams
 from .sampler import SamplerConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config", "canonical_dict"]
-
-_U64_MAX = (1 << 64) - 1
 
 
 class ConfigError(ValueError):
@@ -93,16 +91,12 @@ def _angle_pair(value, field: str) -> tuple[float, float]:
     return tuple(out)
 
 
-def _uint64(value, field: str):
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= _U64_MAX:
-        raise ConfigError(f"field '{field}': must be an integer in [0, 2**64)")
-    return value
-
-
-def _positive_int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"field '{field}': must be a positive integer")
-    return value
+def _field(check, value, field: str, *args):
+    """``check(value, name, *args)`` for a core rule, its ValueError re-raised as a ConfigError naming ``field``."""
+    try:
+        return check(value, f"field '{field}':", *args)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _bool(value, field: str) -> bool:
@@ -140,22 +134,15 @@ def parse_config(data) -> ExperimentConfig:
         if not isinstance(raw, list) or len(raw) != 3:
             raise ConfigError("field 'alice_frame': must be a list of three angle pairs")
         alice_frame = tuple(_angle_pair(v, f"alice_frame[{i}]") for i, v in enumerate(raw))
-        axes = [direction_from_polar(t, p) for t, p in alice_frame]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if abs(axes[i].dot(axes[j])) > 1e-10:
-                    raise ConfigError("field 'alice_frame': axes must be orthonormal within 1e-10")
+        _field(_check_orthonormal, [direction_from_polar(t, p) for t, p in alice_frame], "alice_frame")
 
     if "trials" not in data:
         raise ConfigError("field 'trials': required")
     if "batch" not in data:
         raise ConfigError("field 'batch': required")
-    trials = _positive_int(data["trials"], "trials")
-    batch = _positive_int(data["batch"], "batch")
-
-    refine_rounds = data.get("refine_rounds", 3)
-    if isinstance(refine_rounds, bool) or not isinstance(refine_rounds, int) or refine_rounds < 0:
-        raise ConfigError("field 'refine_rounds': must be a nonnegative integer")
+    trials = _field(_checked_int, data["trials"], "trials", 1)
+    batch = _field(_checked_int, data["batch"], "batch", 1)
+    refine_rounds = _field(_checked_int, data.get("refine_rounds", 3), "refine_rounds")
 
     prior_enabled = False
     prior_poles = None
@@ -182,19 +169,17 @@ def parse_config(data) -> ExperimentConfig:
             else:
                 raise ConfigError("field 'prior.pole': required when the prior is enabled")
 
-    seed = None
-    if mode == "sampled":
-        if "seed" not in data or data["seed"] is None:
-            raise ConfigError("field 'seed': required when mode='sampled'")
-        seed = _uint64(data["seed"], "seed")
-    elif data.get("seed") is not None:
-        seed = _uint64(data["seed"], "seed")
+    seed = data.get("seed")
+    if seed is not None:
+        seed = _field(_checked_int, seed, "seed", 0, UINT64_MAX)
+    elif mode == "sampled":
+        raise ConfigError("field 'seed': required when mode='sampled'")
 
-    stream = _uint64(data.get("stream", 0), "stream")
+    stream = _field(_checked_int, data.get("stream", 0), "stream", 0, UINT64_MAX)
 
     jitter_seed = data.get("jitter_seed")
     if jitter_seed is not None:
-        jitter_seed = _uint64(jitter_seed, "jitter_seed")
+        jitter_seed = _field(_checked_int, jitter_seed, "jitter_seed", 0, UINT64_MAX)
 
     orthonormalize = _bool(data.get("orthonormalize", False), "orthonormalize")
     if orthonormalize and not has_frame:

@@ -38,6 +38,11 @@ COS_DOMAIN_TOL = 1e-12
 # tolerance for "is a probability distribution" checks
 DISTRIBUTION_TOL = 1e-12
 
+# largest |dot| accepted between two axes of an orthonormal frame
+FRAME_TOL = 1e-10
+
+UINT64_MAX = (1 << 64) - 1
+
 
 class DomainError(ValueError):
     """An argument lies outside its mathematical domain."""
@@ -47,12 +52,41 @@ class DistributionError(ValueError):
     """A 2x2 joint table is not a valid probability distribution."""
 
 
+def _checked_int(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """Return ``value`` if it is an int (not a bool) in [low, high]; no ``high`` means no upper bound."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in [{low}, {'2**64 - 1' if high == UINT64_MAX else high}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return value
+
+
 def _checked_cos(value: float) -> float:
     """Validate a cosine argument and clamp float drift into [-1, 1]."""
     c = float(value)
     if not math.isfinite(c) or abs(c) > 1.0 + COS_DOMAIN_TOL:
         raise DomainError(f"cosine of an angle must lie in [-1, 1], got {value!r}")
     return min(1.0, max(-1.0, c))
+
+
+def _checked_cos_array(cos_theta) -> np.ndarray:
+    """Array form of ``_checked_cos``: a scalar or array in, the clipped values as an array of ndim >= 1 out."""
+    arr = np.asarray(cos_theta, dtype=float)
+    if np.any(~np.isfinite(arr)) or np.any(np.abs(arr) > 1.0 + COS_DOMAIN_TOL):
+        raise DomainError("cosine of an angle must lie in [-1, 1]")
+    return np.atleast_1d(np.clip(arr, -1.0, 1.0))
+
+
+def _shaped(out: np.ndarray, like):
+    """``out`` as a float when ``like`` is a scalar, else reshaped to ``like``'s shape."""
+    if np.ndim(like) == 0:
+        return float(out[0])
+    return out.reshape(np.shape(like))
+
+
+def _check_orthonormal(axes, name: str) -> None:
+    """Raise ValueError unless ``axes`` are three pairwise orthogonal Directions (unit by construction)."""
+    if len(axes) != 3 or any(abs(axes[i].dot(axes[j])) > FRAME_TOL for i, j in ((0, 1), (0, 2), (1, 2))):
+        raise ValueError(f"{name} must be three orthonormal axes within {FRAME_TOL}")
 
 
 def _checked_outcome(value: int, name: str) -> int:
@@ -198,14 +232,9 @@ def analytic_mutual_information(cos_theta):
     which is even in c, zero at c = 0 and 1 at c = +/-1 (the limit value is
     returned exactly at the endpoints).  Accepts a scalar or an array.
     """
-    arr = np.asarray(cos_theta, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(np.abs(arr) > 1.0 + COS_DOMAIN_TOL):
-        raise DomainError("cosine of an angle must lie in [-1, 1]")
-    c = np.atleast_1d(np.clip(arr, -1.0, 1.0))
+    c = _checked_cos_array(cos_theta)
     out = np.ones(c.shape)
     interior = np.abs(c) < 1.0
     ci = c[interior]
     out[interior] = ((1.0 - ci) * np.log1p(-ci) + (1.0 + ci) * np.log1p(ci)) / (2.0 * LN2)
-    if np.ndim(cos_theta) == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _shaped(out, cos_theta)

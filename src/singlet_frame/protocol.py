@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Direction, analytic_mutual_information, cos_angle
+from .core import UINT64_MAX, Direction, _check_orthonormal, _checked_int, analytic_mutual_information, cos_angle
 # tally and run_measurement_batch stay bound for perfbench's tracer, which wraps them by name
 from .estimator import CountTable, estimate_mutual_information, tally  # noqa: F401
 from .sampler import SamplerConfig, joint_count_sampler, run_measurement_batch  # noqa: F401
@@ -108,8 +108,9 @@ class ProtocolParams:
 
     ``n_trials`` coarse directions, ``batch_size`` pairs per evaluation,
     ``refine_rounds`` shrinking-cap rounds.  ``config`` may be None in
-    exact mode.  ``initial_half_angle`` defaults to a cap wide enough to
-    cover the coarse layout's worst-case gap.
+    exact mode.  ``jitter_seed`` is None or a uint64.  ``initial_half_angle``
+    must be finite and positive; it defaults to a cap wide enough to cover
+    the coarse layout's worst-case gap.
     """
 
     n_trials: int
@@ -124,10 +125,13 @@ class ProtocolParams:
     def __post_init__(self):
         if self.mode not in ("sampled", "exact"):
             raise ValueError(f"mode must be 'sampled' or 'exact', got {self.mode!r}")
-        for name, low in (("n_trials", 1), ("batch_size", 1), ("refine_rounds", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        _checked_int(self.n_trials, "n_trials", 1)
+        _checked_int(self.batch_size, "batch_size", 1)
+        _checked_int(self.refine_rounds, "refine_rounds")
+        if self.jitter_seed is not None:
+            _checked_int(self.jitter_seed, "jitter_seed", 0, UINT64_MAX)
+        if self.initial_half_angle is not None:
+            _check_half_angle(self.initial_half_angle)
         if self.mode == "sampled" and self.config is None:
             raise ValueError("sampled mode requires a sampler config")
 
@@ -165,10 +169,12 @@ class FrameEstimate:
 
     def __post_init__(self):
         if self.orthonormalized:
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if abs(self.axes[i].dot(self.axes[j])) >= 1e-10:
-                        raise ValueError("orthonormalized axes must be pairwise orthogonal")
+            _check_orthonormal(self.axes, "FrameEstimate.axes")
+
+
+def _check_half_angle(value: float) -> None:
+    if not (isinstance(value, (int, float)) and 0.0 < value < math.inf):
+        raise ValueError(f"initial_half_angle must be a finite angle > 0, got {value!r}")
 
 
 def default_initial_half_angle(n_trials: int, hemisphere: bool) -> float:
@@ -215,8 +221,7 @@ def generate_trial_directions(
     by about half the lattice spacing, deterministically; jittered points
     are reflected back into the hemisphere if needed.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _checked_int(count, "count", 1)
     k = np.arange(count)
     if prior.enabled:
         z = 1.0 - k / count
@@ -319,15 +324,14 @@ def _ring_candidates(center: Direction, half_angle: float) -> list[Direction]:
     return [Direction(*row) for row in ring.tolist()]
 
 
-def _refine_search(start, score, rounds, initial_half_angle, prior):
+def _refine_search(start, score, rounds, initial_half_angle):
     """Shrinking-cap ring search; returns (direction, score, evaluations).
 
-    The objective is even under negation, so candidates may wander out of
-    the prior hemisphere while the search tracks the direction up to sign;
-    the result is mapped back into the hemisphere at the end.  Restricting
-    candidates instead would trap the search at the hemisphere boundary
-    whenever the target sits near the equator and the climb approaches its
-    antipode.
+    The objective is even under negation, so the search ignores any prior
+    and tracks the direction up to sign; callers map the result into the
+    prior hemisphere with ``resolve_sign``.  Restricting candidates instead
+    would trap the search at the hemisphere boundary whenever the target
+    sits near the equator and the climb approaches its antipode.
 
     ``score`` comes from ``_make_scorer``; candidate j of round r is scored
     on stream (_STREAM_REFINE, r, j), so results do not depend on
@@ -347,8 +351,6 @@ def _refine_search(start, score, rounds, initial_half_angle, prior):
                 best = (s, cand)
         best_score, current = best
         half_angle *= 0.5
-    if prior.enabled and prior.pole.dot(current) < 0.0:
-        current = -current
     return current, best_score, evaluations
 
 
@@ -370,13 +372,13 @@ def refine(
     hemisphere mid-search (scores are even under negation); the returned
     direction always lies inside it.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
+    _checked_int(rounds, "rounds")
     if initial_half_angle is None:
         initial_half_angle = default_initial_half_angle(50, prior.enabled)
+    _check_half_angle(initial_half_angle)
     score = _make_scorer(alice_direction, mode, batch_size, config)
-    direction, _, _ = _refine_search(coarse_best, score, rounds, initial_half_angle, prior)
-    return direction
+    direction, _, _ = _refine_search(coarse_best, score, rounds, initial_half_angle)
+    return resolve_sign(direction, prior)[0]
 
 
 def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> TransferResult:
@@ -387,8 +389,7 @@ def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> Tr
     best_direction, best_score = select_best(trials)
 
     refined, refined_score, evaluations = _refine_search(
-        best_direction, score, params.refine_rounds,
-        params.resolved_initial_half_angle(), params.prior,
+        best_direction, score, params.refine_rounds, params.resolved_initial_half_angle(),
     )
     singlets = 0 if params.mode == "exact" else (len(trials) + evaluations) * params.batch_size
 
@@ -422,12 +423,7 @@ def transfer_frame(
     pole per axis).  With ``orthonormalize`` the three estimates are
     projected to the nearest orthonormal triad.
     """
-    if len(alice_frame) != 3:
-        raise ValueError("alice_frame must contain exactly three directions")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(alice_frame[i].dot(alice_frame[j])) > 1e-10:
-                raise ValueError("alice_frame axes must be orthonormal within 1e-10")
+    _check_orthonormal(alice_frame, "alice_frame")
     if priors is not None and len(priors) != 3:
         raise ValueError("priors must contain exactly three entries")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Direction, _checked_cos, cos_angle
+from .core import UINT64_MAX, Direction, _checked_cos, _checked_int, cos_angle
 
 __all__ = [
     "SamplerConfig",
@@ -34,14 +34,12 @@ __all__ = [
 
 GENERATOR_NAME = "philox4x64"
 
-_MASK64 = (1 << 64) - 1
-
 
 def _splitmix64(x: int) -> int:
     """One step of the splitmix64 mixer (used only to derive stream ids)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = (x + 0x9E3779B97F4A7C15) & UINT64_MAX
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & UINT64_MAX
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & UINT64_MAX
     return x ^ (x >> 31)
 
 
@@ -50,7 +48,7 @@ def _fold(stream_id: int, path) -> int:
     for k in path:
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"substream indices must be nonnegative integers, got {k!r}")
-        stream_id = _splitmix64((stream_id + _splitmix64(k)) & _MASK64)
+        stream_id = _splitmix64((stream_id + _splitmix64(k)) & UINT64_MAX)
     return stream_id
 
 
@@ -67,10 +65,8 @@ class SamplerConfig:
     stream_id: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= _MASK64:
-                raise ValueError(f"{name} must be an integer in [0, 2**64), got {v!r}")
+        _checked_int(self.seed, "seed", 0, UINT64_MAX)
+        _checked_int(self.stream_id, "stream_id", 0, UINT64_MAX)
 
     def child(self, *path: int) -> "SamplerConfig":
         """Derive a config for an independent substream.
@@ -151,18 +147,13 @@ def sample_outcome_pair(cos_theta: float, rng: np.random.Generator) -> tuple[int
     return (-1, -1)
 
 
-def _check_batch_size(batch_size: int) -> None:
-    if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
-        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
-
-
 def run_measurement_batch(x: Direction, y: Direction, batch_size: int, config: SamplerConfig) -> OutcomeRecord:
     """Draw ``batch_size`` independent outcome pairs at settings (x, y).
 
     Deterministic in ``config``; a fresh generator is keyed from it, so
     batches for distinct configs are independent of evaluation order.
     """
-    _check_batch_size(batch_size)
+    _checked_int(batch_size, "batch_size", 1)
     c = cos_angle(x, y)
     bounds = np.array(_category_bounds(c))
     u = config.generator().random(batch_size)
@@ -195,7 +186,7 @@ def joint_count_sampler(batch_size: int, config: SamplerConfig):
     state, so a ``draw`` must not be called from two threads at once; build
     one sampler per thread.
     """
-    _check_batch_size(batch_size)
+    _checked_int(batch_size, "batch_size", 1)
     key = np.array((config.seed, config.stream_id), dtype=np.uint64)
     state = {
         "bit_generator": "Philox",

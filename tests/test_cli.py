@@ -230,8 +230,9 @@ class TestBayesCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 3" in err and "field larger than field limit" in err
 
-    def test_bad_level_exits_1(self, tmp_path, capsys):
-        assert _run(["bayes", "--tally", "1,1", "--level", "1.5", "--out", str(tmp_path / "s.json")]) == 1
+    @pytest.mark.parametrize("level", ["1.5", "0", "1.0", "nan"])
+    def test_bad_level_exits_1(self, tmp_path, capsys, level):
+        assert _run(["bayes", "--tally", "1,1", "--level", level, "--out", str(tmp_path / "s.json")]) == 1
         assert "level" in capsys.readouterr().err
 
     def test_empty_tally_exits_1(self, tmp_path, capsys):
@@ -344,6 +345,11 @@ class TestRunCommand:
     def test_negative_seed_override_exits_1(self, tmp_path, capsys):
         cfg = _sampled_config(tmp_path)
         assert _run(["run", "--config", str(cfg), "--seed", "-3"]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_seed_override_above_uint64_exits_1(self, tmp_path, capsys):
+        cfg = _sampled_config(tmp_path)
+        assert _run(["run", "--config", str(cfg), "--seed", str(2**64)]) == 1
         assert "seed" in capsys.readouterr().err
 
     def test_seed_override_changes_report(self, tmp_path):

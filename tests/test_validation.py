@@ -1,0 +1,119 @@
+"""The shared validation rules of ``singlet_frame.core`` and the package's public names."""
+
+import math
+
+import pytest
+
+import singlet_frame
+from singlet_frame import (
+    Direction,
+    FrameEstimate,
+    HemispherePrior,
+    ProtocolParams,
+    SamplerConfig,
+    SignTally,
+    generate_trial_directions,
+    joint_count_sampler,
+    refine,
+    run_measurement_batch,
+    sample_joint_counts,
+)
+from singlet_frame import bayes, core, estimator, protocol, sampler
+from singlet_frame.config import ConfigError, parse_config
+
+Z = Direction(0.0, 0.0, 1.0)
+U64 = 2**64 - 1
+
+
+def _params(**overrides):
+    kwargs = {"n_trials": 10, "batch_size": 10, "refine_rounds": 1, "prior": HemispherePrior.none(), "mode": "exact"}
+    kwargs.update(overrides)
+    return ProtocolParams(**kwargs)
+
+
+def _config(**overrides):
+    data = {"mode": "sampled", "alice_direction": {"theta": 1.5, "phi": 2.1}, "trials": 10, "batch": 100, "seed": 7}
+    data.update(overrides)
+    return parse_config(data)
+
+
+# (name shown in the message, low, high or None, constructor of the checked value)
+INT_FIELDS = [
+    ("seed", 0, U64, lambda v: SamplerConfig(v)),
+    ("stream_id", 0, U64, lambda v: SamplerConfig(0, v)),
+    ("batch_size", 1, None, lambda v: run_measurement_batch(Z, Z, v, SamplerConfig(1))),
+    ("batch_size", 1, None, lambda v: sample_joint_counts(Z, Z, v, SamplerConfig(1))),
+    ("batch_size", 1, None, lambda v: joint_count_sampler(v, SamplerConfig(1))),
+    ("n_trials", 1, None, lambda v: _params(n_trials=v)),
+    ("batch_size", 1, None, lambda v: _params(batch_size=v)),
+    ("refine_rounds", 0, None, lambda v: _params(refine_rounds=v)),
+    ("jitter_seed", 0, U64, lambda v: _params(jitter_seed=v)),
+    ("n_plus", 0, None, lambda v: SignTally(v, 1)),
+    ("n_minus", 0, None, lambda v: SignTally(1, v)),
+    ("rounds", 0, None, lambda v: refine(Z, Z, v, 10, SamplerConfig(1), HemispherePrior.none())),
+    ("count", 1, None, lambda v: generate_trial_directions(v, HemispherePrior.none())),
+    ("'trials'", 1, None, lambda v: _config(trials=v)),
+    ("'batch'", 1, None, lambda v: _config(batch=v)),
+    ("'refine_rounds'", 0, None, lambda v: _config(refine_rounds=v)),
+    ("'seed'", 0, U64, lambda v: _config(seed=v)),
+    ("'stream'", 0, U64, lambda v: _config(stream=v)),
+    ("'jitter_seed'", 0, U64, lambda v: _config(jitter_seed=v)),
+]
+
+
+def _bad_int_cases():
+    for i, (name, low, high, build) in enumerate(INT_FIELDS):
+        field = name.strip("'")
+        for value in (True, 1.5, "3", low - 1) + (() if high is None else (high + 1,)):
+            yield pytest.param(name, build, value, id=f"{i}-{field}-{value!r}")
+
+
+@pytest.mark.parametrize("name, build, value", _bad_int_cases())
+def test_integer_rule_rejects_and_names_field(name, build, value):
+    with pytest.raises(ValueError, match=name) as err:
+        build(value)
+    # parse_config names its fields in quotes and raises its own ValueError subclass
+    assert isinstance(err.value, ConfigError) == name.startswith("'")
+
+
+@pytest.mark.parametrize("name, low, high, build", INT_FIELDS)
+def test_integer_rule_accepts_bounds(name, low, high, build):
+    build(low)
+    if high is not None:
+        build(high)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_initial_half_angle_checked_at_construction(angle):
+    with pytest.raises(ValueError, match="initial_half_angle"):
+        _params(initial_half_angle=angle)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, 0.0, -0.1])
+def test_refine_checks_explicit_initial_half_angle(angle):
+    with pytest.raises(ValueError, match="initial_half_angle"):
+        refine(Z, Z, 1, 10, None, HemispherePrior.none(), mode="exact", initial_half_angle=angle)
+
+
+def test_orthonormalized_frame_estimate_checks_its_axes():
+    skewed = (Direction(1.0, 0.0, 0.0), Direction(0.9, 0.1, 0.0), Z)
+    with pytest.raises(ValueError, match="FrameEstimate.axes"):
+        FrameEstimate(skewed, (False,) * 3, (0.0,) * 3, orthonormalized=True)
+    FrameEstimate(skewed, (False,) * 3, (0.0,) * 3, orthonormalized=False)
+
+
+class TestPublicNames:
+    MODULES = (core, sampler, estimator, protocol, bayes)
+
+    def test_no_duplicates(self):
+        assert len(singlet_frame.__all__) == len(set(singlet_frame.__all__))
+
+    def test_union_of_module_lists(self):
+        union = {"__version__"}.union(*(m.__all__ for m in self.MODULES))
+        assert set(singlet_frame.__all__) == union
+        assert len(union) == 48
+
+    def test_names_resolve_to_module_objects(self):
+        for module in self.MODULES:
+            for name in module.__all__:
+                assert getattr(singlet_frame, name) is getattr(module, name), name
