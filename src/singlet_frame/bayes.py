@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LN2, Direction, _checked_cos, _checked_cos_array, _checked_int, _shaped, cos_angle
+from .core import LN2, Direction, _checked_cos, _checked_cos_array, _checked_int, _checked_outcomes, _shaped, cos_angle
 from .sampler import OutcomeRecord
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
 LOG_8PI2 = math.log(8.0 * math.pi**2)
 # half-width of the credible-interval grid window, in posterior standard deviations of c
 CI_WINDOW_SDS = 40.0
+# points of the credible-interval grid laid over that window
+CI_GRID_SIZE = 8193
 
 
 @dataclass(frozen=True)
@@ -93,15 +95,12 @@ class PosteriorSummary:
 
 def sign_tally_from_arrays(a, b) -> SignTally:
     """Sign counts of elementwise products of two +/-1 arrays."""
-    av = np.asarray(a)
-    bv = np.asarray(b)
+    av = _checked_outcomes(a)
+    bv = _checked_outcomes(b)
     if av.shape != bv.shape or av.ndim != 1 or av.size == 0:
         raise ValueError("outcome arrays must be 1-d, nonempty, and of equal length")
-    prod = av.astype(np.int64) * bv.astype(np.int64)
-    if not np.all(np.abs(prod) == 1):
-        raise ValueError("outcomes must all be -1 or +1")
-    n_plus = int(np.count_nonzero(prod == 1))
-    return SignTally(n_plus=n_plus, n_minus=int(prod.size - n_plus))
+    n_plus = int(np.count_nonzero(av == bv))
+    return SignTally(n_plus=n_plus, n_minus=int(av.size - n_plus))
 
 
 def sign_tally(record: OutcomeRecord) -> SignTally:
@@ -208,7 +207,7 @@ def _posterior_window(tally: SignTally) -> tuple[float, float]:
     return max(-1.0, peak - CI_WINDOW_SDS * sd_c), min(1.0, peak + CI_WINDOW_SDS * sd_c)
 
 
-def credible_interval(tally: SignTally, level: float, grid_size: int = 8193) -> tuple[float, float]:
+def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
     """Highest-density interval of the 1-d cosine posterior.
 
     The threshold is located on a uniform grid over the posterior window
@@ -223,16 +222,16 @@ def credible_interval(tally: SignTally, level: float, grid_size: int = 8193) -> 
         raise ValueError("credible interval is undefined for an empty tally")
     offset = -log_normalization_d(tally)
     window_lo, window_hi = _posterior_window(tally)
-    grid = np.linspace(window_lo, window_hi, grid_size)
+    grid = np.linspace(window_lo, window_hi, CI_GRID_SIZE)
     dens = np.exp(_log_density_1d(grid, tally, offset))
     step = grid[1] - grid[0]
-    weights = np.full(grid_size, step)
+    weights = np.full(CI_GRID_SIZE, step)
     weights[0] = weights[-1] = step / 2.0  # trapezoid ends, exact for boundary-peaked tallies
 
     order = np.argsort(dens)[::-1]
     mass = np.cumsum((dens * weights)[order])
     idx = int(np.searchsorted(mass, level))
-    idx = min(idx, grid_size - 1)
+    idx = min(idx, CI_GRID_SIZE - 1)
     threshold = dens[order[idx]]
 
     included = np.nonzero(dens >= threshold)[0]
@@ -252,7 +251,7 @@ def credible_interval(tally: SignTally, level: float, grid_size: int = 8193) -> 
         return inside
 
     lo = window_lo if lo_i == 0 else bisect_edge(float(grid[lo_i]), float(grid[lo_i - 1]))
-    hi = window_hi if hi_i == grid_size - 1 else bisect_edge(float(grid[hi_i]), float(grid[hi_i + 1]))
+    hi = window_hi if hi_i == CI_GRID_SIZE - 1 else bisect_edge(float(grid[hi_i]), float(grid[hi_i + 1]))
     return (float(lo), float(hi))
 
 

@@ -95,6 +95,14 @@ def _checked_outcome(value: int, name: str) -> int:
     return int(value)
 
 
+def _checked_outcomes(values) -> np.ndarray:
+    """``values`` as an int8 array, once every entry is checked to equal -1 or +1 (nothing is truncated)."""
+    arr = np.asarray(values)
+    if not np.all((arr == 1) | (arr == -1)):
+        raise ValueError("outcomes must all be -1 or +1")
+    return arr.astype(np.int8, copy=False)
+
+
 @dataclass(frozen=True)
 class Direction:
     """Unit vector on the sphere.  Construction rescales to unit length."""
@@ -179,10 +187,6 @@ class JointDistribution2x2:
         """(p(b=+1), p(b=-1)) from column sums."""
         return (self.p_pp + self.p_mp, self.p_pm + self.p_mm)
 
-    def as_matrix(self) -> np.ndarray:
-        """2x2 array with index 0 for outcome +1 and index 1 for outcome -1."""
-        return np.array([[self.p_pp, self.p_pm], [self.p_mp, self.p_mm]])
-
 
 def joint_outcome_probability(a: int, b: int, cos_theta: float) -> float:
     """p(a, b) = (1 - a*b*cos_theta) / 4 for one outcome pair.
@@ -204,25 +208,30 @@ def singlet_joint_distribution(cos_theta: float) -> JointDistribution2x2:
     return JointDistribution2x2(p_pp=same, p_pm=anti, p_mp=anti, p_mm=same)
 
 
+def _plug_in_mi(pp, pm, mp, mm, total) -> float:
+    """Plug-in mutual information (bits) of a 2x2 table of cell weights summing to ``total``.
+
+    Each nonzero cell w adds (w/total) * log2(w*total / (w_a*w_b)), with
+    w_a and w_b its row and column sums; for counts the ratio is formed
+    from exact integer products, so a table whose cells factorize into its
+    marginals gives exactly 0.  Empty cells add nothing (continuity
+    convention), and float drift is clamped into [0, 1].
+    """
+    a_plus, a_minus, b_plus, b_minus = pp + pm, mp + mm, pp + mp, pm + mm
+    out = 0.0
+    for w, wa, wb in ((pp, a_plus, b_plus), (pm, a_plus, b_minus), (mp, a_minus, b_plus), (mm, a_minus, b_minus)):
+        if w:
+            out += (w / total) * math.log2(w * total / (wa * wb))
+    return min(1.0, max(0.0, out))
+
+
 def mutual_information_from_joint(joint: JointDistribution2x2) -> float:
     """Shannon mutual information (bits) of a 2x2 joint distribution.
 
     Marginals are taken from row/column sums; cells with p = 0 contribute
     nothing (continuity convention).
     """
-    pa_plus, pa_minus = joint.marginal_a()
-    pb_plus, pb_minus = joint.marginal_b()
-    cells = (
-        (joint.p_pp, pa_plus, pb_plus),
-        (joint.p_pm, pa_plus, pb_minus),
-        (joint.p_mp, pa_minus, pb_plus),
-        (joint.p_mm, pa_minus, pb_minus),
-    )
-    total = 0.0
-    for pab, pa, pb in cells:
-        if pab > 0.0:
-            total += pab * math.log2(pab / (pa * pb))
-    return min(1.0, max(0.0, total))
+    return _plug_in_mi(joint.p_pp, joint.p_pm, joint.p_mp, joint.p_mm, 1)
 
 
 def analytic_mutual_information(cos_theta):

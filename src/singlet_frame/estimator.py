@@ -9,12 +9,11 @@ in the tests rather than corrected.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JointDistribution2x2
+from .core import JointDistribution2x2, _plug_in_mi
 from .sampler import OutcomeRecord
 
 __all__ = [
@@ -28,60 +27,59 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CountTable:
-    """Joint and marginal outcome counts for one batch.
+    """The four joint outcome counts of one batch.
 
     Suffixes name the (a, b) signs: ``m_pm`` counts pairs with a=+1, b=-1.
-    Marginal counts are redundant with the joint ones and are validated
-    against them at construction.
+    The marginal counts and the total are derived from the joint ones.
     """
 
     m_pp: int
     m_pm: int
     m_mp: int
     m_mm: int
-    m_a_plus: int
-    m_a_minus: int
-    m_b_plus: int
-    m_b_minus: int
-    total: int
 
     def __post_init__(self):
-        m_pp, m_pm, m_mp, m_mm = self.m_pp, self.m_pm, self.m_mp, self.m_mm
-        fields = (m_pp, m_pm, m_mp, m_mm, self.m_a_plus, self.m_a_minus, self.m_b_plus, self.m_b_minus, self.total)
-        for v in fields:
+        counts = (self.m_pp, self.m_pm, self.m_mp, self.m_mm)
+        for v in counts:
             # a plain int passes on the first test; int subclasses other than bool are ints too
             if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
                 raise ValueError("counts must be nonnegative integers")
-        if min(fields) < 0:
+        if min(counts) < 0:
             raise ValueError("counts must be nonnegative integers")
-        if self.total < 1:
+        if sum(counts) < 1:
             raise ValueError("count table must cover at least one pair")
-        if (
-            m_pp + m_pm + m_mp + m_mm != self.total
-            or self.m_a_plus != m_pp + m_pm
-            or self.m_a_minus != m_mp + m_mm
-            or self.m_b_plus != m_pp + m_mp
-            or self.m_b_minus != m_pm + m_mm
-        ):
-            raise ValueError("marginal counts inconsistent with joint counts")
+
+    @property
+    def m_a_plus(self) -> int:
+        return self.m_pp + self.m_pm
+
+    @property
+    def m_a_minus(self) -> int:
+        return self.m_mp + self.m_mm
+
+    @property
+    def m_b_plus(self) -> int:
+        return self.m_pp + self.m_mp
+
+    @property
+    def m_b_minus(self) -> int:
+        return self.m_pm + self.m_mm
+
+    @property
+    def total(self) -> int:
+        return self.m_pp + self.m_pm + self.m_mp + self.m_mm
 
     @classmethod
     def from_joint_counts(cls, m_pp: int, m_pm: int, m_mp: int, m_mm: int) -> "CountTable":
-        """Build a table from the four joint counts, deriving the marginals."""
-        return cls(m_pp, m_pm, m_mp, m_mm, m_pp + m_pm, m_mp + m_mm, m_pp + m_mp, m_pm + m_mm, m_pp + m_pm + m_mp + m_mm)
-
-    def joint_count(self, a: int, b: int) -> int:
-        return {(1, 1): self.m_pp, (1, -1): self.m_pm, (-1, 1): self.m_mp, (-1, -1): self.m_mm}[(a, b)]
+        """Build a table from the four joint counts."""
+        return cls(m_pp, m_pm, m_mp, m_mm)
 
     def __add__(self, other: "CountTable") -> "CountTable":
         """Merge two partial tables (entrywise sum), for parallel reduction."""
         if not isinstance(other, CountTable):
             return NotImplemented
-        return CountTable.from_joint_counts(
-            self.m_pp + other.m_pp,
-            self.m_pm + other.m_pm,
-            self.m_mp + other.m_mp,
-            self.m_mm + other.m_mm,
+        return CountTable(
+            self.m_pp + other.m_pp, self.m_pm + other.m_pm, self.m_mp + other.m_mp, self.m_mm + other.m_mm,
         )
 
     def to_dict(self) -> dict:
@@ -96,13 +94,14 @@ class CountTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CountTable":
+        """Read ``to_dict``'s form; its redundant marginal and total entries must be the derived ints."""
         j = data["m_joint"]
-        return cls(
-            m_pp=j["pp"], m_pm=j["pm"], m_mp=j["mp"], m_mm=j["mm"],
-            m_a_plus=data["m_a_plus"], m_a_minus=data["m_a_minus"],
-            m_b_plus=data["m_b_plus"], m_b_minus=data["m_b_minus"],
-            total=data["total"],
-        )
+        table = cls(j["pp"], j["pm"], j["mp"], j["mm"])
+        for key in ("m_a_plus", "m_a_minus", "m_b_plus", "m_b_minus", "total"):
+            v = data[key]
+            if not isinstance(v, int) or isinstance(v, bool) or v != getattr(table, key):
+                raise ValueError("marginal counts inconsistent with joint counts")
+        return table
 
 
 def tally(record: OutcomeRecord) -> CountTable:
@@ -132,21 +131,5 @@ def estimate_joint(counts: CountTable) -> JointDistribution2x2:
 
 
 def estimate_mutual_information(counts: CountTable) -> float:
-    """Plug-in mutual information (bits) of a count table.
-
-    Each cell contributes (m/M) * log2(m*M / (m_a*m_b)); the ratio is formed
-    from exact integer products, so a table whose joint counts factorize
-    into its marginals yields exactly 0.  Empty cells contribute 0.
-    """
-    t = counts.total
-    cells = (
-        (counts.m_pp, counts.m_a_plus, counts.m_b_plus),
-        (counts.m_pm, counts.m_a_plus, counts.m_b_minus),
-        (counts.m_mp, counts.m_a_minus, counts.m_b_plus),
-        (counts.m_mm, counts.m_a_minus, counts.m_b_minus),
-    )
-    total = 0.0
-    for m, ma, mb in cells:
-        if m:
-            total += (m / t) * math.log2(m * t / (ma * mb))
-    return min(1.0, max(0.0, total))
+    """Plug-in mutual information (bits) of a count table; see ``core._plug_in_mi``."""
+    return _plug_in_mi(counts.m_pp, counts.m_pm, counts.m_mp, counts.m_mm, counts.total)

@@ -107,10 +107,11 @@ class ProtocolParams:
     """Knobs for one direction transfer.
 
     ``n_trials`` coarse directions, ``batch_size`` pairs per evaluation,
-    ``refine_rounds`` shrinking-cap rounds.  ``config`` may be None in
-    exact mode.  ``jitter_seed`` is None or a uint64.  ``initial_half_angle``
-    must be finite and positive; it defaults to a cap wide enough to cover
-    the coarse layout's worst-case gap.
+    ``refine_rounds`` shrinking-cap rounds.  ``prior`` is a
+    ``HemispherePrior``.  ``config`` may be None in exact mode.
+    ``jitter_seed`` is None or a uint64.  ``initial_half_angle`` must be
+    finite and positive; it defaults to a cap wide enough to cover the
+    coarse layout's worst-case gap.
     """
 
     n_trials: int
@@ -125,13 +126,16 @@ class ProtocolParams:
     def __post_init__(self):
         if self.mode not in ("sampled", "exact"):
             raise ValueError(f"mode must be 'sampled' or 'exact', got {self.mode!r}")
+        if not isinstance(self.prior, HemispherePrior):
+            raise ValueError(f"prior must be a HemispherePrior, got {self.prior!r}")
         _checked_int(self.n_trials, "n_trials", 1)
         _checked_int(self.batch_size, "batch_size", 1)
         _checked_int(self.refine_rounds, "refine_rounds")
         if self.jitter_seed is not None:
             _checked_int(self.jitter_seed, "jitter_seed", 0, UINT64_MAX)
-        if self.initial_half_angle is not None:
-            _check_half_angle(self.initial_half_angle)
+        angle = self.initial_half_angle
+        if angle is not None and not (isinstance(angle, (int, float)) and 0.0 < angle < math.inf):
+            raise ValueError(f"initial_half_angle must be a finite angle > 0, got {angle!r}")
         if self.mode == "sampled" and self.config is None:
             raise ValueError("sampled mode requires a sampler config")
 
@@ -170,11 +174,6 @@ class FrameEstimate:
     def __post_init__(self):
         if self.orthonormalized:
             _check_orthonormal(self.axes, "FrameEstimate.axes")
-
-
-def _check_half_angle(value: float) -> None:
-    if not (isinstance(value, (int, float)) and 0.0 < value < math.inf):
-        raise ValueError(f"initial_half_angle must be a finite angle > 0, got {value!r}")
 
 
 def default_initial_half_angle(n_trials: int, hemisphere: bool) -> float:
@@ -287,8 +286,6 @@ def _make_scorer(alice_direction: Direction, mode: str, batch_size: int, config:
     """
     if mode == "exact":
         return lambda d, *stream: (exact_trial_score(alice_direction, d), None)
-    if mode != "sampled":
-        raise ValueError(f"mode must be 'sampled' or 'exact', got {mode!r}")
     if config is None:
         raise ValueError("sampled mode requires a sampler config")
 
@@ -354,31 +351,19 @@ def _refine_search(start, score, rounds, initial_half_angle):
     return current, best_score, evaluations
 
 
-def refine(
-    coarse_best: Direction,
-    alice_direction: Direction,
-    rounds: int,
-    batch_size: int,
-    config: SamplerConfig | None,
-    prior: HemispherePrior,
-    mode: str = "sampled",
-    initial_half_angle: float | None = None,
-) -> Direction:
-    """Sharpen a coarse maximum with a shrinking-cap ring search.
+def refine(coarse_best: Direction, alice_direction: Direction, params: ProtocolParams) -> Direction:
+    """Sharpen a coarse maximum with the shrinking-cap ring search ``transfer_direction`` runs.
 
-    Each round scores the current best plus a ring of 8 candidates at the
-    cap half-angle, keeps the argmax, and halves the cap.  rounds=0
-    returns the input unchanged.  Candidates may leave an enabled prior
-    hemisphere mid-search (scores are even under negation); the returned
-    direction always lies inside it.
+    Each of ``params.refine_rounds`` rounds scores the current best plus a
+    ring of 8 candidates at the cap half-angle, keeps the argmax, and
+    halves the cap, starting from ``params.resolved_initial_half_angle()``.
+    rounds=0 returns the input unchanged.  Candidates may leave an enabled
+    prior hemisphere mid-search (scores are even under negation); the
+    returned direction always lies inside it.
     """
-    _checked_int(rounds, "rounds")
-    if initial_half_angle is None:
-        initial_half_angle = default_initial_half_angle(50, prior.enabled)
-    _check_half_angle(initial_half_angle)
-    score = _make_scorer(alice_direction, mode, batch_size, config)
-    direction, _, _ = _refine_search(coarse_best, score, rounds, initial_half_angle)
-    return resolve_sign(direction, prior)[0]
+    score = _make_scorer(alice_direction, params.mode, params.batch_size, params.config)
+    direction, _, _ = _refine_search(coarse_best, score, params.refine_rounds, params.resolved_initial_half_angle())
+    return resolve_sign(direction, params.prior)[0]
 
 
 def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> TransferResult:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UINT64_MAX, Direction, _checked_cos, _checked_int, cos_angle
+from .core import UINT64_MAX, Direction, _checked_cos, _checked_int, _checked_outcomes, cos_angle
 
 __all__ = [
     "SamplerConfig",
@@ -93,14 +93,12 @@ class OutcomeRecord:
     y: Direction
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.int8)
-        b = np.asarray(self.b, dtype=np.int8)
+        a = _checked_outcomes(self.a)
+        b = _checked_outcomes(self.b)
         if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
             raise ValueError("outcome arrays must be 1-d and of equal length")
         if a.size == 0:
             raise ValueError("outcome record must contain at least one pair")
-        if not (np.all(np.abs(a) == 1) and np.all(np.abs(b) == 1)):
-            raise ValueError("outcomes must all be -1 or +1")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)

@@ -190,6 +190,33 @@ class TestMutualInformationFromJoint:
         assert got == pytest.approx(0.1887, abs=1e-4)
         assert got == pytest.approx(MI_AT_HALF, abs=1e-14)
 
+    def test_bit_identical_to_the_probability_loop(self, rng):
+        def reference(joint):
+            # the per-probability loop this function ran before it shared the count formula
+            pa_plus, pa_minus = joint.marginal_a()
+            pb_plus, pb_minus = joint.marginal_b()
+            cells = (
+                (joint.p_pp, pa_plus, pb_plus),
+                (joint.p_pm, pa_plus, pb_minus),
+                (joint.p_mp, pa_minus, pb_plus),
+                (joint.p_mm, pa_minus, pb_minus),
+            )
+            total = 0.0
+            for pab, pa, pb in cells:
+                if pab > 0.0:
+                    total += pab * math.log2(pab / (pa * pb))
+            return min(1.0, max(0.0, total))
+
+        joints = [singlet_joint_distribution(c) for c in (0.0, 1.0, -1.0)]
+        for i in range(500):
+            p = rng.dirichlet(np.ones(4))
+            if i % 5 == 0:  # an empty cell as well
+                p[i % 4] = 0.0
+                p /= p.sum()
+            joints.append(JointDistribution2x2(*p.tolist()))
+        for joint in joints:
+            assert mutual_information_from_joint(joint).hex() == reference(joint).hex()
+
 
 class TestAnalyticMutualInformation:
     def test_zero_at_orthogonal(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,11 +35,17 @@ FIELDS = ("m_pp", "m_pm", "m_mp", "m_mm", "m_a_plus", "m_a_minus", "m_b_plus", "
 ONE_PAIR = (1, 0, 0, 0, 1, 0, 1, 0, 1)  # the fields of from_joint_counts(1, 0, 0, 0)
 
 
+def _dict_form(values):
+    """``CountTable.to_dict``'s layout of nine count values, given as a mapping keyed by FIELDS."""
+    joint = {"pp": values["m_pp"], "pm": values["m_pm"], "mp": values["m_mp"], "mm": values["m_mm"]}
+    return {"m_joint": joint, **{key: values[key] for key in FIELDS[4:]}}
+
+
 class TestCountTable:
     def test_inconsistent_marginals_rejected(self):
-        with pytest.raises(ValueError):
-            CountTable(m_pp=1, m_pm=0, m_mp=0, m_mm=0,
-                       m_a_plus=0, m_a_minus=1, m_b_plus=1, m_b_minus=0, total=1)
+        values = dict(zip(FIELDS, (1, 0, 0, 0, 0, 1, 1, 0, 1)))
+        with pytest.raises(ValueError, match="inconsistent"):
+            CountTable.from_dict(_dict_form(values))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -48,29 +55,42 @@ class TestCountTable:
         with pytest.raises(ValueError):
             CountTable.from_joint_counts(0, 0, 0, 0)
 
+    def test_holds_the_four_joint_counts(self):
+        assert [f.name for f in dataclasses.fields(CountTable)] == list(FIELDS[:4])
+
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("as_other_type", [bool, float, np.int64, str])
     def test_count_of_another_type_rejected(self, field, as_other_type):
-        # the value is numerically right, so only the type check can reject it
+        # the value is numerically right, so only the type check can reject it: the
+        # constructor's for a joint count, from_dict's for a derived one
         values = dict(zip(FIELDS, ONE_PAIR))
         values[field] = as_other_type(values[field])
-        with pytest.raises(ValueError, match="nonnegative integers"):
-            CountTable(**values)
+        message = "nonnegative integers" if field in FIELDS[:4] else "inconsistent"
+        with pytest.raises(ValueError, match=message):
+            CountTable.from_dict(_dict_form(values))
+        if field in FIELDS[:4]:
+            with pytest.raises(ValueError, match=message):
+                CountTable(*[values[key] for key in FIELDS[:4]])
 
     def test_int_subclass_counts_accepted(self):
         class Count(int):
             pass
 
-        table = CountTable(*map(Count, ONE_PAIR))
+        table = CountTable(*map(Count, ONE_PAIR[:4]))
         assert table == CountTable.from_joint_counts(1, 0, 0, 0)
+        assert CountTable.from_dict(_dict_form(dict(zip(FIELDS, map(Count, ONE_PAIR))))) == table
+
+    def test_derived_counts(self):
+        t = CountTable(3, 1, 4, 1)
+        assert tuple(getattr(t, key) for key in FIELDS) == (3, 1, 4, 1, 4, 5, 7, 2, 9)
 
     @pytest.mark.parametrize("field", FIELDS[4:])
     def test_each_derived_count_checked(self, field):
         values = dict(zip(FIELDS, (3, 1, 4, 1, 4, 5, 7, 2, 9)))
-        CountTable(**values)
+        CountTable.from_dict(_dict_form(values))
         values[field] += 1
         with pytest.raises(ValueError, match="inconsistent"):
-            CountTable(**values)
+            CountTable.from_dict(_dict_form(values))
 
     def test_merge(self):
         t1 = CountTable.from_joint_counts(1, 2, 3, 4)

@@ -1,4 +1,4 @@
-"""Property tests of the joint-count sampler, the cosine, the record CSV and the JSON writer."""
+"""Property tests of the joint-count sampler, the count table, refine, the cosine, the record CSV and the JSON writer."""
 
 import json
 import math
@@ -6,18 +6,24 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlet_frame import (
     CountTable,
     Direction,
+    HemispherePrior,
     OutcomeRecord,
+    ProtocolParams,
     SamplerConfig,
     cos_angle,
     estimate_mutual_information,
     joint_count_sampler,
+    refine,
     sample_joint_counts,
+    select_best,
+    transfer_direction,
 )
 from singlet_frame.serialize import read_record_arrays_csv, record_to_csv, write_json_atomic
 
@@ -61,6 +67,53 @@ def test_plug_in_mi_of_drawn_table_is_a_bit_at_most(c, batch, config):
 @given(x=directions, y=directions, batch=batches, config=configs)
 def test_swapping_settings_keeps_the_count_stream(x, y, batch, config):
     assert sample_joint_counts(x, y, batch, config) == sample_joint_counts(y, x, batch, config)
+
+
+@st.composite
+def joint_counts(draw):
+    """Four nonnegative counts whose sum lies in [1, 1e12]."""
+    total = draw(st.integers(min_value=1, max_value=10**12))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=total), min_size=3, max_size=3)))
+    return tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, total]))
+
+
+@given(
+    counts=joint_counts(),
+    key=st.sampled_from(["m_a_plus", "m_a_minus", "m_b_plus", "m_b_minus", "total"]),
+    delta=st.sampled_from([-1, 1]),
+)
+def test_count_table_dict_form(counts, key, delta):
+    pp, pm, mp, mm = counts
+    expected = {
+        "m_joint": {"pp": pp, "pm": pm, "mp": mp, "mm": mm},
+        "m_a_plus": pp + pm,
+        "m_a_minus": mp + mm,
+        "m_b_plus": pp + mp,
+        "m_b_minus": pm + mm,
+        "total": pp + pm + mp + mm,
+    }
+    table = CountTable(pp, pm, mp, mm)
+    assert table.to_dict() == expected
+    assert CountTable.from_dict(expected) == table
+    with pytest.raises(ValueError, match="inconsistent"):
+        CountTable.from_dict({**expected, key: expected[key] + delta})
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    truth=directions,
+    pole=st.none() | directions,
+    n_trials=st.integers(min_value=1, max_value=12),
+    batch=st.integers(min_value=1, max_value=10**9),
+    rounds=st.integers(min_value=0, max_value=3),
+    config=configs,
+    jitter_seed=st.none() | st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_refine_repeats_the_transfer_search(truth, pole, n_trials, batch, rounds, config, jitter_seed):
+    prior = HemispherePrior.none() if pole is None else HemispherePrior.around(pole)
+    params = ProtocolParams(n_trials, batch, rounds, prior, config=config, jitter_seed=jitter_seed)
+    res = transfer_direction(truth, params)
+    assert refine(select_best(res.trials)[0], truth, params) == res.direction
 
 
 paths = st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=4).map(tuple)

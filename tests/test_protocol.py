@@ -246,7 +246,7 @@ class TestResolveSign:
 class TestRefine:
     def test_zero_rounds_returns_input(self):
         d = direction_from_polar(0.5, 0.5)
-        out = refine(d, Z, 0, 10, SamplerConfig(1), POLE_PRIOR)
+        out = refine(d, Z, ProtocolParams(50, 10, 0, POLE_PRIOR, config=SamplerConfig(1)))
         assert out == d
 
     def test_output_in_hemisphere(self, rng):
@@ -255,7 +255,7 @@ class TestRefine:
             start = random_direction(rng)
             prior = HemispherePrior.around(random_direction(rng))
             start, _ = resolve_sign(start, prior)
-            out = refine(start, truth, 3, 200, SamplerConfig(seed), prior)
+            out = refine(start, truth, ProtocolParams(50, 200, 3, prior, config=SamplerConfig(seed)))
             assert abs(out.x**2 + out.y**2 + out.z**2 - 1.0) < 1e-12
             assert prior.contains(out)
 
@@ -273,10 +273,10 @@ class TestRefine:
                 for i, d in enumerate(dirs)
             ]
             coarse_dir, _ = select_best(trials)
-            refined = refine(
-                coarse_dir, truth, 4, 10_000, cfg, prior,
-                initial_half_angle=default_initial_half_angle(50, True),
+            params = ProtocolParams(
+                50, 10_000, 4, prior, config=cfg, initial_half_angle=default_initial_half_angle(50, True),
             )
+            refined = refine(coarse_dir, truth, params)
             if _angle_up_to_sign(refined, truth) < _angle_up_to_sign(coarse_dir, truth):
                 improved += 1
         assert improved >= 16
@@ -285,7 +285,7 @@ class TestRefine:
         for _ in range(20):
             truth = random_direction(rng)
             start_offset = tilted_pole(truth, rng, 5.0, 12.0)  # ~5-12 degrees away
-            out = refine(start_offset, truth, 6, 1, None, NO_PRIOR, mode="exact", initial_half_angle=0.3)
+            out = refine(start_offset, truth, ProtocolParams(50, 1, 6, NO_PRIOR, mode="exact", initial_half_angle=0.3))
             assert _angle_up_to_sign(out, truth) <= refinement_resolution(0.3, 6)
 
 
@@ -402,11 +402,7 @@ class TestTransferDirection:
             assert t == evaluate_trial(
                 truth, t.direction, 700, cfg.child(_STREAM_COARSE, t.trial_index), trial_index=t.trial_index,
             )
-        refined = refine(
-            select_best(res.trials)[0], truth, 2, 700, cfg, params.prior,
-            initial_half_angle=params.resolved_initial_half_angle(),
-        )
-        assert res.direction == refined
+        assert res.direction == refine(select_best(res.trials)[0], truth, params)
 
     def test_pinned_sampled_transfer_golden(self):
         # regression pin for a whole sampled transfer (coarse and refinement

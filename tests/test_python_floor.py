@@ -1,4 +1,4 @@
-"""The package parses as Python 3.10, the oldest version pyproject.toml allows."""
+"""The package, its tests and its benchmark parse as Python 3.10, the oldest version pyproject.toml allows."""
 
 import ast
 import re
@@ -9,6 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 FLOOR = (3, 10)
 SOURCES = sorted((ROOT / "src" / "singlet_frame").glob("*.py"))
+# the test and benchmark scripts run under the same interpreters as the package
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 
 def test_floor_is_the_declared_requires_python():
@@ -18,4 +20,9 @@ def test_floor_is_the_declared_requires_python():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_parses_at_the_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=FLOOR)
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_script_parses_at_the_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=FLOOR)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import singlet_frame
@@ -9,14 +10,15 @@ from singlet_frame import (
     Direction,
     FrameEstimate,
     HemispherePrior,
+    OutcomeRecord,
     ProtocolParams,
     SamplerConfig,
     SignTally,
     generate_trial_directions,
     joint_count_sampler,
-    refine,
     run_measurement_batch,
     sample_joint_counts,
+    sign_tally_from_arrays,
 )
 from singlet_frame import bayes, core, estimator, protocol, sampler
 from singlet_frame.config import ConfigError, parse_config
@@ -50,7 +52,7 @@ INT_FIELDS = [
     ("jitter_seed", 0, U64, lambda v: _params(jitter_seed=v)),
     ("n_plus", 0, None, lambda v: SignTally(v, 1)),
     ("n_minus", 0, None, lambda v: SignTally(1, v)),
-    ("rounds", 0, None, lambda v: refine(Z, Z, v, 10, SamplerConfig(1), HemispherePrior.none())),
+    ("substream indices", 0, None, lambda v: SamplerConfig(1).child(v)),
     ("count", 1, None, lambda v: generate_trial_directions(v, HemispherePrior.none())),
     ("'trials'", 1, None, lambda v: _config(trials=v)),
     ("'batch'", 1, None, lambda v: _config(batch=v)),
@@ -89,10 +91,32 @@ def test_initial_half_angle_checked_at_construction(angle):
         _params(initial_half_angle=angle)
 
 
-@pytest.mark.parametrize("angle", [math.nan, math.inf, 0.0, -0.1])
-def test_refine_checks_explicit_initial_half_angle(angle):
-    with pytest.raises(ValueError, match="initial_half_angle"):
-        refine(Z, Z, 1, 10, None, HemispherePrior.none(), mode="exact", initial_half_angle=angle)
+@pytest.mark.parametrize("prior", [None, Z], ids=["None", "Direction"])
+def test_protocol_params_checks_prior(prior):
+    with pytest.raises(ValueError, match="prior"):
+        _params(prior=prior)
+
+
+# each bad entry equals neither -1 nor +1, yet a cast to int8 or int64 would have made it one
+BAD_OUTCOMES = [
+    pytest.param(np.array([1.5, 1.0]), id="1.5"),
+    pytest.param(np.array([257, -1]), id="257"),
+    pytest.param(np.array([U64, 1], dtype=np.uint64), id="uint64-max"),
+    pytest.param(np.array(["1", "1"]), id="str-1"),
+]
+OUTCOME_ENTRY_POINTS = {
+    "OutcomeRecord.a": lambda v: OutcomeRecord(a=v, b=np.ones(2, dtype=np.int8), x=Z, y=Z),
+    "OutcomeRecord.b": lambda v: OutcomeRecord(a=np.ones(2, dtype=np.int8), b=v, x=Z, y=Z),
+    "sign_tally_from_arrays.a": lambda v: sign_tally_from_arrays(v, np.ones(2, dtype=np.int8)),
+    "sign_tally_from_arrays.b": lambda v: sign_tally_from_arrays(np.ones(2, dtype=np.int8), v),
+}
+
+
+@pytest.mark.parametrize("values", BAD_OUTCOMES)
+@pytest.mark.parametrize("entry", OUTCOME_ENTRY_POINTS)
+def test_outcome_rule_rejects_instead_of_casting(entry, values):
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        OUTCOME_ENTRY_POINTS[entry](values)
 
 
 def test_orthonormalized_frame_estimate_checks_its_axes():
