@@ -116,16 +116,11 @@ def log_likelihood(tally: SignTally, cos_theta: float) -> float:
     """
     c = _checked_cos(cos_theta)
     out = 0.0
-    if tally.n_plus:
-        p = (1.0 - c) / 4.0
-        if p == 0.0:
-            return float("-inf")
-        out += tally.n_plus * math.log(p)
-    if tally.n_minus:
-        p = (1.0 + c) / 4.0
-        if p == 0.0:
-            return float("-inf")
-        out += tally.n_minus * math.log(p)
+    for n, p in ((tally.n_plus, (1.0 - c) / 4.0), (tally.n_minus, (1.0 + c) / 4.0)):
+        if n:
+            if p == 0.0:
+                return float("-inf")
+            out += n * math.log(p)
     return out
 
 

@@ -31,6 +31,7 @@ from . import __version__
 from .bayes import SignTally, posterior_summary, posterior_theta_density, sign_tally_from_arrays
 from .config import ConfigError, ExperimentConfig, _field, canonical_dict, load_config, parse_config
 from .core import _checked_int, analytic_mutual_information, cos_angle
+from .estimator import CountTable
 from .protocol import FrameEstimate, TransferResult, transfer_direction, transfer_frame
 from .serialize import format_float, read_record_arrays_csv, write_csv_atomic, write_json_atomic
 
@@ -69,11 +70,7 @@ def cmd_mi_surface(theta_x: float, phi_x: float, resolution: int, out_path) -> N
     sx, cx = math.sin(theta_x), math.cos(theta_x)
     spx, cpx = math.sin(phi_x), math.cos(phi_x)
     # cos(angle) = sin tx cos px sin ty cos py + sin tx sin px sin ty sin py + cos tx cos ty
-    cosines = (
-        sx * cpx * np.outer(st, cp)
-        + sx * spx * np.outer(st, sp)
-        + cx * ct[:, None]
-    )
+    cosines = sx * cpx * np.outer(st, cp) + sx * spx * np.outer(st, sp) + cx * ct[:, None]
     values = analytic_mutual_information(cosines)
     rows = (
         (format_float(thetas[i]), format_float(phis[j]), format_float(values[i, j]))
@@ -102,7 +99,7 @@ def cmd_posterior_family(tallies: list[SignTally], out_path, resolution: int = 2
 def _direction_result(res: TransferResult, truth, include_counts: bool) -> dict:
     est = res.direction
     dot = cos_angle(est, truth)
-    out = {
+    return {
         "direction": [est.x, est.y, est.z],
         "mi_score": res.mi_score,
         "sign_resolved": res.sign_resolved,
@@ -112,17 +109,16 @@ def _direction_result(res: TransferResult, truth, include_counts: bool) -> dict:
         },
         "trials": [
             {
-                "trial_index": t.trial_index,
-                "direction": [t.direction.x, t.direction.y, t.direction.z],
-                "mi_estimate": t.mi_estimate,
-                "counts": t.counts.to_dict() if (include_counts and t.counts is not None) else None,
+                "trial_index": i,
+                "direction": list(d),
+                "mi_estimate": s,
+                "counts": CountTable(*c).to_dict() if (include_counts and c is not None) else None,
             }
-            for t in res.trials
+            for i, (d, s, c) in enumerate(res.coarse_rows())
         ],
         "refine_evaluations": res.refine_evaluations,
         "singlets_used": res.singlets_used,
     }
-    return out
 
 
 def cmd_run(cfg: ExperimentConfig, out_path, include_counts: bool = True) -> None:

@@ -136,10 +136,9 @@ def parse_config(data) -> ExperimentConfig:
         alice_frame = tuple(_angle_pair(v, f"alice_frame[{i}]") for i, v in enumerate(raw))
         _field(_check_orthonormal, [direction_from_polar(t, p) for t, p in alice_frame], "alice_frame")
 
-    if "trials" not in data:
-        raise ConfigError("field 'trials': required")
-    if "batch" not in data:
-        raise ConfigError("field 'batch': required")
+    for key in ("trials", "batch"):
+        if key not in data:
+            raise ConfigError(f"field '{key}': required")
     trials = _field(_checked_int, data["trials"], "trials", 1)
     batch = _field(_checked_int, data["batch"], "batch", 1)
     refine_rounds = _field(_checked_int, data.get("refine_rounds", 3), "refine_rounds")
@@ -189,20 +188,10 @@ def parse_config(data) -> ExperimentConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError("field 'out': must be a string path")
 
+    # every local above is named as its field, in field order
     return ExperimentConfig(
-        mode=mode,
-        alice_direction=alice_direction,
-        alice_frame=alice_frame,
-        trials=trials,
-        batch=batch,
-        refine_rounds=refine_rounds,
-        prior_enabled=prior_enabled,
-        prior_poles=prior_poles,
-        seed=seed,
-        stream=stream,
-        jitter_seed=jitter_seed,
-        orthonormalize=orthonormalize,
-        out=out,
+        mode, alice_direction, alice_frame, trials, batch, refine_rounds, prior_enabled, prior_poles,
+        seed, stream, jitter_seed, orthonormalize, out,
     )
 
 

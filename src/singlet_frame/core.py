@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,10 +71,19 @@ def _checked_cos(value: float) -> float:
 
 def _checked_cos_array(cos_theta) -> np.ndarray:
     """Array form of ``_checked_cos``: a scalar or array in, the clipped values as an array of ndim >= 1 out."""
-    arr = np.asarray(cos_theta, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(np.abs(arr) > 1.0 + COS_DOMAIN_TOL):
+    arr = np.atleast_1d(np.asarray(cos_theta, dtype=float))
+    # NaN fails every comparison, so this one test also rejects NaN and inf
+    if not (np.abs(arr) <= 1.0 + COS_DOMAIN_TOL).all():
         raise DomainError("cosine of an angle must lie in [-1, 1]")
-    return np.atleast_1d(np.clip(arr, -1.0, 1.0))
+    return np.minimum(np.maximum(arr, -1.0), 1.0)
+
+
+def _cosines(x: "Direction", ys: np.ndarray) -> np.ndarray:
+    """Checked cosines between ``x`` and each row of the (k, 3) ``ys``, by ``x.dot`` over the columns.
+
+    Each is then formed in ``Direction.dot``'s order; ``ys @ x`` may fuse multiply-adds.
+    """
+    return _checked_cos_array(x.dot(SimpleNamespace(x=ys[:, 0], y=ys[:, 1], z=ys[:, 2])))
 
 
 def _shaped(out: np.ndarray, like):

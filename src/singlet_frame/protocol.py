@@ -11,17 +11,20 @@ Trial directions come from a deterministic Fibonacci-spiral layout
 (optionally jittered), restricted to the prior hemisphere when enabled.
 In ``exact`` mode trials are scored by the closed-form mutual information
 instead of sampled batches, which separates optimizer behavior from
-statistical noise.
+statistical noise.  Each phase (the coarse layout, each refinement round)
+is scored as one block of rows with one joint-count draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .core import UINT64_MAX, Direction, _check_orthonormal, _checked_int, analytic_mutual_information, cos_angle
+from .core import UINT64_MAX, Direction, _check_orthonormal, _checked_int, _cosines, _plug_in_mi, cos_angle
+from .core import analytic_mutual_information
 # tally and run_measurement_batch stay bound for perfbench's tracer, which wraps them by name
 from .estimator import CountTable, estimate_mutual_information, tally  # noqa: F401
 from .sampler import SamplerConfig, joint_count_sampler, run_measurement_batch  # noqa: F401
@@ -140,9 +143,7 @@ class ProtocolParams:
             raise ValueError("sampled mode requires a sampler config")
 
     def resolved_initial_half_angle(self) -> float:
-        if self.initial_half_angle is not None:
-            return self.initial_half_angle
-        return default_initial_half_angle(self.n_trials, self.prior.enabled)
+        return self.initial_half_angle or default_initial_half_angle(self.n_trials, self.prior.enabled)
 
     def resolution(self) -> float:
         """Half-angle of the last refinement cap (the nominal final accuracy)."""
@@ -151,14 +152,36 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Outcome of one single-direction transfer."""
+    """Outcome of one single-direction transfer, with every evaluation as a row.
+
+    Row i is ``directions[i]`` (x, y, z), ``scores[i]``, ``counts[i]``
+    (m_pp, m_pm, m_mp, m_mm; ``counts`` is None in exact mode) and
+    ``phases[i]``: (0, 0) for a coarse trial, (1, r) for refinement round
+    r.  The coarse trials come first, in trial-index order.
+    """
 
     direction: Direction
     mi_score: float
     sign_resolved: bool
-    trials: tuple[TrialRecord, ...]
     singlets_used: int
     refine_evaluations: int
+    directions: tuple[tuple[float, float, float], ...]
+    scores: tuple[float, ...]
+    counts: tuple[tuple[int, int, int, int], ...] | None
+    phases: tuple[tuple[int, int], ...]
+
+    def coarse_rows(self):
+        """(direction, score, counts) of each coarse trial, in trial-index order."""
+        n = len(self.scores) - self.refine_evaluations
+        return zip(self.directions[:n], self.scores, self.counts or (None,) * n)
+
+    @cached_property
+    def trials(self) -> tuple[TrialRecord, ...]:
+        """The coarse trials as records, built (and their scores checked) on first read."""
+        return tuple(
+            TrialRecord(i, Direction(*d), s, None if c is None else CountTable(*c))
+            for i, (d, s, c) in enumerate(self.coarse_rows())
+        )
 
 
 @dataclass(frozen=True)
@@ -178,15 +201,12 @@ class FrameEstimate:
 
 def default_initial_half_angle(n_trials: int, hemisphere: bool) -> float:
     """Cap half-angle covering the worst-case gap of the coarse layout."""
-    area_factor = 2.0 if hemisphere else 4.0
-    return 1.5 * math.sqrt(area_factor / n_trials)
+    return 1.5 * math.sqrt((2.0 if hemisphere else 4.0) / n_trials)
 
 
 def refinement_resolution(initial_half_angle: float, rounds: int) -> float:
     """Half-angle of the last evaluated cap: halves each round."""
-    if rounds <= 0:
-        return initial_half_angle
-    return initial_half_angle * 0.5 ** (rounds - 1)
+    return initial_half_angle * 0.5 ** max(rounds - 1, 0)
 
 
 def _cross(a, b) -> tuple[float, float, float]:
@@ -220,6 +240,11 @@ def generate_trial_directions(
     by about half the lattice spacing, deterministically; jittered points
     are reflected back into the hemisphere if needed.
     """
+    return [Direction(*row) for row in _trial_layout(count, prior, jitter_seed).tolist()]
+
+
+def _trial_layout(count: int, prior: HemispherePrior, jitter_seed: int | None) -> np.ndarray:
+    """``generate_trial_directions``' points as a (count, 3) array."""
     _checked_int(count, "count", 1)
     k = np.arange(count)
     if prior.enabled:
@@ -250,8 +275,7 @@ def generate_trial_directions(
             dots = points @ pole_v
             below = dots < 0.0
             points[below] -= 2.0 * dots[below, None] * pole_v
-
-    return [Direction(*row) for row in points.tolist()]
+    return points
 
 
 def evaluate_trial(
@@ -267,8 +291,8 @@ def evaluate_trial(
     the returned record carries the trial direction, its counts, and the
     plug-in mutual-information estimate.
     """
-    score = _make_scorer(alice_direction, "sampled", batch_size, config)
-    return TrialRecord(trial_index, trial_direction, *score(trial_direction))
+    scores, counts = _make_scorer(alice_direction, "sampled", batch_size, config)(trial_direction.as_array()[None])
+    return TrialRecord(trial_index, trial_direction, scores[0], CountTable(*counts.tolist()[0]))
 
 
 def exact_trial_score(alice_direction: Direction, trial_direction: Direction) -> float:
@@ -277,23 +301,24 @@ def exact_trial_score(alice_direction: Direction, trial_direction: Direction) ->
 
 
 def _make_scorer(alice_direction: Direction, mode: str, batch_size: int, config: SamplerConfig | None):
-    """The trial scorer shared by coarse trials and refinement.
+    """The row scorer shared by coarse trials and refinement.
 
-    ``score(direction, *stream)`` returns ``(mi, counts)``.  In sampled
-    mode the counts are one joint-count draw from ``config.child(*stream)``,
-    so every evaluation owns its stream (one re-keyed Philox serves them
-    all); in exact mode the score is the closed form and counts is None.
+    ``score(ys, *stream)`` scores each row of the (k, 3) ``ys``; it returns
+    ``(scores, counts)``, the scores a list of floats.  In sampled mode the
+    counts are one (k, 4) draw from ``config.child(*stream)`` and a score is
+    its row's plug-in MI on Python ints (exact at any batch); in exact mode
+    the scores are the closed form and counts is None.
     """
     if mode == "exact":
-        return lambda d, *stream: (exact_trial_score(alice_direction, d), None)
+        return lambda ys, *stream: (analytic_mutual_information(_cosines(alice_direction, ys)).tolist(), None)
     if config is None:
         raise ValueError("sampled mode requires a sampler config")
 
     draw = joint_count_sampler(batch_size, config)
 
-    def score(d, *stream):
-        counts = CountTable.from_joint_counts(*draw(alice_direction, d, *stream))
-        return estimate_mutual_information(counts), counts
+    def score(ys, *stream):
+        counts = draw(alice_direction, ys, *stream)
+        return [_plug_in_mi(*row, batch_size) for row in counts.tolist()], counts
 
     return score
 
@@ -315,14 +340,15 @@ def resolve_sign(estimate: Direction, prior: HemispherePrior) -> tuple[Direction
     return estimate, True
 
 
-def _ring_candidates(center: Direction, half_angle: float) -> list[Direction]:
+def _ring_candidates(center: Direction, half_angle: float) -> np.ndarray:
+    """The center, then the RING_SIZE candidates at ``half_angle`` around it: one row each."""
     e1, e2 = _tangent_basis(center)
-    ring = math.cos(half_angle) * center.as_array() + math.sin(half_angle) * (_RING_COS * e1 + _RING_SIN * e2)
-    return [Direction(*row) for row in ring.tolist()]
+    c = center.as_array()
+    return np.vstack((c, math.cos(half_angle) * c + math.sin(half_angle) * (_RING_COS * e1 + _RING_SIN * e2)))
 
 
 def _refine_search(start, score, rounds, initial_half_angle):
-    """Shrinking-cap ring search; returns (direction, score, evaluations).
+    """Shrinking-cap ring search; returns (direction, score, phases).
 
     The objective is even under negation, so the search ignores any prior
     and tracks the direction up to sign; callers map the result into the
@@ -330,25 +356,20 @@ def _refine_search(start, score, rounds, initial_half_angle):
     would trap the search at the hemisphere boundary whenever the target
     sits near the equator and the climb approaches its antipode.
 
-    ``score`` comes from ``_make_scorer``; candidate j of round r is scored
-    on stream (_STREAM_REFINE, r, j), so results do not depend on
-    evaluation order.  Score is None when rounds == 0.
+    ``score`` comes from ``_make_scorer``; round r scores its 9 rows on
+    stream (_STREAM_REFINE, r) and adds ``(phase, rows, scores, counts)`` to
+    ``phases``.  Score is None when rounds == 0.
     """
-    current = start
-    best_score = None
-    evaluations = 0
+    current, best_score, phases = start, None, []
     half_angle = initial_half_angle
     for r in range(rounds):
-        candidates = [current] + _ring_candidates(current, half_angle)
-        best = None
-        for j, cand in enumerate(candidates):
-            s, _ = score(cand, _STREAM_REFINE, r, j)
-            evaluations += 1
-            if best is None or s > best[0]:
-                best = (s, cand)
-        best_score, current = best
+        candidates = _ring_candidates(current, half_angle)
+        scores, counts = score(candidates, _STREAM_REFINE, r)
+        phases.append(((_STREAM_REFINE, r), candidates, scores, counts))
+        best = max(range(len(scores)), key=scores.__getitem__)
+        current, best_score = Direction(*candidates[best].tolist()), scores[best]
         half_angle *= 0.5
-    return current, best_score, evaluations
+    return current, best_score, phases
 
 
 def refine(coarse_best: Direction, alice_direction: Direction, params: ProtocolParams) -> Direction:
@@ -369,30 +390,26 @@ def refine(coarse_best: Direction, alice_direction: Direction, params: ProtocolP
 def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> TransferResult:
     """Full single-direction pipeline: layout, score, select, refine, resolve."""
     score = _make_scorer(alice_direction, params.mode, params.batch_size, params.config)
-    directions = generate_trial_directions(params.n_trials, params.prior, params.jitter_seed)
-    trials = [TrialRecord(i, d, *score(d, _STREAM_COARSE, i)) for i, d in enumerate(directions)]
-    best_direction, best_score = select_best(trials)
-
-    refined, refined_score, evaluations = _refine_search(
-        best_direction, score, params.refine_rounds, params.resolved_initial_half_angle(),
+    layout = _trial_layout(params.n_trials, params.prior, params.jitter_seed)
+    scores, counts = score(layout, _STREAM_COARSE)
+    best = max(range(len(scores)), key=scores.__getitem__)  # the first maximum, as select_best picks it
+    refined, refined_score, rounds = _refine_search(
+        Direction(*layout[best].tolist()), score, params.refine_rounds, params.resolved_initial_half_angle(),
     )
-    singlets = 0 if params.mode == "exact" else (len(trials) + evaluations) * params.batch_size
-
+    phases = [((_STREAM_COARSE, 0), layout, scores, counts)] + rounds
+    rows = np.vstack([p[1] for p in phases])
     final, resolved = resolve_sign(refined, params.prior)
     return TransferResult(
         direction=final,
-        mi_score=best_score if refined_score is None else refined_score,
+        mi_score=scores[best] if refined_score is None else refined_score,
         sign_resolved=resolved,
-        trials=tuple(trials),
-        singlets_used=singlets,
-        refine_evaluations=evaluations,
+        singlets_used=0 if counts is None else len(rows) * params.batch_size,
+        refine_evaluations=len(rows) - len(layout),
+        directions=tuple(map(tuple, rows.tolist())),
+        scores=tuple(s for p in phases for s in p[2]),
+        counts=None if counts is None else tuple(map(tuple, np.vstack([p[3] for p in phases]).tolist())),
+        phases=tuple(p[0] for p in phases for _ in p[2]),
     )
-
-
-def _nearest_orthonormal(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal matrix closest in Frobenius norm (polar factor)."""
-    u, _, vt = np.linalg.svd(rows)
-    return u @ vt
 
 
 def transfer_frame(
@@ -412,19 +429,18 @@ def transfer_frame(
     if priors is not None and len(priors) != 3:
         raise ValueError("priors must contain exactly three entries")
 
-    results = []
-    for k, axis in enumerate(alice_frame):
-        axis_params = replace(
-            params,
-            prior=priors[k] if priors is not None else params.prior,
-            config=params.config.child(_STREAM_AXIS, k) if params.config is not None else None,
-        )
-        results.append(transfer_direction(axis, axis_params))
+    priors = priors if priors is not None else (params.prior,) * 3
+    results = [
+        transfer_direction(axis, replace(
+            params, prior=priors[k], config=None if params.config is None else params.config.child(_STREAM_AXIS, k),
+        ))
+        for k, axis in enumerate(alice_frame)
+    ]
 
     axes = tuple(r.direction for r in results)
-    if orthonormalize:
-        projected = _nearest_orthonormal(np.vstack([a.as_array() for a in axes]))
-        axes = tuple(Direction(*row) for row in projected)
+    if orthonormalize:  # the closest orthonormal matrix in Frobenius norm (polar factor)
+        u, _, vt = np.linalg.svd(np.vstack([a.as_array() for a in axes]))
+        axes = tuple(Direction(*row) for row in u @ vt)
 
     return FrameEstimate(
         axes=axes,

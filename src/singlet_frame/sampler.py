@@ -8,20 +8,22 @@ the same distribution at a cost independent of the batch size.
 Randomness comes from numpy's Philox (4x64) counter-based bit generator
 keyed by ``(seed, stream_id)``: the same configuration reproduces the
 same sequence on any platform, and distinct stream ids give independent
-streams that may be consumed in any order.  A counter-based generator's
-whole state is its key and counter, so ``joint_count_sampler`` keeps one
-Philox for many draws and re-keys it before each one: the state is set to
-the key ``(seed, child stream id)`` with a zero counter, and each draw is
-bit-for-bit the one ``config.child(...).generator()`` gives.
+streams that may be consumed in any order.  ``joint_count_sampler`` draws
+the counts of many settings at once: one multinomial over k rows from one
+child stream.  A counter-based generator's whole state is its key and
+counter, so the sampler keeps one Philox and re-keys it before each draw
+to ``(seed, child stream id)`` with a zero counter; each draw is bit for
+bit the one ``config.child(...).generator()`` gives.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UINT64_MAX, Direction, _checked_cos, _checked_int, _checked_outcomes, cos_angle
+from .core import UINT64_MAX, Direction, _checked_cos, _checked_int, _checked_outcomes, _cosines, cos_angle
 
 __all__ = [
     "SamplerConfig",
@@ -33,6 +35,9 @@ __all__ = [
 ]
 
 GENERATOR_NAME = "philox4x64"
+
+# p(a, b) = (1 + s*c) / 4 with s = -a*b, for the cells (+,+), (+,-), (-,+), (-,-)
+_CELL_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 def _splitmix64(x: int) -> int:
@@ -93,8 +98,9 @@ class OutcomeRecord:
     y: Direction
 
     def __post_init__(self):
-        a = _checked_outcomes(self.a)
-        b = _checked_outcomes(self.b)
+        # private copies: freezing them leaves the caller's arrays writable
+        a = _checked_outcomes(self.a).copy()
+        b = _checked_outcomes(self.b).copy()
         if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
             raise ValueError("outcome arrays must be 1-d and of equal length")
         if a.size == 0:
@@ -133,16 +139,8 @@ def _category_bounds(c: float) -> tuple[float, float, float]:
 
 def sample_outcome_pair(cos_theta: float, rng: np.random.Generator) -> tuple[int, int]:
     """Draw one (a, b) pair, advancing ``rng`` by a single uniform."""
-    c = _checked_cos(cos_theta)
-    b1, b2, b3 = _category_bounds(c)
-    u = rng.random()
-    if u < b1:
-        return (1, 1)
-    if u < b2:
-        return (1, -1)
-    if u < b3:
-        return (-1, 1)
-    return (-1, -1)
+    bounds = _category_bounds(_checked_cos(cos_theta))
+    return ((1, 1), (1, -1), (-1, 1), (-1, -1))[bisect_right(bounds, rng.random())]
 
 
 def run_measurement_batch(x: Direction, y: Direction, batch_size: int, config: SamplerConfig) -> OutcomeRecord:
@@ -156,8 +154,8 @@ def run_measurement_batch(x: Direction, y: Direction, batch_size: int, config: S
     bounds = np.array(_category_bounds(c))
     u = config.generator().random(batch_size)
     cat = np.searchsorted(bounds, u, side="right")
-    a = np.where(cat <= 1, 1, -1).astype(np.int8)
-    b = np.where(cat % 2 == 0, 1, -1).astype(np.int8)
+    a = np.where(cat <= 1, np.int8(1), np.int8(-1))
+    b = np.where(cat % 2 == 0, np.int8(1), np.int8(-1))
     return OutcomeRecord(a=a, b=b, x=x, y=y)
 
 
@@ -171,18 +169,18 @@ def sample_joint_counts(
     (the two consume ``config``'s stream differently, so their values
     differ).  Deterministic in ``config``.
     """
-    return joint_count_sampler(batch_size, config)(x, y)
+    return tuple(joint_count_sampler(batch_size, config)(x, y.as_array()[None])[0].tolist())
 
 
 def joint_count_sampler(batch_size: int, config: SamplerConfig):
-    """``draw(x, y, *path)``, equal to ``sample_joint_counts(x, y, batch_size, config.child(*path))``.
+    """``draw(x, ys, *path)``: one (k, 4) int64 multinomial of the joint counts at x and each row of ``ys``.
 
+    The k rows are drawn in order from ``config.child(*path)``, so a one-row
+    draw is ``sample_joint_counts(x, y, batch_size, config.child(*path))``.
     ``batch_size`` is checked once, and every draw re-keys the same Philox
-    instead of building a generator.  The state each draw starts from is
-    the one a Philox keyed ``(seed, child stream id)`` is built in: zero
-    counter, empty buffer.  Re-keying and drawing are two steps on shared
-    state, so a ``draw`` must not be called from two threads at once; build
-    one sampler per thread.
+    to the state a Philox keyed ``(seed, child stream id)`` is built in:
+    zero counter, empty buffer.  Re-keying and drawing are two steps on
+    shared state, so build one sampler per thread.
     """
     _checked_int(batch_size, "batch_size", 1)
     key = np.array((config.seed, config.stream_id), dtype=np.uint64)
@@ -197,11 +195,10 @@ def joint_count_sampler(batch_size: int, config: SamplerConfig):
     bit_generator = np.random.Philox(key=key)
     generator = np.random.Generator(bit_generator)
 
-    def draw(x: Direction, y: Direction, *path: int) -> tuple[int, int, int, int]:
-        c = _checked_cos(x.dot(y))
-        same, anti = (1.0 - c) / 4.0, (1.0 + c) / 4.0
+    def draw(x: Direction, ys: np.ndarray, *path: int) -> np.ndarray:
+        pvals = (1.0 + np.multiply.outer(_cosines(x, ys), _CELL_SIGNS)) / 4.0
         key[1] = _fold(config.stream_id, path)
         bit_generator.state = state
-        return tuple(generator.multinomial(batch_size, (same, anti, anti, same)).tolist())
+        return generator.multinomial(batch_size, pvals)
 
     return draw

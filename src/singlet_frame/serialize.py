@@ -251,14 +251,10 @@ def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(a_vals, dtype=np.int8), np.array(b_vals, dtype=np.int8)
 
 
-def _direction_to_list(d: Direction) -> list[float]:
-    return [d.x, d.y, d.z]
-
-
 def record_to_json(record: OutcomeRecord, path) -> None:
     obj = {
-        "x": _direction_to_list(record.x),
-        "y": _direction_to_list(record.y),
+        "x": [record.x.x, record.x.y, record.x.z],
+        "y": [record.y.x, record.y.y, record.y.z],
         "a": record.a.tolist(),
         "b": record.b.tolist(),
     }
@@ -282,8 +278,8 @@ def record_from_json(path) -> OutcomeRecord:
         raise ParseError(f"{path}: line {e.lineno}: {e.msg}") from None
     try:
         return OutcomeRecord(
-            a=np.array(obj["a"], dtype=np.int8),
-            b=np.array(obj["b"], dtype=np.int8),
+            a=obj["a"],
+            b=obj["b"],
             x=Direction.from_array(obj["x"]),
             y=Direction.from_array(obj["y"]),
         )

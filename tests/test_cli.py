@@ -401,7 +401,37 @@ class TestRunCommand:
         out = tmp_path / "r.json"
         assert _run(["run", "--config", str(cfg), "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "4a5cafe9561affdd5729d6c9cfc28ab8bea281e6ab5a8c59676b24ec4d4883d1"
+        assert digest == "e4a5a9c7fe0ed3e84c9ccfc5978686f20645e87d58da782c27d9735063310c7f"
+
+    def test_exact_direction_report_pinned(self, tmp_path):
+        # regression pin for the bytes of an exact-mode direction report:
+        # layout, ring search and closed-form scores, with no random draw
+        cfg = _exact_config(tmp_path)
+        out = tmp_path / "r.json"
+        assert _run(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "0f1fdff295e8789966775343baef5feac39d81f14bf60bd3366ddab52e6c89d8"
+
+    def test_exact_frame_report_pinned(self, tmp_path):
+        # the same for an orthonormalized exact-mode frame on a jittered
+        # layout with tilted per-axis poles
+        frame = [
+            {"theta": math.pi / 2, "phi": 0.7},
+            {"theta": math.pi / 2, "phi": 0.7 + math.pi / 2},
+            {"theta": 0.0, "phi": 0.0},
+        ]
+        poles = [{"theta": 1.3, "phi": 0.9}, {"theta": 1.2, "phi": 2.0}, {"theta": 0.4, "phi": 2.5}]
+        cfg = _exact_config(
+            tmp_path, alice_frame=frame, prior={"enabled": True, "poles": poles},
+            orthonormalize=True, refine_rounds=4, jitter_seed=2**63 + 5,
+        )
+        data = json.loads(cfg.read_text())
+        del data["alice_direction"]
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert _run(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "1811e1ebbd1debf9f88b19c9c13e71899eced7fe483a17443d8b280d613d1746"
 
     def test_unwritable_out_exits_3(self, tmp_path, capsys):
         cfg = _exact_config(tmp_path)

@@ -113,6 +113,14 @@ class TestRecordSerialization:
         with pytest.raises(ParseError, match="line 3"):
             record_from_json(path)
 
+    @pytest.mark.parametrize("outcomes", [[1.5, -1], [1, 257], [1, 0.5]])
+    def test_json_outcomes_checked_not_truncated(self, tmp_path, outcomes):
+        # the JSON form obeys OutcomeRecord's rule, as the CSV reader does
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps({"x": [1.0, 0.0, 0.0], "y": [0.0, 0.0, 1.0], "a": outcomes, "b": [1, -1]}))
+        with pytest.raises(ParseError, match="outcomes must all be -1 or \\+1"):
+            record_from_json(path)
+
 
 def _csv_writer_bytes(rec: OutcomeRecord) -> bytes:
     """The record CSV as the csv module writes it, one row tuple per pair."""

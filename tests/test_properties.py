@@ -123,11 +123,24 @@ paths = st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=4).map(
 @given(config=configs, batch=batches, c=cosines, path=paths, earlier_c=cosines, earlier_path=paths)
 def test_rekeyed_draw_is_the_freshly_keyed_child_draw(config, batch, c, path, earlier_c, earlier_path):
     draw = joint_count_sampler(batch, config)
-    draw(Z, _at_cosine(earlier_c), *earlier_path)  # leaves the shared Philox mid-stream
+    draw(Z, _at_cosine(earlier_c).as_array()[None], *earlier_path)  # leaves the shared Philox mid-stream
     y = _at_cosine(c)
     same, anti = (1.0 - cos_angle(Z, y)) / 4.0, (1.0 + cos_angle(Z, y)) / 4.0
     fresh = config.child(*path).generator().multinomial(batch, (same, anti, anti, same))
-    assert draw(Z, y, *path) == tuple(fresh.tolist())
+    assert draw(Z, y.as_array()[None], *path).tolist() == [fresh.tolist()]
+
+
+@settings(deadline=None)
+@given(
+    config=configs, batch=batches, x=directions, y=directions, path=paths,
+    earlier=st.lists(directions, min_size=1, max_size=9),
+)
+def test_one_row_draw_is_sample_joint_counts_on_the_child(config, batch, x, y, path, earlier):
+    draw = joint_count_sampler(batch, config)
+    draw(x, np.array([d.as_array() for d in earlier]), 1, 2)  # a phase draw leaves the Philox mid-stream
+    got = draw(x, y.as_array()[None], *path)
+    assert got.dtype == np.int64 and got.shape == (1, 4)
+    assert tuple(got[0].tolist()) == sample_joint_counts(x, y, batch, config.child(*path))
 
 
 @given(x=directions, y=directions)

@@ -25,9 +25,11 @@ from singlet_frame import (
     transfer_direction,
     transfer_frame,
 )
+from singlet_frame import sampler
 from singlet_frame.protocol import (
     RING_SIZE,
     _STREAM_COARSE,
+    _STREAM_REFINE,
     _ring_candidates,
     _tangent_basis,
     exact_trial_score,
@@ -164,12 +166,19 @@ class TestGeometryBits:
                 for j in range(RING_SIZE):
                     az = 2.0 * math.pi * j / RING_SIZE
                     want.append(Direction(*(ch * d.as_array() + sh * (math.cos(az) * e1 + math.sin(az) * e2))))
-                assert [_bits(c) for c in _ring_candidates(d, half_angle)] == [_bits(w) for w in want]
+                rows = _ring_candidates(d, half_angle)
+                assert rows.shape == (RING_SIZE + 1, 3) and rows[0].tobytes() == _bits(d)
+                assert [r.tobytes() for r in rows[1:]] == [_bits(w) for w in want]
 
     def test_directions_hold_python_floats(self):
         prior = HemispherePrior.around(direction_from_polar(0.7, 0.5))
-        made = generate_trial_directions(20, prior, jitter_seed=3) + _ring_candidates(Z, 0.2)
+        params = ProtocolParams(20, 50, 2, prior, config=SamplerConfig(3), jitter_seed=3)
+        res = transfer_direction(direction_from_polar(0.9, 0.2), params)
+        made = generate_trial_directions(20, prior, jitter_seed=3) + [t.direction for t in res.trials] + [res.direction]
         assert all(type(t) is float for d in made for t in (d.x, d.y, d.z))
+        assert all(type(t) is float for row in res.directions for t in row)
+        assert all(type(s) is float for s in res.scores) and type(res.mi_score) is float
+        assert all(type(m) is int for row in res.counts for m in row)
 
 
 class TestEvaluateTrial:
@@ -390,18 +399,33 @@ class TestTransferDirection:
         assert all(t.counts is None for t in res.trials)
 
     def test_coarse_and_refine_streams_match_the_public_steps(self):
-        # coarse trial i draws from child(_STREAM_COARSE, i) and the ring search
-        # from child(_STREAM_REFINE, r, j): evaluate_trial and refine reproduce both
+        # the coarse trials are one multinomial over the layout from
+        # child(_STREAM_COARSE), refinement round r one over its 9 rows from
+        # child(_STREAM_REFINE, r); refine reproduces the ring search
         truth = direction_from_polar(0.9, 0.2)
         cfg = SamplerConfig(61)
         params = ProtocolParams(
             8, 700, 2, HemispherePrior.around(direction_from_polar(0.7, 0.5)), config=cfg, mode="sampled",
         )
         res = transfer_direction(truth, params)
-        for t in res.trials:
-            assert t == evaluate_trial(
-                truth, t.direction, 700, cfg.child(_STREAM_COARSE, t.trial_index), trial_index=t.trial_index,
+
+        def singlet_pvals(rows):
+            cosines = [cos_angle(truth, Direction(*row)) for row in rows]
+            return [((1.0 - c) / 4.0, (1.0 + c) / 4.0, (1.0 + c) / 4.0, (1.0 - c) / 4.0) for c in cosines]
+
+        layout = [(d.x, d.y, d.z) for d in generate_trial_directions(8, params.prior)]
+        coarse = cfg.child(_STREAM_COARSE).generator().multinomial(700, singlet_pvals(layout))
+        assert [(t.counts.m_pp, t.counts.m_pm, t.counts.m_mp, t.counts.m_mm) for t in res.trials] == [
+            tuple(row) for row in coarse.tolist()
+        ]
+        assert list(res.directions[:8]) == layout
+        for r in range(2):
+            rows = [i for i, phase in enumerate(res.phases) if phase == (_STREAM_REFINE, r)]
+            assert len(rows) == RING_SIZE + 1
+            ring = cfg.child(_STREAM_REFINE, r).generator().multinomial(
+                700, singlet_pvals([res.directions[i] for i in rows]),
             )
+            assert [res.counts[i] for i in rows] == [tuple(row) for row in ring.tolist()]
         assert res.direction == refine(select_best(res.trials)[0], truth, params)
 
     def test_pinned_sampled_transfer_golden(self):
@@ -415,33 +439,83 @@ class TestTransferDirection:
         assert (res.direction.x, res.direction.y, res.direction.z) == (
             0.8294647092183367, 0.30049251215948136, 0.47084237946198526,
         )
-        assert res.mi_score == 0.9905440576517781
+        assert res.mi_score == 0.9953066833062586
         assert [(t.counts.m_pp, t.counts.m_pm, t.counts.m_mp, t.counts.m_mm) for t in res.trials] == [
-            (153, 2347, 2335, 165), (412, 2063, 2107, 418), (12, 2502, 2475, 11), (847, 1641, 1690, 822),
-            (501, 1990, 1981, 528), (464, 2087, 2016, 433), (1333, 1161, 1146, 1360), (413, 2074, 2104, 409),
-            (1309, 1253, 1192, 1246), (1324, 1173, 1147, 1356),
+            (151, 2382, 2305, 162), (424, 2052, 2079, 445), (18, 2400, 2564, 18), (839, 1652, 1662, 847),
+            (518, 1952, 2058, 472), (447, 2058, 2083, 412), (1317, 1232, 1132, 1319), (419, 2077, 2113, 391),
+            (1176, 1287, 1277, 1260), (1338, 1155, 1148, 1359),
         ]
+        assert res.counts[-9:] == (
+            (12, 2489, 2485, 14), (48, 2456, 2457, 39), (58, 2437, 2441, 64), (70, 2461, 2408, 61),
+            (40, 2499, 2407, 54), (14, 2501, 2460, 25), (3, 2522, 2471, 4), (0, 2502, 2496, 2), (17, 2532, 2438, 13),
+        )
         assert (res.singlets_used, res.refine_evaluations) == (185000, 27)
 
     def test_one_philox_per_sampled_transfer(self, monkeypatch):
-        # guards the fixed cost per evaluation: all 30 evaluations re-key one bit generator
-        built = []
-        philox = np.random.Philox
+        # guards the fixed cost per evaluation: each of the 1 + refine_rounds
+        # phases is one fold of its stream path and one multinomial, and all
+        # of them re-key one bit generator
+        built, folds, draws = [], [], []
+        philox, fold = np.random.Philox, sampler._fold
 
         def counting_philox(*args, **kwargs):
             built.append(kwargs)
             return philox(*args, **kwargs)
 
+        def counting_fold(*args):
+            folds.append(args)
+            return fold(*args)
+
+        class CountingGenerator(np.random.Generator):
+            def multinomial(self, *args, **kwargs):
+                draws.append(args)
+                return super().multinomial(*args, **kwargs)
+
         monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        monkeypatch.setattr(sampler, "_fold", counting_fold)
         params = ProtocolParams(
             12, 300, 2, HemispherePrior.around(direction_from_polar(0.7, 0.5)), config=SamplerConfig(5), mode="sampled",
         )
         res = transfer_direction(direction_from_polar(0.9, 0.2), params)
         assert len(res.trials) + res.refine_evaluations == 30
+        assert len(draws) == len(folds) == 1 + params.refine_rounds
         per_transfer = len(built)
-        SamplerConfig(1).generator()
-        assert len(built) == per_transfer + 1  # the counter sees every construction
+        SamplerConfig(1).generator().multinomial(3, [0.5, 0.5])
+        SamplerConfig(1).child(4)
+        # the counters see every construction, draw and fold
+        assert (len(built), len(draws), len(folds)) == (per_transfer + 1, 4, 4)
         assert per_transfer <= 1
+
+    def test_result_rows_hold_every_evaluation(self):
+        truth = direction_from_polar(0.9, 0.2)
+        params = ProtocolParams(
+            12, 300, 2, HemispherePrior.around(direction_from_polar(0.7, 0.5)), config=SamplerConfig(5), mode="sampled",
+        )
+        res = transfer_direction(truth, params)
+        assert "trials" not in vars(res)  # the records are built on first read
+        assert res.trials is res.trials and len(res.trials) == 12
+        assert res.phases == ((_STREAM_COARSE, 0),) * 12 + ((_STREAM_REFINE, 0),) * 9 + ((_STREAM_REFINE, 1),) * 9
+        assert len(res.directions) == len(res.scores) == len(res.counts) == 30
+        for d, s, c in zip(res.directions, res.scores, res.counts):
+            assert s == estimate_mutual_information(CountTable(*c)) and sum(c) == 300
+            unit = Direction(*d)
+            assert (unit.x, unit.y, unit.z) == d  # rows are unit as Direction leaves them
+        for i, t in enumerate(res.trials):
+            assert (t.direction.x, t.direction.y, t.direction.z) == res.directions[i]
+            assert (t.mi_estimate, t.counts) == (res.scores[i], CountTable(*res.counts[i]))
+        # each refinement round opens with its center, the previous round's winner
+        best = max(range(12, 21), key=lambda i: (res.scores[i], -i))
+        assert res.directions[21] == res.directions[best]
+        assert res.mi_score == max(res.scores[21:])
+        assert transfer_direction(truth, params) == res
+
+    def test_exact_rows_hold_closed_form_scores(self):
+        truth = direction_from_polar(0.9, 0.2)
+        res = transfer_direction(truth, ProtocolParams(12, 300, 2, HemispherePrior.around(truth), mode="exact"))
+        assert res.counts is None and len(res.scores) == 30
+        for d, s in zip(res.directions, res.scores):
+            assert s == exact_trial_score(truth, Direction(*d))
 
     def test_trial_records_carry_plug_in_scores(self):
         truth = direction_from_polar(0.9, 0.2)
@@ -451,6 +525,39 @@ class TestTransferDirection:
         res = transfer_direction(truth, params)
         for t in res.trials:
             assert t.mi_estimate == estimate_mutual_information(t.counts)
+
+
+class TestLargeBatches:
+    """A draw's cost does not depend on the batch, so batches of 1e8 and 1e12 singlets are cheap to test."""
+
+    @staticmethod
+    def _check_rows(res, batch, n_rows):
+        assert len(res.counts) == len(res.scores) == n_rows
+        for s, c in zip(res.scores, res.counts):
+            assert sum(c) == batch
+            assert 0.0 <= s <= 1.0 and s == estimate_mutual_information(CountTable(*c))
+        assert res.singlets_used == n_rows * batch
+
+    @pytest.mark.parametrize("batch", [10**8, 10**12])
+    def test_sampled_transfer(self, batch):
+        truth = direction_from_polar(1.1, 0.4)
+        params = ProtocolParams(
+            50, batch, 3, HemispherePrior.around(direction_from_polar(0.8, 0.9)),
+            config=SamplerConfig(2**64 - 7, 3), mode="sampled",
+        )
+        res = transfer_direction(truth, params)
+        self._check_rows(res, batch, 50 + 3 * (RING_SIZE + 1))
+        assert _angle(res.direction, truth) <= params.resolution()
+        assert transfer_direction(truth, params) == res
+
+    def test_sampled_frame(self):
+        frame = (Direction(1.0, 0.0, 0.0), Direction(0.0, 1.0, 0.0), Direction(0.0, 0.0, 1.0))
+        priors = tuple(HemispherePrior.around(tilted_pole(a, np.random.default_rng(k))) for k, a in enumerate(frame))
+        params = ProtocolParams(50, 10**8, 3, NO_PRIOR, config=SamplerConfig(11), mode="sampled")
+        est = transfer_frame(frame, params, orthonormalize=True, priors=priors)
+        for res in est.axis_results:
+            self._check_rows(res, 10**8, 50 + 3 * (RING_SIZE + 1))
+        assert transfer_frame(frame, params, orthonormalize=True, priors=priors) == est
 
 
 class TestTransferFrame:

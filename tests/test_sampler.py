@@ -9,6 +9,7 @@ from singlet_frame import (
     DomainError,
     OutcomeRecord,
     SamplerConfig,
+    cos_angle,
     direction_from_polar,
     joint_count_sampler,
     run_measurement_batch,
@@ -237,6 +238,11 @@ class TestSampleJointCounts:
         assert p_value > 1e-3
 
 
+def _one_row(draw, x, y, *path):
+    """A one-row draw at (x, y) as a tuple, the form sample_joint_counts returns."""
+    return tuple(draw(x, y.as_array()[None], *path)[0].tolist())
+
+
 class TestJointCountSampler:
     def test_draws_equal_sample_joint_counts_on_child_streams(self):
         cfg = SamplerConfig(77, 5)
@@ -244,7 +250,7 @@ class TestJointCountSampler:
         draw = joint_count_sampler(300, cfg)
         # repeated paths, shared prefixes and the empty path, in one sampler
         for path in [(0, 3), (), (1, 2, 8), (1, 2, 0), (0, 3), (0,), (1, 2, 8), ()]:
-            assert draw(Z, y, *path) == sample_joint_counts(Z, y, 300, cfg.child(*path))
+            assert _one_row(draw, Z, y, *path) == sample_joint_counts(Z, y, 300, cfg.child(*path))
 
     @pytest.mark.parametrize("batch_size", [0, 2.5, True])
     def test_batch_size_checked_when_built(self, batch_size):
@@ -256,10 +262,45 @@ class TestJointCountSampler:
         # True and 1.0 compare equal to 1, so nothing may be looked up by the path
         cfg = SamplerConfig(1)
         draw = joint_count_sampler(10, cfg)
-        good = draw(Z, X, 1, 2, 3)
+        good = _one_row(draw, Z, X, 1, 2, 3)
         with pytest.raises(ValueError, match="substream"):
-            draw(Z, X, *path)
-        assert draw(Z, X, 1, 2, 3) == good == sample_joint_counts(Z, X, 10, cfg.child(1, 2, 3))
+            _one_row(draw, Z, X, *path)
+        assert _one_row(draw, Z, X, 1, 2, 3) == good == sample_joint_counts(Z, X, 10, cfg.child(1, 2, 3))
+
+    def test_phase_draw_is_one_multinomial_over_its_rows(self):
+        # the rows of a (k, 4) draw are one 2-d multinomial from the child stream
+        cfg = SamplerConfig(2**64 - 5, 2**63)
+        ys = np.array([direction_from_polar(0.3 * i, 1.1 * i).as_array() for i in range(7)] + [-Z.as_array()])
+        pvals = [
+            ((1.0 - c) / 4.0, (1.0 + c) / 4.0, (1.0 + c) / 4.0, (1.0 - c) / 4.0)
+            for c in (cos_angle(Z, Direction(*y)) for y in ys.tolist())
+        ]
+        got = joint_count_sampler(5000, cfg)(Z, ys, 1, 4)
+        assert got.dtype == np.int64 and got.shape == (8, 4)
+        assert got.tolist() == cfg.child(1, 4).generator().multinomial(5000, pvals).tolist()
+        assert got.sum(axis=1).tolist() == [5000] * 8
+
+    @pytest.mark.parametrize("c", [-0.6, 0.3])
+    def test_phase_rows_distributed_as_one_row_draws(self, c):
+        # chi-square homogeneity test on the four cells of a small batch: the
+        # rows of 600 five-row phase draws against 3000 one-row draws, each
+        # from its own child stream
+        y = Direction(math.sqrt(1.0 - c * c), 0.0, c)
+        batch, runs, k = 6, 3000, 5
+        phase_draw = joint_count_sampler(batch, SamplerConfig(903))
+        ys = np.tile(y.as_array(), (k, 1))
+        draws = {
+            "phase rows": [tuple(row) for i in range(runs // k) for row in phase_draw(Z, ys, i).tolist()],
+            "one row": [sample_joint_counts(Z, y, batch, SamplerConfig(904).child(i)) for i in range(runs)],
+        }
+        cells = sorted(set(draws["phase rows"]) | set(draws["one row"]))
+        table = np.array([[rows.count(cell) for cell in cells] for rows in draws.values()])
+        # pool cells too rare for the chi-square approximation into one column
+        rare = table.sum(axis=0) < 20
+        table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+        assert table.shape[1] >= 8
+        _, p_value, _, _ = stats.chi2_contingency(table)
+        assert p_value > 1e-3
 
 
 class TestOutcomeRecord:
@@ -284,3 +325,12 @@ class TestOutcomeRecord:
         rec = run_measurement_batch(X, Z, 8, SamplerConfig(1))
         with pytest.raises(ValueError):
             rec.a[0] = -rec.a[0]
+
+    def test_caller_arrays_stay_writable_and_apart(self):
+        a = np.array([1, -1, 1], dtype=np.int8)
+        b = np.array([-1, -1, 1], dtype=np.int8)
+        rec = OutcomeRecord(a=a, b=b, x=X, y=Z)
+        a[0], b[2] = -1, -1
+        assert rec.a.tolist() == [1, -1, 1] and rec.b.tolist() == [-1, -1, 1]
+        with pytest.raises(ValueError):
+            rec.b[0] = 1
