@@ -151,11 +151,13 @@ def run_measurement_batch(x: Direction, y: Direction, batch_size: int, config: S
     """
     _checked_int(batch_size, "batch_size", 1)
     c = cos_angle(x, y)
-    bounds = np.array(_category_bounds(c))
+    low, half, high = _category_bounds(c)
     u = config.generator().random(batch_size)
-    cat = np.searchsorted(bounds, u, side="right")
-    a = np.where(cat <= 1, np.int8(1), np.int8(-1))
-    b = np.where(cat % 2 == 0, np.int8(1), np.int8(-1))
+    # the cells bisect_right gives: a = +1 below 1/2, b = +1 below an odd number of bounds
+    plus_a = u < half
+    plus_b = (u < low) ^ plus_a ^ (u < high)
+    a = 2 * plus_a.view(np.int8) - 1
+    b = 2 * plus_b.view(np.int8) - 1
     return OutcomeRecord(a=a, b=b, x=x, y=y)
 
 

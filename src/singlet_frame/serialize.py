@@ -6,11 +6,14 @@ Python's shortest round-trip representation.  JSON is the C encoder's
 compact form re-indented as one byte array, byte-identical to
 ``json.dumps(obj, sort_keys=True, indent=2)`` plus a final LF (any
 ``indent`` selects the slower pure-Python encoder before Python 3.13).
-Files are written atomically (temp file + rename in the target directory).
+Files are written atomically (temp file + rename in the target directory)
+with the mode ``open`` would give them (0o666 less the umask).
 
 Outcome-record CSV: header ``index,a,b``; one row per pair with a 0-based
 index and outcomes in {-1, +1}.  Settings are not carried by the CSV
-form; the JSON form stores them under ``x`` and ``y``.
+form; the JSON form stores them under ``x`` and ``y``.  It is written
+from one NUL-padded byte matrix of fixed-width rows, and a file is read
+as bytes only when re-writing its outcomes gives back the same file.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import io
 import json
 import math
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +47,9 @@ __all__ = [
 
 RECORD_CSV_HEADER = ["index", "a", "b"]
 _RECORD_HEADER_LINE = (",".join(RECORD_CSV_HEADER) + "\n").encode("ascii")
-_ZERO, _COMMA, _MINUS, _ONE, _NEWLINE = b"0,-1\n"
+_ZERO, _MINUS, _NEWLINE = b"0-\n"
+# a row's tail after its index as one NUL-padded word, at 2 * (a < 0) + (b < 0)
+_RECORD_TAILS = np.frombuffer(b",1,1\n\0\0\0,1,-1\n\0\0,-1,1\n\0\0,-1,-1\n\0", dtype=np.uint64)
 _QUOTE, _SPACE = b'" '
 # 1 at a string delimiter or a possible structural byte of JSON
 _JSON_MARKS = bytes(c in b'"[]{},' for c in range(256))
@@ -65,7 +70,8 @@ def format_float(value: float) -> str:
 def _write_bytes_atomic(path, data) -> None:
     """Write a bytes-like object via a temp file and rename, so readers never see partial files."""
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+    tmp = target.parent / f"{target.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -130,50 +136,36 @@ def write_json_atomic(path, obj) -> None:
     _write_bytes_atomic(path, _indented_json_bytes(obj))
 
 
-def _record_csv_bytes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The record CSV as one uint8 array, byte-identical to ``csv.writer``.
+def _record_csv_bytes(a: np.ndarray, b: np.ndarray) -> bytearray:
+    """The record CSV as one bytearray, byte-identical to ``csv.writer``.
 
     Row i is its decimal index, ``,``, ``1`` or ``-1``, ``,``, ``1`` or
-    ``-1`` and LF.  Row lengths give each row's offset; the characters are
-    then scattered in column order.
+    ``-1`` and LF.  The rows are laid out NUL-padded in one (n + 1, W)
+    byte matrix whose row 0 is the header.  A row holds the index
+    right-aligned in a multiple of 8 columns, then its tail as one 8-byte
+    word, picked from four by the signs.  The 10**k digit cycles through
+    0-9 in runs of 10**k rows, so each digit column is filled through a
+    (-1, 10**k) reshape; its first 10**k rows are then cleared, since a
+    smaller index has no such digit.  Dropping the NULs leaves the file.
     """
     n = a.size
-    index = np.arange(n)
-    neg_a = a < 0
-    neg_b = b < 0
-    digits = np.ones(n, dtype=np.int64)
-    power = 10
-    while power < n:
-        digits += index >= power
-        power *= 10
-    lengths = digits + 5
-    lengths += neg_a
-    lengths += neg_b
-    head = len(_RECORD_HEADER_LINE)
-    pos = np.cumsum(lengths)
-    out = np.empty(head + int(pos[-1]), dtype=np.uint8)
-    out[:head] = np.frombuffer(_RECORD_HEADER_LINE, dtype=np.uint8)
-    pos -= lengths
-    pos += digits
-    pos += head  # the cursor now sits on each row's first comma
-    del lengths, digits
-    # index digits from the least significant; rows below 10**k have no k-th digit
-    place, low = 0, 0
-    while low < n:
-        out[pos[low:] - (place + 1)] = index[low:] % 10 + _ZERO
-        index[low:] //= 10
-        place += 1
-        low = 10**place
-    del index
-    for neg in (neg_a, neg_b):
-        out[pos] = _COMMA
-        pos += 1
-        out[pos[neg]] = _MINUS
-        pos += neg
-        out[pos] = _ONE
-        pos += 1
-    out[pos] = _NEWLINE
-    return out
+    digits = len(str(n - 1))
+    width = -(-digits // 8) * 8
+    text = bytearray((n + 1) * (width + 8))
+    rows = np.frombuffer(text, dtype=np.uint8).reshape(n + 1, width + 8)
+    rows[0, : len(_RECORD_HEADER_LINE)] = np.frombuffer(_RECORD_HEADER_LINE, dtype=np.uint8)
+    body = rows[1:]
+    cycle = np.tile(np.arange(_ZERO, _ZERO + 10, dtype=np.uint8), n // 10 + 1)
+    for k in range(digits):
+        run = 10**k
+        column = body[:, width - 1 - k]
+        full = n - n % run
+        column[:full].reshape(-1, run)[...] = cycle[: full // run, None]
+        column[full:] = cycle[full // run]
+        if k:
+            column[:run] = 0
+    body.view(np.uint64)[:, -1] = _RECORD_TAILS.take(2 * (a < 0).view(np.int8) + (b < 0).view(np.int8))
+    return text.translate(None, b"\0")
 
 
 def record_to_csv(record: OutcomeRecord, path) -> None:
@@ -183,8 +175,9 @@ def record_to_csv(record: OutcomeRecord, path) -> None:
 def _plain_record_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """(a, b) if ``data`` is exactly what ``record_to_csv`` writes for them, else None.
 
-    A missing final LF is allowed.  The outcomes are read from the byte
-    after each comma of the body, and the file is accepted only if
+    A missing final LF is allowed.  The outcomes are read back from each
+    row's LF: b is negative if the byte two before the LF is ``-``, and a
+    if the byte just before a's ``1`` is.  The file is accepted only if
     writing those outcomes gives back the same bytes.
     """
     if not data.startswith(_RECORD_HEADER_LINE) or len(data) == len(_RECORD_HEADER_LINE):
@@ -192,12 +185,14 @@ def _plain_record_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
-    commas = np.flatnonzero(buf == _COMMA)[2:]  # the first two are the header's
-    if commas.size == 0 or commas.size % 2:
-        return None
-    outcomes = np.where(buf[commas + 1] == _MINUS, np.int8(-1), np.int8(1))
-    a, b = outcomes.reshape(-1, 2).T.copy()
-    if not np.array_equal(_record_csv_bytes(a, b), buf):
+    ends = np.flatnonzero(buf == _NEWLINE)[1:]  # the first is the header's
+    neg_b = buf.take(ends - 2) == _MINUS
+    ends -= 4
+    ends -= neg_b
+    neg_a = buf.take(ends) == _MINUS
+    a = 1 - 2 * neg_a.view(np.int8)
+    b = 1 - 2 * neg_b.view(np.int8)
+    if _record_csv_bytes(a, b) != data:
         return None
     return a, b
 

@@ -3,14 +3,23 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlet_frame import Direction, OutcomeRecord, SamplerConfig, direction_from_polar, run_measurement_batch
 from singlet_frame.config import ConfigError, canonical_dict, load_config, parse_config
 from singlet_frame.serialize import (
     ParseError,
+    _plain_record_arrays,
+    _record_csv_bytes,
     format_float,
     read_record_arrays_csv,
     record_from_json,
@@ -18,6 +27,7 @@ from singlet_frame.serialize import (
     record_to_json,
     write_csv_atomic,
     write_json_atomic,
+    write_text_atomic,
 )
 
 X = Direction(1.0, 0.0, 0.0)
@@ -151,6 +161,75 @@ class TestRecordCsvBytes:
         record_to_csv(rec, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "75a59818faef04b9b162ef0400f9ced8cf612477878a1dd0101798d2e657da37"
+
+
+def _random_record(n: int, seed: int) -> OutcomeRecord:
+    rng = np.random.default_rng(seed)
+    return OutcomeRecord(a=rng.choice([-1, 1], n), b=rng.choice([-1, 1], n), x=X, y=Z)
+
+
+class TestRecordCsvDigitBoundaries:
+    """The fixed-width row writer against csv.writer where the index gains a digit."""
+
+    @pytest.mark.parametrize("n", [10**k + d for k in range(1, 7) for d in (-1, 0, 1)])
+    def test_bytes_equal_csv_writer_at_each_power_of_ten(self, tmp_path, n):
+        rec = _random_record(n, n)
+        path = tmp_path / "rec.csv"
+        record_to_csv(rec, path)
+        assert path.read_bytes() == _csv_writer_bytes(rec)
+
+    @settings(deadline=None)
+    @given(n=st.integers(min_value=1, max_value=3000), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_bytes_equal_csv_writer_for_any_length(self, n, seed):
+        rec = _random_record(n, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rec.csv"
+            record_to_csv(rec, path)
+            assert path.read_bytes() == _csv_writer_bytes(rec)
+
+    def test_peak_memory_at_1e6_rows(self):
+        # tracemalloc sees numpy's buffers; the bounds keep record-path memory from creeping
+        rec = _random_record(10**6, 3)
+        tracemalloc.start()
+        try:
+            out = _record_csv_bytes(rec.a, rec.b)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            data = bytes(out)
+            del out
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            a, b = _plain_record_arrays(data)
+            read_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(a, rec.a) and np.array_equal(b, rec.b)
+        assert write_peak <= 4.0 * len(data)
+        assert read_peak <= 6.0 * len(data)
+
+
+class TestAtomicWriteMode:
+    """Atomic writes give a new file the mode ``open`` gives it: 0o666 less the umask."""
+
+    @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_files_honor_the_umask(self, tmp_path, mask, mode):
+        writers = {
+            "text.txt": lambda p: write_text_atomic(p, "x\n"),
+            "table.csv": lambda p: write_csv_atomic(p, ["h"], [["1"]]),
+            "obj.json": lambda p: write_json_atomic(p, {"a": 1}),
+            "rec.csv": lambda p: record_to_csv(_random_record(3, 0), p),
+        }
+        old = os.umask(mask)
+        try:
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x\n")
+            for name, write in writers.items():
+                write(tmp_path / name)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == mode
+        for name in writers:
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*writers, "plain.txt"])
 
 
 class TestJsonBytes:

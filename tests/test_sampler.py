@@ -29,8 +29,10 @@ class _FixedUniform:
     def __init__(self, values):
         self._values = list(values)
 
-    def random(self):
-        return self._values.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self._values.pop(0)
+        return np.array([self._values.pop(0) for _ in range(size)])
 
 
 class TestSamplerConfig:
@@ -124,6 +126,26 @@ class TestRunMeasurementBatch:
         gen = cfg.generator()
         c = x.dot(y)
         singles = [sample_outcome_pair(c, gen) for _ in range(64)]
+        assert list(rec.pairs()) == singles
+
+    @pytest.mark.parametrize("c", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    def test_batch_equals_sequential_singles_at_edge_cosines(self, c):
+        y = Direction(c, 0.0, math.sqrt(1.0 - c * c))
+        assert cos_angle(X, y) == c
+        cfg = SamplerConfig(21, 4)
+        rec = run_measurement_batch(X, y, 256, cfg)
+        gen = cfg.generator()
+        singles = [sample_outcome_pair(c, gen) for _ in range(256)]
+        assert list(rec.pairs()) == singles
+
+    @pytest.mark.parametrize("c", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    def test_uniforms_on_the_bounds_fall_in_bisect_right_cells(self, monkeypatch, c):
+        bounds = ((1.0 - c) / 4.0, 0.5, (3.0 + c) / 4.0)
+        u = [0.0, *bounds, *(np.nextafter(v, 0.0) for v in bounds), np.nextafter(1.0, 0.0)]
+        u = [v for v in u if 0.0 <= v < 1.0]
+        monkeypatch.setattr(SamplerConfig, "generator", lambda self: _FixedUniform(u))
+        rec = run_measurement_batch(X, Direction(c, 0.0, math.sqrt(1.0 - c * c)), len(u), SamplerConfig(1))
+        singles = [sample_outcome_pair(c, _FixedUniform([v])) for v in u]
         assert list(rec.pairs()) == singles
 
     def test_zero_batch_rejected(self):
