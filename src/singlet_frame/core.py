@@ -229,10 +229,16 @@ def _plug_in_mi(pp, pm, mp, mm, total) -> float:
     """
     a_plus, a_minus, b_plus, b_minus = pp + pm, mp + mm, pp + mp, pm + mm
     out = 0.0
-    for w, wa, wb in ((pp, a_plus, b_plus), (pm, a_plus, b_minus), (mp, a_minus, b_plus), (mm, a_minus, b_minus)):
-        if w:
-            out += (w / total) * math.log2(w * total / (wa * wb))
-    return min(1.0, max(0.0, out))
+    if pp:
+        out += (pp / total) * math.log2(pp * total / (a_plus * b_plus))
+    if pm:
+        out += (pm / total) * math.log2(pm * total / (a_plus * b_minus))
+    if mp:
+        out += (mp / total) * math.log2(mp * total / (a_minus * b_plus))
+    if mm:
+        out += (mm / total) * math.log2(mm * total / (a_minus * b_minus))
+    # min(1.0, max(0.0, out)) by comparisons, which skips two calls per table
+    return 1.0 if out > 1.0 else out if out > 0.0 else 0.0
 
 
 def mutual_information_from_joint(joint: JointDistribution2x2) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -50,10 +50,8 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 RING_SIZE = 8
 
-# cos and sin of the ring azimuths, one row per candidate
-_RING_AZIMUTHS = [2.0 * math.pi * j / RING_SIZE for j in range(RING_SIZE)]
-_RING_COS = np.array([math.cos(az) for az in _RING_AZIMUTHS])[:, None]
-_RING_SIN = np.array([math.sin(az) for az in _RING_AZIMUTHS])[:, None]
+# (cos, sin) of each ring azimuth, in candidate order
+_RING_TRIG = [(math.cos(az), math.sin(az)) for az in (2.0 * math.pi * j / RING_SIZE for j in range(RING_SIZE))]
 
 # substream namespaces, so coarse trials, refinement evaluations, and
 # per-axis runs never share a random stream
@@ -66,12 +64,14 @@ _JITTER_STREAM = 0x5D1A4F7C3B2E6980
 
 @dataclass(frozen=True)
 class HemispherePrior:
-    """Side information restricting the unknown direction to dot(v, pole) >= 0."""
+    """Side information restricting the unknown direction to dot(v, pole) >= 0; ``pole`` is a Direction or None."""
 
     pole: Direction | None
     enabled: bool
 
     def __post_init__(self):
+        if self.pole is not None and not isinstance(self.pole, Direction):
+            raise ValueError(f"pole must be a Direction or None, got {self.pole!r}")
         if self.enabled and self.pole is None:
             raise ValueError("an enabled hemisphere prior needs a pole")
 
@@ -113,8 +113,8 @@ class ProtocolParams:
     ``refine_rounds`` shrinking-cap rounds.  ``prior`` is a
     ``HemispherePrior``.  ``config`` may be None in exact mode.
     ``jitter_seed`` is None or a uint64.  ``initial_half_angle`` must be
-    finite and positive; it defaults to a cap wide enough to cover the
-    coarse layout's worst-case gap.
+    a finite positive int or float, not a bool; it defaults to a cap wide
+    enough to cover the coarse layout's worst-case gap.
     """
 
     n_trials: int
@@ -137,7 +137,8 @@ class ProtocolParams:
         if self.jitter_seed is not None:
             _checked_int(self.jitter_seed, "jitter_seed", 0, UINT64_MAX)
         angle = self.initial_half_angle
-        if angle is not None and not (isinstance(angle, (int, float)) and 0.0 < angle < math.inf):
+        real = isinstance(angle, (int, float)) and not isinstance(angle, bool)
+        if angle is not None and not (real and 0.0 < angle < math.inf):
             raise ValueError(f"initial_half_angle must be a finite angle > 0, got {angle!r}")
         if self.mode == "sampled" and self.config is None:
             raise ValueError("sampled mode requires a sampler config")
@@ -243,18 +244,25 @@ def generate_trial_directions(
     return [Direction(*row) for row in _trial_layout(count, prior, jitter_seed).tolist()]
 
 
-def _trial_layout(count: int, prior: HemispherePrior, jitter_seed: int | None) -> np.ndarray:
-    """``generate_trial_directions``' points as a (count, 3) array."""
-    _checked_int(count, "count", 1)
+@lru_cache(maxsize=32)
+def _unit_spiral(count: int, hemisphere: bool) -> np.ndarray:
+    """The Fibonacci spiral around +z as a read-only (count, 3) array, computed once per argument pair."""
     k = np.arange(count)
-    if prior.enabled:
+    if hemisphere:
         z = 1.0 - k / count
     else:
         z = 1.0 - (2.0 * k + 1.0) / count
     r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     az = k * GOLDEN_ANGLE
     local = np.column_stack([r * np.cos(az), r * np.sin(az), z])
+    local.setflags(write=False)  # every caller shares it
+    return local
 
+
+def _trial_layout(count: int, prior: HemispherePrior, jitter_seed: int | None) -> np.ndarray:
+    """``generate_trial_directions``' points as a (count, 3) array; read-only without a prior or jitter."""
+    _checked_int(count, "count", 1)
+    local = _unit_spiral(count, prior.enabled)
     if prior.enabled:
         e1, e2 = _tangent_basis(prior.pole)
         frame = np.vstack([e1, e2, prior.pole.as_array()])
@@ -343,8 +351,15 @@ def resolve_sign(estimate: Direction, prior: HemispherePrior) -> tuple[Direction
 def _ring_candidates(center: Direction, half_angle: float) -> np.ndarray:
     """The center, then the RING_SIZE candidates at ``half_angle`` around it: one row each."""
     e1, e2 = _tangent_basis(center)
-    c = center.as_array()
-    return np.vstack((c, math.cos(half_angle) * c + math.sin(half_angle) * (_RING_COS * e1 + _RING_SIN * e2)))
+    (a1, a2, a3), (b1, b2, b3) = e1.tolist(), e2.tolist()
+    x, y, z = center.x, center.y, center.z
+    ch, sh = math.cos(half_angle), math.sin(half_angle)
+    cx, cy, cz = ch * x, ch * y, ch * z
+    # ch*c + sh*(cos_j*e1 + sin_j*e2) on Python floats, in the order numpy evaluates it over the ring
+    return np.array([(x, y, z)] + [
+        (cx + sh * (cj * a1 + sj * b1), cy + sh * (cj * a2 + sj * b2), cz + sh * (cj * a3 + sj * b3))
+        for cj, sj in _RING_TRIG
+    ])
 
 
 def _refine_search(start, score, rounds, initial_half_angle):
@@ -398,6 +413,10 @@ def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> Tr
     )
     phases = [((_STREAM_COARSE, 0), layout, scores, counts)] + rounds
     rows = np.vstack([p[1] for p in phases])
+    all_scores, all_phases = [], []
+    for phase, _, phase_scores, _ in phases:
+        all_scores += phase_scores
+        all_phases += [phase] * len(phase_scores)
     final, resolved = resolve_sign(refined, params.prior)
     return TransferResult(
         direction=final,
@@ -406,9 +425,9 @@ def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> Tr
         singlets_used=0 if counts is None else len(rows) * params.batch_size,
         refine_evaluations=len(rows) - len(layout),
         directions=tuple(map(tuple, rows.tolist())),
-        scores=tuple(s for p in phases for s in p[2]),
+        scores=tuple(all_scores),
         counts=None if counts is None else tuple(map(tuple, np.vstack([p[3] for p in phases]).tolist())),
-        phases=tuple(p[0] for p in phases for _ in p[2]),
+        phases=tuple(all_phases),
     )
 
 

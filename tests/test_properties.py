@@ -25,6 +25,7 @@ from singlet_frame import (
     select_best,
     transfer_direction,
 )
+from singlet_frame.core import _plug_in_mi
 from singlet_frame.serialize import read_record_arrays_csv, record_to_csv, write_json_atomic
 
 Z = Direction(0.0, 0.0, 1.0)
@@ -75,6 +76,31 @@ def joint_counts(draw):
     total = draw(st.integers(min_value=1, max_value=10**12))
     cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=total), min_size=3, max_size=3)))
     return tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, total]))
+
+
+def _loop_plug_in_mi(pp, pm, mp, mm, total) -> float:
+    """Reference for ``_plug_in_mi``: the loop over (cell, row sum, column sum) it writes out term by term."""
+    a_plus, a_minus, b_plus, b_minus = pp + pm, mp + mm, pp + mp, pm + mm
+    out = 0.0
+    for w, wa, wb in ((pp, a_plus, b_plus), (pm, a_plus, b_minus), (mp, a_minus, b_plus), (mm, a_minus, b_minus)):
+        if w:
+            out += (w / total) * math.log2(w * total / (wa * wb))
+    return min(1.0, max(0.0, out))
+
+
+# cells of at most 2.5e11 (totals up to 1e12), often empty or tiny, so one-sided tables come up
+sparse_counts = st.tuples(*[st.sampled_from([0, 0, 1, 2]) | st.integers(min_value=0, max_value=25 * 10**10)] * 4)
+probabilities = st.tuples(*[st.just(0.0) | st.floats(min_value=1e-9, max_value=1.0)] * 4)
+
+
+@settings(max_examples=300)
+@given(counts=joint_counts() | sparse_counts.filter(any), probs=probabilities.filter(any), c=cosines)
+def test_plug_in_mi_matches_the_loop_form(counts, probs, c):
+    assert repr(_plug_in_mi(*counts, sum(counts))) == repr(_loop_plug_in_mi(*counts, sum(counts)))
+    table = [p / sum(probs) for p in probs]
+    assert repr(_plug_in_mi(*table, 1)) == repr(_loop_plug_in_mi(*table, 1))
+    same, anti = (1.0 - c) / 4.0, (1.0 + c) / 4.0
+    assert repr(_plug_in_mi(same, anti, anti, same, 1)) == repr(_loop_plug_in_mi(same, anti, anti, same, 1))
 
 
 @given(

@@ -1,6 +1,7 @@
+import hashlib
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from singlet_frame.protocol import (
     _STREAM_REFINE,
     _ring_candidates,
     _tangent_basis,
+    _trial_layout,
+    _unit_spiral,
     exact_trial_score,
 )
 from conftest import orthonormal_tangents, random_direction, tilted_pole
@@ -119,6 +122,27 @@ class TestGenerateTrialDirections:
             (0.5201320464665422, -0.7925528242350742, -0.3183122288501245),
             (0.4932010810664625, 0.7976711422489935, -0.3470928441470072),
         ]
+
+    def test_cached_spiral_is_read_only(self):
+        for hemisphere in (True, False):
+            spiral = _unit_spiral(17, hemisphere)
+            assert spiral is _unit_spiral(17, hemisphere) and not spiral.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                spiral[1, 0] = 0.0
+        # without a prior or jitter the layout is the cached spiral itself
+        assert not _trial_layout(17, NO_PRIOR, None).flags.writeable
+
+    @pytest.mark.parametrize("prior", [POLE_PRIOR, HemispherePrior.around(direction_from_polar(0.7, 0.5)), NO_PRIOR])
+    def test_jitter_leaves_the_cached_spiral_unchanged(self, prior):
+        _unit_spiral.cache_clear()
+        fresh = _trial_layout(13, prior, None).tobytes()
+        spiral = _unit_spiral(13, prior.enabled)
+        assert spiral.tobytes() == _unit_spiral.__wrapped__(13, prior.enabled).tobytes()
+        jittered = _trial_layout(13, prior, 2**64 - 7)
+        assert jittered.tobytes() != fresh
+        assert _trial_layout(13, prior, None).tobytes() == fresh
+        assert _unit_spiral(13, prior.enabled) is spiral
+        assert spiral.tobytes() == _unit_spiral.__wrapped__(13, prior.enabled).tobytes()
 
     def test_full_sphere_covers_both_hemispheres(self):
         zs = [d.z for d in generate_trial_directions(40, NO_PRIOR)]
@@ -450,6 +474,28 @@ class TestTransferDirection:
             (40, 2499, 2407, 54), (14, 2501, 2460, 25), (3, 2522, 2471, 4), (0, 2502, 2496, 2), (17, 2532, 2438, 13),
         )
         assert (res.singlets_used, res.refine_evaluations) == (185000, 27)
+
+    # sampled at four batch sizes and exact, each with the prior on and off
+    # and with and without jitter: 20 transfers, 35 evaluations each
+    PINNED_GRID = [
+        (mode, batch, prior, jitter)
+        for mode, batch in [("sampled", 10**2), ("sampled", 10**5), ("sampled", 10**8), ("sampled", 10**12),
+                            ("exact", 10)]
+        for prior in (HemispherePrior.around(direction_from_polar(0.8, 0.9)), NO_PRIOR)
+        for jitter in (None, 2**64 - 7)
+    ]
+
+    def test_pinned_transfer_grid_sha256(self):
+        # every field of every result, by repr, so a changed bit or type shows
+        digest = hashlib.sha256()
+        for i, (mode, batch, prior, jitter) in enumerate(self.PINNED_GRID):
+            params = ProtocolParams(
+                8, batch, 3, prior, config=SamplerConfig(2**64 - 3 - i, 2**63 + i) if mode == "sampled" else None,
+                mode=mode, jitter_seed=jitter,
+            )
+            res = transfer_direction(direction_from_polar(1.1 + 0.1 * i, 0.4 - 0.3 * i), params)
+            digest.update(repr([getattr(res, f.name) for f in fields(res)]).encode())
+        assert digest.hexdigest() == "310a9473ecfa0f554ae9941cb92a24193bee7de260c95b63aee5d66f8b3d4a65"
 
     def test_one_philox_per_sampled_transfer(self, monkeypatch):
         # guards the fixed cost per evaluation: each of the 1 + refine_rounds

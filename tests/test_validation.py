@@ -91,6 +91,23 @@ def test_initial_half_angle_checked_at_construction(angle):
         _params(initial_half_angle=angle)
 
 
+@pytest.mark.parametrize("angle", [True, False])
+def test_initial_half_angle_rejects_bools(angle):
+    # True would otherwise pass as 1 rad and come back from resolved_initial_half_angle() as True
+    with pytest.raises(ValueError, match="initial_half_angle"):
+        _params(initial_half_angle=angle)
+
+
+@pytest.mark.parametrize("pole", [(0, 0, 1), np.array([0.0, 0.0, 1.0]), "z"], ids=["tuple", "array", "str"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_hemisphere_prior_pole_must_be_a_direction(pole, enabled):
+    # an enabled prior with a tuple pole used to fail only inside transfer_direction
+    with pytest.raises(ValueError, match="pole"):
+        HemispherePrior(pole=pole, enabled=enabled)
+    HemispherePrior(pole=Z, enabled=enabled)
+    HemispherePrior(pole=None, enabled=False)
+
+
 @pytest.mark.parametrize("prior", [None, Z], ids=["None", "Direction"])
 def test_protocol_params_checks_prior(prior):
     with pytest.raises(ValueError, match="prior"):
