@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LN2, Direction, _checked_cos, _checked_cos_array, _checked_int, _checked_outcomes, _shaped, cos_angle
+from .core import LN2, Direction, DomainError, _checked_cos, _checked_cos_array, _checked_int, _checked_outcomes
+from .core import _shaped, cos_angle
 from .sampler import OutcomeRecord
 
 __all__ = [
@@ -145,9 +146,12 @@ def posterior_theta_density(theta, tally: SignTally):
     """The same posterior density written in the relative angle itself.
 
     Uses the half-angle form 2^N sin(t/2)^(2 n_plus) cos(t/2)^(2 n_minus),
-    so it is exactly even in theta.  Accepts a scalar or an array.
+    so it is exactly even in theta.  Accepts a scalar or an array of
+    finite angles; a NaN or infinite one is a DomainError.
     """
     t = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not np.isfinite(t).all():
+        raise DomainError("angle must be finite")
     n = tally.n_total
     logp = np.full(t.shape, n * LN2 - LOG_8PI2 - log_normalization_d(tally))
     with np.errstate(divide="ignore"):

@@ -31,7 +31,6 @@ from . import __version__
 from .bayes import SignTally, posterior_summary, posterior_theta_density, sign_tally_from_arrays
 from .config import ConfigError, ExperimentConfig, _field, canonical_dict, load_config, parse_config
 from .core import _checked_int, analytic_mutual_information, cos_angle
-from .estimator import CountTable
 from .protocol import FrameEstimate, TransferResult, transfer_direction, transfer_frame
 from .serialize import format_float, read_record_arrays_csv, write_csv_atomic, write_json_atomic
 
@@ -96,7 +95,8 @@ def cmd_posterior_family(tallies: list[SignTally], out_path, resolution: int = 2
     write_csv_atomic(out_path, ["n_plus", "n_minus", "theta", "density"], rows())
 
 
-def _direction_result(res: TransferResult, truth, include_counts: bool) -> dict:
+def _direction_result(res: TransferResult, truth) -> dict:
+    """One transfer's part of the report; ``write_json_atomic`` fills ``trials`` from its coarse rows."""
     est = res.direction
     dot = cos_angle(est, truth)
     return {
@@ -107,15 +107,7 @@ def _direction_result(res: TransferResult, truth, include_counts: bool) -> dict:
             "angle_to_truth_rad": math.acos(dot),
             "angle_up_to_sign_rad": math.acos(abs(dot)),
         },
-        "trials": [
-            {
-                "trial_index": i,
-                "direction": list(d),
-                "mi_estimate": s,
-                "counts": CountTable(*c).to_dict() if (include_counts and c is not None) else None,
-            }
-            for i, (d, s, c) in enumerate(res.coarse_rows())
-        ],
+        "trials": None,
         "refine_evaluations": res.refine_evaluations,
         "singlets_used": res.singlets_used,
     }
@@ -130,36 +122,40 @@ def cmd_run(cfg: ExperimentConfig, out_path, include_counts: bool = True) -> Non
     started = time.perf_counter()
     params = cfg.protocol_params()
     if cfg.is_frame:
-        frame: FrameEstimate = transfer_frame(
-            cfg.truth_frame(), params,
-            orthonormalize=cfg.orthonormalize, priors=cfg.priors(),
-        )
         truth = cfg.truth_frame()
+        frame: FrameEstimate = transfer_frame(truth, params, orthonormalize=cfg.orthonormalize, priors=cfg.priors())
+        transfers = frame.axis_results
         result = {
             "kind": "frame",
             "orthonormalized": frame.orthonormalized,
             "axes": [
                 {
-                    **_direction_result(frame.axis_results[k], truth[k], include_counts),
+                    **_direction_result(transfers[k], truth[k]),
                     "direction": [frame.axes[k].x, frame.axes[k].y, frame.axes[k].z],
                     "axis_index": k,
                 }
                 for k in range(3)
             ],
         }
-        singlets = sum(r.singlets_used for r in frame.axis_results)
     else:
-        res = transfer_direction(cfg.truth_direction(), params)
-        result = {"kind": "direction", **_direction_result(res, cfg.truth_direction(), include_counts)}
-        singlets = res.singlets_used
+        truth = cfg.truth_direction()
+        transfers = (transfer_direction(truth, params),)
+        result = {"kind": "direction", **_direction_result(transfers[0], truth)}
     report = {
         "config": canonical_dict(cfg),
         "result": result,
-        "budget": {"singlets_used": singlets, "batch_size": cfg.batch, "coarse_trials": cfg.trials},
+        "budget": {
+            "singlets_used": sum(r.singlets_used for r in transfers),
+            "batch_size": cfg.batch,
+            "coarse_trials": cfg.trials,
+        },
         "version": __version__,
     }
     wall_time_s = time.perf_counter() - started
-    write_json_atomic(out_path, report)
+    # the "trials" entries are written in axis order
+    write_json_atomic(
+        out_path, report, [(r.coarse_rows(), include_counts and r.counts is not None) for r in transfers],
+    )
     sidecar = Path(str(out_path) + ".log")
     sidecar.write_text(f"wall_time_s: {wall_time_s:.6f}\n", encoding="utf-8")
 

@@ -196,13 +196,12 @@ def parse_config(data) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """Read and parse a config file; a file that cannot be read raises its OSError, which names the file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
         raise ConfigError(f"config file {path}: {e}") from None
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path}: line {e.lineno}: {e.msg}") from None
     return parse_config(data)

@@ -148,7 +148,9 @@ class Direction:
 
 
 def direction_from_polar(theta: float, phi: float) -> Direction:
-    """Unit vector (sin t cos p, sin t sin p, cos t) from polar angles in radians."""
+    """Unit vector (sin t cos p, sin t sin p, cos t) from polar angles in radians; both must be finite."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise DomainError(f"polar angles must be finite, got theta={theta!r}, phi={phi!r}")
     st = math.sin(theta)
     return Direction(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 

@@ -6,6 +6,8 @@ Python's shortest round-trip representation.  JSON is the C encoder's
 compact form re-indented as one byte array, byte-identical to
 ``json.dumps(obj, sort_keys=True, indent=2)`` plus a final LF (any
 ``indent`` selects the slower pure-Python encoder before Python 3.13).
+A run report's ``trials`` lists are rendered from the transfer's rows,
+one ``%`` template per trial, in those same bytes.
 Files are written atomically (temp file + rename in the target directory)
 with the mode ``open`` would give them (0o666 less the umask).
 
@@ -24,6 +26,7 @@ import json
 import math
 import os
 import secrets
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -131,9 +134,64 @@ def _indented_json_bytes(obj) -> np.ndarray:
     return out
 
 
-def write_json_atomic(path, obj) -> None:
-    """Canonical JSON: sorted keys, 2-space indent, trailing newline."""
-    _write_bytes_atomic(path, _indented_json_bytes(obj))
+# a "trials" entry to be filled from rows.  The encoder escapes every quote
+# inside a string, so the quote after `trials` closes a key, and no string
+# value (a config "out" path, say) can hold these bytes
+_TRIALS_SLOT = b'"trials": null'
+
+
+@lru_cache(maxsize=8)
+def _trial_template(indent: int, counts: bool) -> str:
+    """One trial as ``json.dumps`` lays it out, as a ``%`` template indented by ``indent`` spaces.
+
+    Its fields come in sorted-key order: the count table's m_a_minus,
+    m_a_plus, m_b_minus, m_b_plus, joint mm, mp, pm, pp and total (or
+    ``null``), the direction's x, y, z, then mi_estimate and trial_index.
+    """
+    table = dict.fromkeys(("m_a_minus", "m_a_plus", "m_b_minus", "m_b_plus", "total"), "%d")
+    table["m_joint"] = dict.fromkeys(("mm", "mp", "pm", "pp"), "%d")
+    trial = {"counts": table if counts else None, "direction": ["%r"] * 3, "mi_estimate": "%r", "trial_index": "%d"}
+    text = json.dumps(trial, sort_keys=True, indent=2).replace('"%d"', "%d").replace('"%r"', "%r")
+    pad = " " * indent
+    return pad + text.replace("\n", "\n" + pad)
+
+
+def _trials_json(rows, indent: int, counts: bool) -> str:
+    """The ``trials`` list of nonempty ``(direction, mi_estimate, counts)`` rows, its key at ``indent`` spaces.
+
+    Each row is a ``TransferResult.coarse_rows()`` row of Python floats and
+    ints, so ``%r`` and ``%d`` give the encoder's bytes.  With ``counts``
+    each trial carries its count table, marginals and total derived from
+    the four joint counts (m_pp, m_pm, m_mp, m_mm); without, ``null``.
+    """
+    template = _trial_template(indent + 2, counts)
+    if counts:
+        items = [
+            template % (mp + mm, pp + pm, pm + mm, pp + mp, mm, mp, pm, pp, pp + pm + mp + mm, x, y, z, s, i)
+            for i, ((x, y, z), s, (pp, pm, mp, mm)) in enumerate(rows)
+        ]
+    else:
+        items = [template % (x, y, z, s, i) for i, ((x, y, z), s, _) in enumerate(rows)]
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
+def write_json_atomic(path, obj, trials=()) -> None:
+    """Canonical JSON: sorted keys, 2-space indent, trailing newline.
+
+    ``trials`` holds one ``(rows, counts)`` pair per ``"trials": None``
+    entry of ``obj``, in the order the entries are written; each entry is
+    written as the list ``_trials_json(rows, ..., counts)`` renders, as if
+    ``obj`` had held that list.
+    """
+    data = _indented_json_bytes(obj)
+    if trials:
+        head, *tails = data.tobytes().split(_TRIALS_SLOT)
+        parts = [head]
+        for (rows, counts), tail in zip(trials, tails, strict=True):
+            indent = len(parts[-1]) - parts[-1].rindex(b"\n") - 1
+            parts += [b'"trials": ', _trials_json(rows, indent, counts).encode("ascii"), tail]
+        data = b"".join(parts)
+    _write_bytes_atomic(path, data)
 
 
 def _record_csv_bytes(a: np.ndarray, b: np.ndarray) -> bytearray:

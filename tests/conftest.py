@@ -36,3 +36,16 @@ def tilted_pole(truth: Direction, rng, lo_deg: float = 5.0, hi_deg: float = 60.0
     e1, e2 = orthonormal_tangents(truth)
     v = math.cos(tilt) * truth.as_array() + math.sin(tilt) * (math.cos(az) * e1 + math.sin(az) * e2)
     return Direction(*v)
+
+
+def first_difference(got: str, want: str):
+    """None when equal, else (line number, got line, wanted line) at the first difference.
+
+    Asserting ``got == want`` instead makes pytest diff the two whole texts,
+    which for a 2000-row record runs for minutes.
+    """
+    if got == want:
+        return None
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w), min(len(got_lines), len(want_lines)))
+    return i + 1, got_lines[i:i + 1], want_lines[i:i + 1]

@@ -1,12 +1,17 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import first_difference
+from singlet_frame import __version__, cos_angle, transfer_direction, transfer_frame
 from singlet_frame.cli import build_parser, main
+from singlet_frame.config import canonical_dict, parse_config
+from singlet_frame.estimator import CountTable
 
 TRUTH_THETA, TRUTH_PHI = 1.5, 2.1
 
@@ -290,6 +295,31 @@ def _sampled_config(tmp_path, **overrides):
     return path
 
 
+FRAME = [
+    {"theta": math.pi / 2, "phi": 0.7},
+    {"theta": math.pi / 2, "phi": 0.7 + math.pi / 2},
+    {"theta": 0.0, "phi": 0.0},
+]
+FRAME_POLES = [{"theta": 1.3, "phi": 0.9}, {"theta": 1.2, "phi": 2.0}, {"theta": 0.4, "phi": 2.5}]
+
+
+def _frame_config(tmp_path, mode, **overrides):
+    """A rotated frame with tilted per-axis poles, orthonormalized."""
+    data = {
+        "mode": mode,
+        "alice_frame": FRAME,
+        "trials": 50,
+        "batch": 100,
+        "refine_rounds": 3,
+        "prior": {"enabled": True, "poles": FRAME_POLES},
+        "orthonormalize": True,
+    }
+    data.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
 class TestRunCommand:
     def test_exact_run_report(self, tmp_path):
         cfg = _exact_config(tmp_path)
@@ -433,6 +463,54 @@ class TestRunCommand:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "1811e1ebbd1debf9f88b19c9c13e71899eced7fe483a17443d8b280d613d1746"
 
+    def test_sampled_direction_report_pinned(self, tmp_path):
+        # regression pin for the bytes of a sampled direction report with
+        # per-trial count tables, on a jittered layout at batch 1e5
+        cfg = _sampled_config(tmp_path, batch=10**5, refine_rounds=3, jitter_seed=2**64 - 9, seed=2**64 - 2)
+        out = tmp_path / "r.json"
+        assert _run(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "90bb01f30c23a4addad0f919a6534f65b8cdc0b5fd07c8e6763e8475cb86f454"
+
+    def test_sampled_frame_no_counts_report_pinned(self, tmp_path):
+        # the same for a sampled frame report at batch 1e12 without count tables
+        cfg = _frame_config(tmp_path, "sampled", batch=10**12, seed=2**63 - 1, stream=3)
+        out = tmp_path / "r.json"
+        assert _run(["run", "--config", str(cfg), "--out", str(out), "--no-counts"]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "1a608be639b285d2918aabc6d1b644290cfcbe41e587ce1ed80b8dd1bbe1589a"
+
+    def test_sampled_frame_run_builds_no_count_table(self, tmp_path, monkeypatch):
+        # guards the fixed cost of a report: its trial rows are rendered from
+        # the transfer's count rows, with no CountTable per trial
+        built = []
+        post_init = CountTable.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(CountTable, "__post_init__", counting_post_init)
+        cfg = _frame_config(tmp_path, "sampled", batch=100, seed=5)
+        assert _run(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+        assert built == []
+        CountTable(1, 0, 0, 0)
+        assert len(built) == 1  # the patch counts
+
+    @pytest.mark.parametrize("where", ["absent.json", "."])
+    def test_unreadable_config_exits_3(self, tmp_path, capsys, where):
+        path = tmp_path / where
+        assert _run(["run", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and str(path) in err
+
+    def test_non_utf8_config_exits_1_naming_the_file(self, tmp_path, capsys):
+        cfg = _exact_config(tmp_path)
+        cfg.write_bytes(cfg.read_bytes().replace(b'"exact"', b'"ex\xffact"'))
+        assert _run(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err and "0xff" in err
+
     def test_unwritable_out_exits_3(self, tmp_path, capsys):
         cfg = _exact_config(tmp_path)
         assert _run(["run", "--config", str(cfg), "--out", str(tmp_path / "no" / "dir" / "r.json")]) == 3
@@ -492,3 +570,97 @@ class TestCliBasics:
         assert json.loads(out.read_text())["credible_level"] == 0.9
         assert _run(["bayes", "--tally", "5,6", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["credible_level"] == 0.95
+
+
+# a config `out` string with control characters, non-ASCII text and the
+# text the report writer splices at
+ODD_OUT = 'r\x00\x1f\t\r\n"trials": null\\"trials": null,\n      "trials": null é.json'
+
+
+def _reference_report(cfg, include_counts: bool) -> str:
+    """The report as a dict per trial, each with ``CountTable(*c).to_dict()``, through ``json.dumps``."""
+
+    def axis(res, truth):
+        dot = cos_angle(res.direction, truth)
+        return {
+            "direction": [res.direction.x, res.direction.y, res.direction.z],
+            "mi_score": res.mi_score,
+            "sign_resolved": res.sign_resolved,
+            "error": {"angle_to_truth_rad": math.acos(dot), "angle_up_to_sign_rad": math.acos(abs(dot))},
+            "trials": [
+                {
+                    "trial_index": i,
+                    "direction": list(d),
+                    "mi_estimate": s,
+                    "counts": CountTable(*c).to_dict() if (include_counts and c is not None) else None,
+                }
+                for i, (d, s, c) in enumerate(res.coarse_rows())
+            ],
+            "refine_evaluations": res.refine_evaluations,
+            "singlets_used": res.singlets_used,
+        }
+
+    params = cfg.protocol_params()
+    if cfg.is_frame:
+        truth = cfg.truth_frame()
+        frame = transfer_frame(truth, params, orthonormalize=cfg.orthonormalize, priors=cfg.priors())
+        results = frame.axis_results
+        result = {
+            "kind": "frame",
+            "orthonormalized": frame.orthonormalized,
+            "axes": [
+                {**axis(results[k], truth[k]), "direction": [a.x, a.y, a.z], "axis_index": k}
+                for k, a in enumerate(frame.axes)
+            ],
+        }
+    else:
+        results = (transfer_direction(cfg.truth_direction(), params),)
+        result = {"kind": "direction", **axis(results[0], cfg.truth_direction())}
+    report = {
+        "config": canonical_dict(cfg),
+        "result": result,
+        "budget": {
+            "singlets_used": sum(r.singlets_used for r in results),
+            "batch_size": cfg.batch,
+            "coarse_trials": cfg.trials,
+        },
+        "version": __version__,
+    }
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _write_config(tmp_path, data):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestRunReportBytes:
+    """``run`` writes the bytes of the per-trial dict report, over every report shape."""
+
+    @pytest.mark.parametrize("kind", ["direction", "frame"])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("counts", [True, False], ids=["counts", "no-counts"])
+    @pytest.mark.parametrize("jitter", [False, True], ids=["", "jitter"])
+    @pytest.mark.parametrize("prior", [False, True], ids=["", "prior"])
+    def test_matches_the_dict_report(self, tmp_path, kind, mode, counts, jitter, prior):
+        for trials, rounds, batch in itertools.product((1, 50), (0, 3), (1, 10**5, 10**12)):
+            data = {"mode": mode, "trials": trials, "batch": batch, "refine_rounds": rounds, "out": ODD_OUT}
+            if kind == "frame":
+                data.update(alice_frame=FRAME, orthonormalize=jitter)
+                if prior:
+                    data["prior"] = {"enabled": True, "poles": FRAME_POLES}
+            else:
+                data["alice_direction"] = {"theta": 1.1, "phi": 0.4}
+                if prior:
+                    data["prior"] = {"enabled": True, "pole": {"theta": 0.8, "phi": 0.9}}
+            if mode == "sampled":
+                data.update(seed=2**64 - 1 - batch, stream=trials)
+            if jitter:
+                data["jitter_seed"] = 2**63 + rounds
+            out = tmp_path / "r.json"
+            argv = ["run", "--config", str(_write_config(tmp_path, data)), "--out", str(out)]
+            assert _run(argv + ([] if counts else ["--no-counts"])) == 0
+            want = _reference_report(parse_config(data), counts)
+            assert first_difference(out.read_bytes().decode("ascii"), want) is None, (trials, rounds, batch)
+

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import first_difference
 from singlet_frame import Direction, OutcomeRecord, SamplerConfig, direction_from_polar, run_measurement_batch
 from singlet_frame.config import ConfigError, canonical_dict, load_config, parse_config
 from singlet_frame.serialize import (
@@ -268,19 +269,6 @@ class TestJsonBytes:
         assert list(tmp_path.iterdir()) == []
 
 
-def _first_difference(got: str, want: str):
-    """None when equal, else (line number, got line, wanted line) at the first difference.
-
-    Asserting ``got == want`` instead makes pytest diff the two whole texts,
-    which for a 2000-row record runs for minutes.
-    """
-    if got == want:
-        return None
-    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
-    i = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w), min(len(got_lines), len(want_lines)))
-    return i + 1, got_lines[i:i + 1], want_lines[i:i + 1]
-
-
 class TestRecordCsvReader:
     """Files written by record_to_csv parse without a row loop; every other
     layout goes through the csv.reader loop, and both must agree."""
@@ -307,7 +295,7 @@ class TestRecordCsvReader:
     def test_layouts_agree(self, tmp_path, text):
         path = tmp_path / "ref.csv"
         record_to_csv(self.REC, path)
-        assert _first_difference(path.read_text(), _record_text(self.REC)) is None
+        assert first_difference(path.read_text(), _record_text(self.REC)) is None
         a, b = self._read(tmp_path, text.encode("utf-8"))
         assert a.dtype == b.dtype == np.int8
         assert np.array_equal(a, self.REC.a) and np.array_equal(b, self.REC.b)
@@ -504,8 +492,15 @@ class TestLoadConfig:
             load_config(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
+        # an unreadable file is an I/O error (exit 3 at the CLI), not a config error
+        with pytest.raises(FileNotFoundError, match="absent.json"):
             load_config(tmp_path / "absent.json")
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"mode": "\xff"}')
+        with pytest.raises(ConfigError, match="cfg.json.*can't decode byte 0xff"):
+            load_config(path)
 
 
 class TestOutcomeRecordEquality:

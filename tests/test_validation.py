@@ -1,6 +1,7 @@
 """The shared validation rules of ``singlet_frame.core`` and the package's public names."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,33 @@ def test_orthonormalized_frame_estimate_checks_its_axes():
     with pytest.raises(ValueError, match="FrameEstimate.axes"):
         FrameEstimate(skewed, (False,) * 3, (0.0,) * 3, orthonormalized=True)
     FrameEstimate(skewed, (False,) * 3, (0.0,) * 3, orthonormalized=False)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("theta", [*NON_FINITE, [0.5, math.inf], [math.inf, math.nan], np.array([[0.0], [math.nan]])])
+def test_theta_density_rejects_non_finite_angles(theta):
+    # the cosine form rejects a bad cosine; the angle form returned NaN with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(core.DomainError, match="angle must be finite"):
+            bayes.posterior_theta_density(theta, SignTally(3, 4))
+
+
+def test_theta_density_accepts_finite_angles():
+    assert bayes.posterior_theta_density(0.0, SignTally(0, 4)) > 0.0
+    assert bayes.posterior_theta_density([-7.0, 100.0], SignTally(3, 4)).shape == (2,)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("which", ["theta", "phi"])
+def test_direction_from_polar_rejects_non_finite_angles(which, bad):
+    # an infinite angle used to raise a bare ValueError("math domain error") from math.sin
+    angles = {"theta": 0.0, "phi": 0.0, which: bad}
+    with pytest.raises(core.DomainError, match=f"polar angles must be finite, got theta={angles['theta']!r}, "
+                                               f"phi={angles['phi']!r}"):
+        core.direction_from_polar(**angles)
 
 
 class TestPublicNames:
