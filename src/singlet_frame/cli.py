@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .bayes import SignTally, posterior_summary, posterior_theta_density, sign_tally_from_arrays
 from .config import ConfigError, ExperimentConfig, _field, canonical_dict, load_config, parse_config
-from .core import _checked_int, analytic_mutual_information, cos_angle
+from .core import _checked_int, analytic_mutual_information, cos_angle, direction_from_polar
 from .protocol import FrameEstimate, TransferResult, transfer_direction, transfer_frame
 from .serialize import format_float, read_record_arrays_csv, write_csv_atomic, write_json_atomic
 
@@ -58,18 +58,17 @@ def cmd_mi_surface(theta_x: float, phi_x: float, resolution: int, out_path) -> N
     """CSV of (theta_y, phi_y, mi_bits) over the sphere of the searching party.
 
     ``resolution`` polar rows on [0, pi] and twice as many azimuth columns
-    on [0, 2*pi).  The cosine is formed from the polar-angle expansion and
-    the two maxima sit at the fixed direction and its antipode.
+    on [0, 2*pi).  The fixed direction is ``direction_from_polar(theta_x,
+    phi_x)``; the two maxima sit at it and at its antipode.
     """
     _field(_checked_int, resolution, "resolution", 2)
     thetas = np.linspace(0.0, math.pi, resolution)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
     st, ct = np.sin(thetas), np.cos(thetas)
     sp, cp = np.sin(phis), np.cos(phis)
-    sx, cx = math.sin(theta_x), math.cos(theta_x)
-    spx, cpx = math.sin(phi_x), math.cos(phi_x)
-    # cos(angle) = sin tx cos px sin ty cos py + sin tx sin px sin ty sin py + cos tx cos ty
-    cosines = sx * cpx * np.outer(st, cp) + sx * spx * np.outer(st, sp) + cx * ct[:, None]
+    x = direction_from_polar(theta_x, phi_x)
+    # cos(angle) = x . (sin ty cos py, sin ty sin py, cos ty)
+    cosines = x.x * np.outer(st, cp) + x.y * np.outer(st, sp) + x.z * ct[:, None]
     values = analytic_mutual_information(cosines)
     rows = (
         (format_float(thetas[i]), format_float(phis[j]), format_float(values[i, j]))

@@ -17,6 +17,7 @@ equal config (round-trip stability).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,7 +86,8 @@ def _angle_pair(value, field: str) -> tuple[float, float]:
     out = []
     for key in ("theta", "phi"):
         v = value[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v or v in (float("inf"), float("-inf")):
+        # an exact comparison, so NaN and ints too large for a float fail it too
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
             raise ConfigError(f"field '{field}.{key}': must be a finite number")
         out.append(float(v))
     return tuple(out)

@@ -25,7 +25,6 @@ __all__ = [
     "JointDistribution2x2",
     "direction_from_polar",
     "cos_angle",
-    "joint_outcome_probability",
     "singlet_joint_distribution",
     "mutual_information_from_joint",
     "analytic_mutual_information",
@@ -132,11 +131,6 @@ class Direction:
             object.__setattr__(self, "y", self.y / n)
             object.__setattr__(self, "z", self.z / n)
 
-    @staticmethod
-    def from_array(v) -> "Direction":
-        vx, vy, vz = (float(t) for t in v)
-        return Direction(vx, vy, vz)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
@@ -198,18 +192,6 @@ class JointDistribution2x2:
     def marginal_b(self) -> tuple[float, float]:
         """(p(b=+1), p(b=-1)) from column sums."""
         return (self.p_pp + self.p_mp, self.p_pm + self.p_mm)
-
-
-def joint_outcome_probability(a: int, b: int, cos_theta: float) -> float:
-    """p(a, b) = (1 - a*b*cos_theta) / 4 for one outcome pair.
-
-    ``cos_theta`` is the cosine of the angle between the two measurement
-    directions.  The result lies in [0, 1/2].
-    """
-    av = _checked_outcome(a, "a")
-    bv = _checked_outcome(b, "b")
-    c = _checked_cos(cos_theta)
-    return (1.0 - av * bv * c) / 4.0
 
 
 def singlet_joint_distribution(cos_theta: float) -> JointDistribution2x2:

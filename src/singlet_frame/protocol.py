@@ -18,12 +18,13 @@ is scored as one block of rows with one joint-count draw.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import UINT64_MAX, Direction, _check_orthonormal, _checked_int, _cosines, _plug_in_mi, cos_angle
+from .core import UINT64_MAX, Direction, _check_orthonormal, _checked_int, _cosines, _plug_in_mi
 from .core import analytic_mutual_information
 # tally and run_measurement_batch stay bound for perfbench's tracer, which wraps them by name
 from .estimator import CountTable, estimate_mutual_information, tally  # noqa: F401
@@ -36,7 +37,6 @@ __all__ = [
     "TransferResult",
     "FrameEstimate",
     "generate_trial_directions",
-    "evaluate_trial",
     "select_best",
     "refine",
     "resolve_sign",
@@ -113,8 +113,8 @@ class ProtocolParams:
     ``refine_rounds`` shrinking-cap rounds.  ``prior`` is a
     ``HemispherePrior``.  ``config`` may be None in exact mode.
     ``jitter_seed`` is None or a uint64.  ``initial_half_angle`` must be
-    a finite positive int or float, not a bool; it defaults to a cap wide
-    enough to cover the coarse layout's worst-case gap.
+    a positive int or float no larger than the largest float, not a
+    bool; it defaults to a cap covering the coarse layout's worst gap.
     """
 
     n_trials: int
@@ -138,7 +138,7 @@ class ProtocolParams:
             _checked_int(self.jitter_seed, "jitter_seed", 0, UINT64_MAX)
         angle = self.initial_half_angle
         real = isinstance(angle, (int, float)) and not isinstance(angle, bool)
-        if angle is not None and not (real and 0.0 < angle < math.inf):
+        if angle is not None and not (real and 0.0 < angle <= sys.float_info.max):  # an int compares exactly
             raise ValueError(f"initial_half_angle must be a finite angle > 0, got {angle!r}")
         if self.mode == "sampled" and self.config is None:
             raise ValueError("sampled mode requires a sampler config")
@@ -286,43 +286,20 @@ def _trial_layout(count: int, prior: HemispherePrior, jitter_seed: int | None) -
     return points
 
 
-def evaluate_trial(
-    alice_direction: Direction,
-    trial_direction: Direction,
-    batch_size: int,
-    config: SamplerConfig,
-    trial_index: int = 0,
-) -> TrialRecord:
-    """Run one shared batch at the trial setting and score it.
-
-    The fixed direction enters only through the simulated measurements;
-    the returned record carries the trial direction, its counts, and the
-    plug-in mutual-information estimate.
-    """
-    scores, counts = _make_scorer(alice_direction, "sampled", batch_size, config)(trial_direction.as_array()[None])
-    return TrialRecord(trial_index, trial_direction, scores[0], CountTable(*counts.tolist()[0]))
-
-
-def exact_trial_score(alice_direction: Direction, trial_direction: Direction) -> float:
-    """Noise-free trial score: the closed-form mutual information."""
-    return analytic_mutual_information(cos_angle(alice_direction, trial_direction))
-
-
-def _make_scorer(alice_direction: Direction, mode: str, batch_size: int, config: SamplerConfig | None):
+def _make_scorer(alice_direction: Direction, params: ProtocolParams):
     """The row scorer shared by coarse trials and refinement.
 
     ``score(ys, *stream)`` scores each row of the (k, 3) ``ys``; it returns
     ``(scores, counts)``, the scores a list of floats.  In sampled mode the
-    counts are one (k, 4) draw from ``config.child(*stream)`` and a score is
-    its row's plug-in MI on Python ints (exact at any batch); in exact mode
-    the scores are the closed form and counts is None.
+    counts are one (k, 4) draw from ``params.config.child(*stream)`` and a
+    score is its row's plug-in MI on Python ints (exact at any batch); in
+    exact mode the scores are the closed form and counts is None.
     """
-    if mode == "exact":
+    if params.mode == "exact":
         return lambda ys, *stream: (analytic_mutual_information(_cosines(alice_direction, ys)).tolist(), None)
-    if config is None:
-        raise ValueError("sampled mode requires a sampler config")
 
-    draw = joint_count_sampler(batch_size, config)
+    batch_size = params.batch_size
+    draw = joint_count_sampler(batch_size, params.config)
 
     def score(ys, *stream):
         counts = draw(alice_direction, ys, *stream)
@@ -397,14 +374,14 @@ def refine(coarse_best: Direction, alice_direction: Direction, params: ProtocolP
     prior hemisphere mid-search (scores are even under negation); the
     returned direction always lies inside it.
     """
-    score = _make_scorer(alice_direction, params.mode, params.batch_size, params.config)
+    score = _make_scorer(alice_direction, params)
     direction, _, _ = _refine_search(coarse_best, score, params.refine_rounds, params.resolved_initial_half_angle())
     return resolve_sign(direction, params.prior)[0]
 
 
 def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> TransferResult:
     """Full single-direction pipeline: layout, score, select, refine, resolve."""
-    score = _make_scorer(alice_direction, params.mode, params.batch_size, params.config)
+    score = _make_scorer(alice_direction, params)
     layout = _trial_layout(params.n_trials, params.prior, params.jitter_seed)
     scores, counts = score(layout, _STREAM_COARSE)
     best = max(range(len(scores)), key=scores.__getitem__)  # the first maximum, as select_best picks it

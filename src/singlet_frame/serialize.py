@@ -1,4 +1,4 @@
-"""File formats: CSV/JSON emitters and parsers for records, counts, curves.
+"""File formats: atomic CSV/JSON writers and the outcome-record CSV reader.
 
 All text output is UTF-8 with LF line endings and a header row on CSV.
 Floats are written with 17 significant digits in CSV; JSON floats use
@@ -12,10 +12,10 @@ Files are written atomically (temp file + rename in the target directory)
 with the mode ``open`` would give them (0o666 less the umask).
 
 Outcome-record CSV: header ``index,a,b``; one row per pair with a 0-based
-index and outcomes in {-1, +1}.  Settings are not carried by the CSV
-form; the JSON form stores them under ``x`` and ``y``.  It is written
-from one NUL-padded byte matrix of fixed-width rows, and a file is read
-as bytes only when re-writing its outcomes gives back the same file.
+index and outcomes in {-1, +1}; the settings are not carried.  It is
+written from one NUL-padded byte matrix of fixed-width rows, and a file
+is read as bytes only when re-writing its outcomes gives back the same
+file.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import secrets
 from functools import lru_cache
@@ -31,8 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayes import SignTally, posterior_theta_density
-from .core import Direction
 from .sampler import OutcomeRecord
 
 __all__ = [
@@ -43,9 +40,6 @@ __all__ = [
     "write_json_atomic",
     "record_to_csv",
     "read_record_arrays_csv",
-    "record_to_json",
-    "record_from_json",
-    "write_density_curve_csv",
 ]
 
 RECORD_CSV_HEADER = ["index", "a", "b"]
@@ -302,39 +296,3 @@ def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if not a_vals:
         raise ParseError(f"{path}: no outcome rows")
     return np.array(a_vals, dtype=np.int8), np.array(b_vals, dtype=np.int8)
-
-
-def record_to_json(record: OutcomeRecord, path) -> None:
-    obj = {
-        "x": [record.x.x, record.x.y, record.x.z],
-        "y": [record.y.x, record.y.y, record.y.z],
-        "a": record.a.tolist(),
-        "b": record.b.tolist(),
-    }
-    write_json_atomic(path, obj)
-
-
-def write_density_curve_csv(tally: SignTally, path, resolution: int = 2001) -> None:
-    """Single angle-form posterior curve: CSV ``theta,density`` on [-pi, pi]."""
-    thetas = np.linspace(-math.pi, math.pi, resolution)
-    dens = posterior_theta_density(thetas, tally)
-    rows = ((format_float(t), format_float(d)) for t, d in zip(thetas, dens))
-    write_csv_atomic(path, ["theta", "density"], rows)
-
-
-def record_from_json(path) -> OutcomeRecord:
-    path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: line {e.lineno}: {e.msg}") from None
-    try:
-        return OutcomeRecord(
-            a=obj["a"],
-            b=obj["b"],
-            x=Direction.from_array(obj["x"]),
-            y=Direction.from_array(obj["y"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{path}: invalid outcome record: {e}") from None

@@ -124,6 +124,30 @@ class TestMiSurface:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("angle, phi", [("inf", "2.1"), ("nan", "2.1"), ("1.5", "-inf")])
+    def test_non_finite_angle_names_both_angles(self, tmp_path, capsys, angle, phi):
+        out = tmp_path / "s.csv"
+        assert _run(["mi-surface", f"--theta-x={angle}", f"--phi-x={phi}", "--out", str(out)]) == 1
+        theta_text, phi_text = repr(float(angle)), repr(float(phi))
+        err = capsys.readouterr().err
+        assert err == f"error: polar angles must be finite, got theta={theta_text}, phi={phi_text}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "angles, digest",
+        [
+            ([], "262faa15a1bddd97319b01f34f7ffc9aa3d290d9bd4af87bc0c66c88a1b5cf77"),
+            (["--theta-x=0.3", "--phi-x=-4.0"], "85803b9c31a743b0954aa79c804af86fbff53f146429f0b3f11d8ebbd2ab2b53"),
+            (["--theta-x=3.1", "--phi-x=5.5"], "e1ae1061868f4631d81d30cd02200317f35d407d62aed80e8769502ab71b2f5e"),
+            (["--theta-x=0", "--phi-x=0"], "1148b64005780240997006ba6158f5ae7ccbf9c4803dea183775ab6d10f02c26"),
+        ],
+    )
+    def test_surface_pinned(self, tmp_path, angles, digest):
+        # regression pin for the surface's bytes at four fixed directions
+        out = tmp_path / "s.csv"
+        assert _run(["mi-surface", *angles, "--resolution", "61", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 @pytest.fixture(scope="module")
 def family(tmp_path_factory):
@@ -510,6 +534,12 @@ class TestRunCommand:
         assert _run(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(cfg) in err and "0xff" in err
+
+    def test_angle_too_large_for_a_float_exits_1(self, tmp_path, capsys):
+        # the JSON integer 1 followed by 400 zeros used to pass the finiteness test and overflow in float()
+        cfg = _exact_config(tmp_path, alice_direction={"theta": 10**400, "phi": 0.4})
+        assert _run(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == "error: field 'alice_direction.theta': must be a finite number\n"
 
     def test_unwritable_out_exits_3(self, tmp_path, capsys):
         cfg = _exact_config(tmp_path)

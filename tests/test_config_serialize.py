@@ -23,9 +23,7 @@ from singlet_frame.serialize import (
     _record_csv_bytes,
     format_float,
     read_record_arrays_csv,
-    record_from_json,
     record_to_csv,
-    record_to_json,
     write_csv_atomic,
     write_json_atomic,
     write_text_atomic,
@@ -110,27 +108,6 @@ class TestRecordSerialization:
         path.write_text("index,a,b\n")
         with pytest.raises(ParseError, match="no outcome rows"):
             read_record_arrays_csv(path)
-
-    def test_json_round_trip(self, tmp_path):
-        rec = run_measurement_batch(X, Z, 30, SamplerConfig(5))
-        path = tmp_path / "rec.json"
-        record_to_json(rec, path)
-        back = record_from_json(path)
-        assert back == rec
-
-    def test_json_parse_error_reports_line(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{\n  "a": [1,\n}')
-        with pytest.raises(ParseError, match="line 3"):
-            record_from_json(path)
-
-    @pytest.mark.parametrize("outcomes", [[1.5, -1], [1, 257], [1, 0.5]])
-    def test_json_outcomes_checked_not_truncated(self, tmp_path, outcomes):
-        # the JSON form obeys OutcomeRecord's rule, as the CSV reader does
-        path = tmp_path / "rec.json"
-        path.write_text(json.dumps({"x": [1.0, 0.0, 0.0], "y": [0.0, 0.0, 1.0], "a": outcomes, "b": [1, -1]}))
-        with pytest.raises(ParseError, match="outcomes must all be -1 or \\+1"):
-            record_from_json(path)
 
 
 def _csv_writer_bytes(rec: OutcomeRecord) -> bytes:
@@ -254,10 +231,11 @@ class TestJsonBytes:
         write_json_atomic(path, value)
         assert path.read_bytes() == (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
 
-    def test_record_to_json_pinned(self, tmp_path):
+    def test_record_dict_pinned(self, tmp_path):
         rec = run_measurement_batch(X, direction_from_polar(2.0, 0.5), 10_000, SamplerConfig(7))
         path = tmp_path / "rec.json"
-        record_to_json(rec, path)
+        axes = {"x": [rec.x.x, rec.x.y, rec.x.z], "y": [rec.y.x, rec.y.y, rec.y.z]}
+        write_json_atomic(path, {**axes, "a": rec.a.tolist(), "b": rec.b.tolist()})
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "dae0cb708f8ef064f97616541fbdb78330309ae25f79bad4e4a1e6d599c95b64"
 
@@ -340,25 +318,6 @@ class TestRecordCsvReader:
         else:
             with pytest.raises(AssertionError, match="csv.reader called"):
                 self._read(tmp_path, text.encode("ascii"))
-
-
-class TestDensityCurveCsv:
-    def test_columns_and_even_peak_pair(self, tmp_path):
-        import csv as _csv
-
-        from singlet_frame import SignTally, posterior_theta_density
-        from singlet_frame.serialize import write_density_curve_csv
-
-        path = tmp_path / "curve.csv"
-        write_density_curve_csv(SignTally(5, 6), path, resolution=801)
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = _csv.reader(fh)
-            assert next(reader) == ["theta", "density"]
-            rows = [(float(t), float(d)) for t, d in reader]
-        assert len(rows) == 801
-        assert rows[0][0] == -math.pi and rows[-1][0] == math.pi
-        for (t, d) in rows[:50]:
-            assert d == pytest.approx(posterior_theta_density(t, SignTally(5, 6)), rel=1e-12, abs=1e-300)
 
 
 class TestParseConfig:

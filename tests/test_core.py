@@ -11,7 +11,6 @@ from singlet_frame import (
     analytic_mutual_information,
     cos_angle,
     direction_from_polar,
-    joint_outcome_probability,
     mutual_information_from_joint,
     singlet_joint_distribution,
 )
@@ -108,40 +107,6 @@ class TestCosAngle:
             cos_angle(Setting(), Direction(1.0, 0.0, 0.0))
 
 
-class TestJointOutcomeProbability:
-    def test_parallel_settings_forbid_equal_outcomes(self):
-        assert joint_outcome_probability(1, 1, 1.0) == 0.0
-        assert joint_outcome_probability(-1, -1, 1.0) == 0.0
-
-    def test_parallel_settings_perfect_anticorrelation(self):
-        assert joint_outcome_probability(1, -1, 1.0) == 0.5
-        assert joint_outcome_probability(-1, 1, 1.0) == 0.5
-
-    def test_orthogonal_settings_independent(self):
-        for a in (-1, 1):
-            for b in (-1, 1):
-                assert joint_outcome_probability(a, b, 0.0) == 0.25
-
-    def test_range(self, rng):
-        for c in rng.uniform(-1.0, 1.0, size=200):
-            for a in (-1, 1):
-                for b in (-1, 1):
-                    p = joint_outcome_probability(a, b, float(c))
-                    assert 0.0 <= p <= 0.5
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            joint_outcome_probability(1, 1, 1.0 + 1e-9)
-        with pytest.raises(DomainError):
-            joint_outcome_probability(1, 1, float("nan"))
-
-    def test_bad_outcome(self):
-        with pytest.raises(DomainError):
-            joint_outcome_probability(0, 1, 0.5)
-        with pytest.raises(DomainError):
-            joint_outcome_probability(1, 2, 0.5)
-
-
 class TestSingletJointDistribution:
     def test_orthogonal_uniform(self):
         d = singlet_joint_distribution(0.0)
@@ -161,7 +126,7 @@ class TestSingletJointDistribution:
             d = singlet_joint_distribution(float(c))
             for a in (-1, 1):
                 for b in (-1, 1):
-                    assert d.prob(a, b) == joint_outcome_probability(a, b, float(c))
+                    assert d.prob(a, b) == (1.0 - a * b * float(c)) / 4.0  # the paper's p(a, b)
 
 
 class TestJointDistributionValidation:

@@ -6,7 +6,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,7 +59,7 @@ def test_counts_nonnegative_and_sum_to_batch(c, batch, config):
 @settings(deadline=None)
 @given(c=cosines, batch=batches, config=configs)
 def test_plug_in_mi_of_drawn_table_is_a_bit_at_most(c, batch, config):
-    table = CountTable.from_joint_counts(*sample_joint_counts(Z, _at_cosine(c), batch, config))
+    table = CountTable(*sample_joint_counts(Z, _at_cosine(c), batch, config))
     assert 0.0 <= estimate_mutual_information(table) <= 1.0
 
 
@@ -103,12 +102,8 @@ def test_plug_in_mi_matches_the_loop_form(counts, probs, c):
     assert repr(_plug_in_mi(same, anti, anti, same, 1)) == repr(_loop_plug_in_mi(same, anti, anti, same, 1))
 
 
-@given(
-    counts=joint_counts(),
-    key=st.sampled_from(["m_a_plus", "m_a_minus", "m_b_plus", "m_b_minus", "total"]),
-    delta=st.sampled_from([-1, 1]),
-)
-def test_count_table_dict_form(counts, key, delta):
+@given(counts=joint_counts())
+def test_count_table_dict_form(counts):
     pp, pm, mp, mm = counts
     expected = {
         "m_joint": {"pp": pp, "pm": pm, "mp": mp, "mm": mm},
@@ -120,9 +115,6 @@ def test_count_table_dict_form(counts, key, delta):
     }
     table = CountTable(pp, pm, mp, mm)
     assert table.to_dict() == expected
-    assert CountTable.from_dict(expected) == table
-    with pytest.raises(ValueError, match="inconsistent"):
-        CountTable.from_dict({**expected, key: expected[key] + delta})
 
 
 @settings(deadline=None, max_examples=50)
