@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 import tracemalloc
@@ -320,6 +321,24 @@ class TestRecordCsvReader:
                 self._read(tmp_path, text.encode("ascii"))
 
 
+class TestDensityCurveCsv:
+    def test_columns_and_even_peak_pair(self, tmp_path):
+        # one tally's curve, as posterior-family --tally N_PLUS,N_MINUS writes it
+        from singlet_frame import SignTally, posterior_theta_density
+        from singlet_frame.cli import main
+
+        path = tmp_path / "curve.csv"
+        assert main(["posterior-family", "--tally", "5,6", "--resolution", "801", "--out", str(path)]) == 0
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == ["n_plus", "n_minus", "theta", "density"]
+            rows = [(int(n_plus), int(n_minus), float(t), float(d)) for n_plus, n_minus, t, d in reader]
+        assert len(rows) == 801 and {row[:2] for row in rows} == {(5, 6)}
+        assert rows[0][2] == -math.pi and rows[-1][2] == math.pi
+        for (_, _, t, d) in rows[:50]:
+            assert d == pytest.approx(posterior_theta_density(t, SignTally(5, 6)), rel=1e-12, abs=1e-300)
+
+
 class TestParseConfig:
     def test_minimal_sampled(self):
         cfg = parse_config(_minimal())
@@ -415,6 +434,34 @@ class TestParseConfig:
     def test_bad_angle_field_named(self):
         with pytest.raises(ConfigError, match="alice_direction.theta"):
             parse_config(_minimal(alice_direction={"theta": "x", "phi": 0.0}))
+
+    # each angle field of a config, and the angle pair that holds it
+    ANGLE_PAIRS = {
+        "alice_direction.theta": lambda data: data["alice_direction"],
+        "alice_direction.phi": lambda data: data["alice_direction"],
+        "alice_frame[1].theta": lambda data: data["alice_frame"][1],
+        "prior.pole.phi": lambda data: data["prior"]["pole"],
+        "prior.poles[2].phi": lambda data: data["prior"]["poles"][2],
+    }
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -(10**400)], ids=["nan", "inf", "int-too-large"])
+    @pytest.mark.parametrize("field", ANGLE_PAIRS)
+    def test_non_finite_angle_field_named(self, field, value):
+        # every angle pair of a config passes one rule; an int too large for a float
+        # compares below math.inf, so it must fail the rule as NaN and inf do
+        frame = [
+            {"theta": math.pi / 2, "phi": 0.0},
+            {"theta": math.pi / 2, "phi": math.pi / 2},
+            {"theta": 0.0, "phi": 0.0},
+        ]
+        data = _minimal(prior={"enabled": True, "pole": {"theta": 0.5, "phi": 0.1}})
+        if "[" in field:
+            del data["alice_direction"]
+            data["alice_frame"] = frame
+            data["prior"] = {"enabled": True, "poles": [dict(pair) for pair in frame]}
+        self.ANGLE_PAIRS[field](data)[field.rsplit(".", 1)[1]] = value
+        with pytest.raises(ConfigError, match=re.escape(f"field '{field}': must be a finite number")):
+            parse_config(data)
 
     def test_bad_stream(self):
         with pytest.raises(ConfigError, match="'stream'"):

@@ -107,6 +107,45 @@ class TestCosAngle:
             cos_angle(Setting(), Direction(1.0, 0.0, 0.0))
 
 
+class TestJointOutcomeProbability:
+    # the paper's p(a, b) at a relative-angle cosine, read from singlet_joint_distribution
+    @staticmethod
+    def _p(a, b, c):
+        return singlet_joint_distribution(c).prob(a, b)
+
+    def test_parallel_settings_forbid_equal_outcomes(self):
+        assert self._p(1, 1, 1.0) == 0.0
+        assert self._p(-1, -1, 1.0) == 0.0
+
+    def test_parallel_settings_perfect_anticorrelation(self):
+        assert self._p(1, -1, 1.0) == 0.5
+        assert self._p(-1, 1, 1.0) == 0.5
+
+    def test_orthogonal_settings_independent(self):
+        for a in (-1, 1):
+            for b in (-1, 1):
+                assert self._p(a, b, 0.0) == 0.25
+
+    def test_range(self, rng):
+        for c in rng.uniform(-1.0, 1.0, size=200):
+            for a in (-1, 1):
+                for b in (-1, 1):
+                    p = self._p(a, b, float(c))
+                    assert 0.0 <= p <= 0.5
+
+    def test_domain_error(self):
+        with pytest.raises(DomainError):
+            self._p(1, 1, 1.0 + 1e-9)
+        with pytest.raises(DomainError):
+            self._p(1, 1, float("nan"))
+
+    def test_bad_outcome(self):
+        with pytest.raises(DomainError):
+            self._p(0, 1, 0.5)
+        with pytest.raises(DomainError):
+            self._p(1, 2, 0.5)
+
+
 class TestSingletJointDistribution:
     def test_orthogonal_uniform(self):
         d = singlet_joint_distribution(0.0)

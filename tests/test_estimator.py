@@ -13,6 +13,7 @@ from singlet_frame import (
     analytic_mutual_information,
     estimate_mutual_information,
     run_measurement_batch,
+    singlet_joint_distribution,
     tally,
 )
 
@@ -27,6 +28,16 @@ def _record(a, b):
 def _batch_at(c, m, seed):
     y = Direction(math.sqrt(1.0 - c * c), 0.0, c)
     return run_measurement_batch(Z, y, m, SamplerConfig(seed))
+
+
+def _frequencies(t):
+    """The plug-in joint estimate of a count table: each joint count over the total."""
+    return JointDistribution2x2(*(m / t.total for m in dataclasses.astuple(t)))
+
+
+def _marginal_frequencies(t):
+    """(p(a=+1), p(a=-1), p(b=+1), p(b=-1)) estimated as each marginal count over the total."""
+    return tuple(m / t.total for m in (t.m_a_plus, t.m_a_minus, t.m_b_plus, t.m_b_minus))
 
 
 FIELDS = ("m_pp", "m_pm", "m_mp", "m_mm", "m_a_plus", "m_a_minus", "m_b_plus", "m_b_minus", "total")
@@ -83,6 +94,49 @@ class TestTally:
         head, tail = tally(_record(a[:80], b[:80])), tally(_record(a[80:], b[80:]))
         parts = CountTable(*(x + y for x, y in zip(dataclasses.astuple(head), dataclasses.astuple(tail))))
         assert whole == parts
+
+
+class TestEstimateMarginals:
+    def test_simple_ratio(self):
+        t = CountTable(25, 25, 30, 20)
+        pa_plus, pa_minus, pb_plus, pb_minus = _marginal_frequencies(t)
+        assert pa_plus == 0.5 and pa_minus == 0.5
+        assert pb_plus == 0.55 and pb_minus == 0.45
+
+    def test_zero_count(self):
+        t = CountTable(0, 4, 0, 3)
+        assert _marginal_frequencies(t)[2] == 0.0  # p(b=+1)
+
+    def test_pairs_sum_to_one_exactly(self):
+        for total in range(1, 300):
+            for m in (0, 1, total // 3, total // 2, total - 1, total):
+                assert m / total + (total - m) / total == 1.0
+
+    def test_batch_marginals_near_half(self):
+        rec = _batch_at(0.3, 100_000, seed=31)
+        for est in _marginal_frequencies(tally(rec)):
+            assert abs(est - 0.5) < 0.01
+
+
+class TestEstimateJoint:
+    def test_anticorrelated_counts(self):
+        d = _frequencies(CountTable(0, 50, 50, 0))
+        assert (d.p_pp, d.p_pm, d.p_mp, d.p_mm) == (0.0, 0.5, 0.5, 0.0)
+
+    def test_uniform_counts(self):
+        d = _frequencies(CountTable(25, 25, 25, 25))
+        assert (d.p_pp, d.p_pm, d.p_mp, d.p_mm) == (0.25, 0.25, 0.25, 0.25)
+
+    def test_batch_joint_within_standard_errors(self):
+        m = 100_000
+        rec = _batch_at(0.5, m, seed=37)
+        est = _frequencies(tally(rec))
+        truth = singlet_joint_distribution(0.5)
+        for a in (-1, 1):
+            for b in (-1, 1):
+                p = truth.prob(a, b)
+                se = math.sqrt(p * (1.0 - p) / m)
+                assert abs(est.prob(a, b) - p) < 5.0 * se
 
 
 class TestEstimateMutualInformation:

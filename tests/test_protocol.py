@@ -31,6 +31,7 @@ from singlet_frame.protocol import (
     RING_SIZE,
     _STREAM_COARSE,
     _STREAM_REFINE,
+    _make_scorer,
     _ring_candidates,
     _tangent_basis,
     _trial_layout,
@@ -205,6 +206,27 @@ class TestGeometryBits:
 
 
 class TestEvaluateTrial:
+    # one trial is one row of the scorer that coarse trials and refinement share
+    @staticmethod
+    def _score(truth, trial, batch, seed, stream=(_STREAM_COARSE, 0)):
+        score = _make_scorer(truth, ProtocolParams(1, batch, 0, NO_PRIOR, config=SamplerConfig(seed)))
+        (mi,), counts = score(np.array([[trial.x, trial.y, trial.z]]), *stream)
+        return mi, counts.tolist()
+
+    def test_aligned_trial_scores_high(self):
+        d = direction_from_polar(1.2, 0.5)
+        mi, _ = self._score(d, d, 100_000, 51)
+        assert mi > 0.9
+
+    def test_orthogonal_trial_scores_low(self):
+        mi, _ = self._score(Z, Direction(1.0, 0.0, 0.0), 100_000, 53)
+        assert mi < 0.01
+
+    def test_deterministic(self):
+        a = self._score(Z, direction_from_polar(0.4, 0.1), 1000, 5, stream=(_STREAM_COARSE, 3))
+        b = self._score(Z, direction_from_polar(0.4, 0.1), 1000, 5, stream=(_STREAM_COARSE, 3))
+        assert a == b
+
     def test_record_invariant_enforced(self):
         counts = CountTable(0, 5, 5, 0)
         with pytest.raises(ValueError):
