@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LN2, Direction, DomainError, _checked_cos, _checked_cos_array, _checked_int, _checked_outcomes
-from .core import _shaped, cos_angle
+from .core import LN2, Direction, DomainError, _checked_cos_array, _checked_int, _checked_outcomes, _float_array
+from .core import _shaped, _singlet_cells, cos_angle
 from .sampler import OutcomeRecord
 
 __all__ = [
@@ -115,9 +115,9 @@ def log_likelihood(tally: SignTally, cos_theta: float) -> float:
     Returns -inf when a zero-probability factor is hit (|cos| = 1 with a
     count on the forbidden side); an empty tally gives 0.
     """
-    c = _checked_cos(cos_theta)
+    same, anti, _, _ = _singlet_cells(cos_theta)
     out = 0.0
-    for n, p in ((tally.n_plus, (1.0 - c) / 4.0), (tally.n_minus, (1.0 + c) / 4.0)):
+    for n, p in ((tally.n_plus, same), (tally.n_minus, anti)):
         if n:
             if p == 0.0:
                 return float("-inf")
@@ -149,7 +149,7 @@ def posterior_theta_density(theta, tally: SignTally):
     so it is exactly even in theta.  Accepts a scalar or an array of
     finite angles; a NaN or infinite one is a DomainError.
     """
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    t = _float_array(theta, "angle must be finite")
     if not np.isfinite(t).all():
         raise DomainError("angle must be finite")
     n = tally.n_total

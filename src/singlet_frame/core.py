@@ -13,8 +13,8 @@ the relative angle.  All information values are in bits (base-2 logs).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,6 +34,10 @@ LN2 = math.log(2.0)
 
 # slack accepted on |cos| before an argument is rejected outright
 COS_DOMAIN_TOL = 1e-12
+_COS_LIMIT = 1.0 + COS_DOMAIN_TOL
+
+# |v| <= FLOAT_MAX holds exactly for finite floats and for ints that fit a float, and fails for NaN
+_FLOAT_MAX = sys.float_info.max
 
 # tolerance for "is a probability distribution" checks
 DISTRIBUTION_TOL = 1e-12
@@ -62,27 +66,47 @@ def _checked_int(value, name: str, low: int = 0, high: int | None = None) -> int
 
 def _checked_cos(value: float) -> float:
     """Validate a cosine argument and clamp float drift into [-1, 1]."""
-    c = float(value)
-    if not math.isfinite(c) or abs(c) > 1.0 + COS_DOMAIN_TOL:
+    try:
+        c = float(value)
+    except OverflowError:  # an int too large for a float
+        raise DomainError("cosine of an angle must lie in [-1, 1], got an int too large for a float") from None
+    # NaN fails every comparison, so this one test also rejects NaN and inf
+    if not abs(c) <= _COS_LIMIT:
         raise DomainError(f"cosine of an angle must lie in [-1, 1], got {value!r}")
-    return min(1.0, max(-1.0, c))
+    return 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
+
+
+def _float_array(values, message: str) -> np.ndarray:
+    """``values`` (a scalar or array) as a float array of ndim >= 1; an int too large for a float is a DomainError."""
+    try:
+        return np.atleast_1d(np.asarray(values, dtype=float))
+    except OverflowError:
+        raise DomainError(message) from None
 
 
 def _checked_cos_array(cos_theta) -> np.ndarray:
     """Array form of ``_checked_cos``: a scalar or array in, the clipped values as an array of ndim >= 1 out."""
-    arr = np.atleast_1d(np.asarray(cos_theta, dtype=float))
-    # NaN fails every comparison, so this one test also rejects NaN and inf
-    if not (np.abs(arr) <= 1.0 + COS_DOMAIN_TOL).all():
-        raise DomainError("cosine of an angle must lie in [-1, 1]")
+    message = "cosine of an angle must lie in [-1, 1]"
+    arr = _float_array(cos_theta, message)
+    if not (np.abs(arr) <= _COS_LIMIT).all():
+        raise DomainError(message)
     return np.minimum(np.maximum(arr, -1.0), 1.0)
 
 
-def _cosines(x: "Direction", ys: np.ndarray) -> np.ndarray:
-    """Checked cosines between ``x`` and each row of the (k, 3) ``ys``, by ``x.dot`` over the columns.
+def _dots(x: "Direction", rows) -> list[float]:
+    """``x.dot(y)`` for each (y.x, y.y, y.z) row of ``rows``, formed in ``Direction.dot``'s order.
 
-    Each is then formed in ``Direction.dot``'s order; ``ys @ x`` may fuse multiply-adds.
+    ``x``'s components are taken as Python floats (exact for numpy floats), which multiply fastest.
     """
-    return _checked_cos_array(x.dot(SimpleNamespace(x=ys[:, 0], y=ys[:, 1], z=ys[:, 2])))
+    ax, ay, az = float(x.x), float(x.y), float(x.z)
+    return [ax * a + ay * b + az * c for a, b, c in rows]
+
+
+def _singlet_cells(cos_theta: float) -> tuple[float, float, float, float]:
+    """The singlet's (p_pp, p_pm, p_mp, p_mm) at a cosine, checked and clamped by ``_checked_cos``."""
+    c = _checked_cos(cos_theta)
+    same, anti = (1.0 - c) / 4.0, (1.0 + c) / 4.0
+    return same, anti, anti, same
 
 
 def _shaped(out: np.ndarray, like):
@@ -121,7 +145,10 @@ class Direction:
     z: float
 
     def __post_init__(self):
-        n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        try:
+            n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        except OverflowError:  # an int component too large for a float
+            n = math.inf
         if not math.isfinite(n) or n == 0.0:
             raise DomainError(f"direction must be a nonzero finite vector, got {(self.x, self.y, self.z)}")
         # leave already-unit components untouched so that negating a
@@ -143,7 +170,7 @@ class Direction:
 
 def direction_from_polar(theta: float, phi: float) -> Direction:
     """Unit vector (sin t cos p, sin t sin p, cos t) from polar angles in radians; both must be finite."""
-    if not (math.isfinite(theta) and math.isfinite(phi)):
+    if not (abs(theta) <= _FLOAT_MAX and abs(phi) <= _FLOAT_MAX):
         raise DomainError(f"polar angles must be finite, got theta={theta!r}, phi={phi!r}")
     st = math.sin(theta)
     return Direction(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
@@ -168,7 +195,7 @@ class JointDistribution2x2:
 
     def __post_init__(self):
         entries = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        if any(not math.isfinite(p) for p in entries):
+        if any(not abs(p) <= _FLOAT_MAX for p in entries):
             raise DistributionError(f"non-finite probability in {entries}")
         if any(p < 0.0 for p in entries):
             raise DistributionError(f"negative probability in {entries}")
@@ -196,10 +223,7 @@ class JointDistribution2x2:
 
 def singlet_joint_distribution(cos_theta: float) -> JointDistribution2x2:
     """The four joint outcome probabilities at a given relative-angle cosine."""
-    c = _checked_cos(cos_theta)
-    anti = (1.0 + c) / 4.0
-    same = (1.0 - c) / 4.0
-    return JointDistribution2x2(p_pp=same, p_pm=anti, p_mp=anti, p_mm=same)
+    return JointDistribution2x2(*_singlet_cells(cos_theta))
 
 
 def _plug_in_mi(pp, pm, mp, mm, total) -> float:

@@ -12,7 +12,8 @@ Trial directions come from a deterministic Fibonacci-spiral layout
 In ``exact`` mode trials are scored by the closed-form mutual information
 instead of sampled batches, which separates optimizer behavior from
 statistical noise.  Each phase (the coarse layout, each refinement round)
-is scored as one block of rows with one joint-count draw.
+is scored as one block of rows with one joint-count draw; a row is a
+direction's (x, y, z) as a tuple of Python floats.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import UINT64_MAX, Direction, _check_orthonormal, _checked_int, _cosines, _plug_in_mi
+from .core import UINT64_MAX, Direction, _check_orthonormal, _checked_int, _dots, _plug_in_mi
 from .core import analytic_mutual_information
 # tally and run_measurement_batch stay bound for perfbench's tracer, which wraps them by name
 from .estimator import CountTable, estimate_mutual_information, tally  # noqa: F401
@@ -289,21 +290,22 @@ def _trial_layout(count: int, prior: HemispherePrior, jitter_seed: int | None) -
 def _make_scorer(alice_direction: Direction, params: ProtocolParams):
     """The row scorer shared by coarse trials and refinement.
 
-    ``score(ys, *stream)`` scores each row of the (k, 3) ``ys``; it returns
+    ``score(ys, *stream)`` scores each (x, y, z) row of ``ys``; it returns
     ``(scores, counts)``, the scores a list of floats.  In sampled mode the
-    counts are one (k, 4) draw from ``params.config.child(*stream)`` and a
-    score is its row's plug-in MI on Python ints (exact at any batch); in
-    exact mode the scores are the closed form and counts is None.
+    counts are one draw of k rows from ``params.config.child(*stream)``, as
+    lists of 4 ints, and a score is its row's plug-in MI on Python ints
+    (exact at any batch); in exact mode the scores are the closed form and
+    counts is None.
     """
     if params.mode == "exact":
-        return lambda ys, *stream: (analytic_mutual_information(_cosines(alice_direction, ys)).tolist(), None)
+        return lambda ys, *stream: (analytic_mutual_information(_dots(alice_direction, ys)).tolist(), None)
 
     batch_size = params.batch_size
     draw = joint_count_sampler(batch_size, params.config)
 
     def score(ys, *stream):
-        counts = draw(alice_direction, ys, *stream)
-        return [_plug_in_mi(*row, batch_size) for row in counts.tolist()], counts
+        counts = draw(alice_direction, ys, *stream).tolist()
+        return [_plug_in_mi(*row, batch_size) for row in counts], counts
 
     return score
 
@@ -325,18 +327,18 @@ def resolve_sign(estimate: Direction, prior: HemispherePrior) -> tuple[Direction
     return estimate, True
 
 
-def _ring_candidates(center: Direction, half_angle: float) -> np.ndarray:
+def _ring_candidates(center: Direction, half_angle: float) -> list[tuple[float, float, float]]:
     """The center, then the RING_SIZE candidates at ``half_angle`` around it: one row each."""
     e1, e2 = _tangent_basis(center)
     (a1, a2, a3), (b1, b2, b3) = e1.tolist(), e2.tolist()
-    x, y, z = center.x, center.y, center.z
+    x, y, z = float(center.x), float(center.y), float(center.z)  # Python floats for any component type
     ch, sh = math.cos(half_angle), math.sin(half_angle)
     cx, cy, cz = ch * x, ch * y, ch * z
     # ch*c + sh*(cos_j*e1 + sin_j*e2) on Python floats, in the order numpy evaluates it over the ring
-    return np.array([(x, y, z)] + [
+    return [(x, y, z)] + [
         (cx + sh * (cj * a1 + sj * b1), cy + sh * (cj * a2 + sj * b2), cz + sh * (cj * a3 + sj * b3))
         for cj, sj in _RING_TRIG
-    ])
+    ]
 
 
 def _refine_search(start, score, rounds, initial_half_angle):
@@ -359,7 +361,7 @@ def _refine_search(start, score, rounds, initial_half_angle):
         scores, counts = score(candidates, _STREAM_REFINE, r)
         phases.append(((_STREAM_REFINE, r), candidates, scores, counts))
         best = max(range(len(scores)), key=scores.__getitem__)
-        current, best_score = Direction(*candidates[best].tolist()), scores[best]
+        current, best_score = Direction(*candidates[best]), scores[best]
         half_angle *= 0.5
     return current, best_score, phases
 
@@ -382,18 +384,18 @@ def refine(coarse_best: Direction, alice_direction: Direction, params: ProtocolP
 def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> TransferResult:
     """Full single-direction pipeline: layout, score, select, refine, resolve."""
     score = _make_scorer(alice_direction, params)
-    layout = _trial_layout(params.n_trials, params.prior, params.jitter_seed)
+    layout = list(zip(*_trial_layout(params.n_trials, params.prior, params.jitter_seed).T.tolist()))  # tuple rows
     scores, counts = score(layout, _STREAM_COARSE)
     best = max(range(len(scores)), key=scores.__getitem__)  # the first maximum, as select_best picks it
     refined, refined_score, rounds = _refine_search(
-        Direction(*layout[best].tolist()), score, params.refine_rounds, params.resolved_initial_half_angle(),
+        Direction(*layout[best]), score, params.refine_rounds, params.resolved_initial_half_angle(),
     )
-    phases = [((_STREAM_COARSE, 0), layout, scores, counts)] + rounds
-    rows = np.vstack([p[1] for p in phases])
-    all_scores, all_phases = [], []
-    for phase, _, phase_scores, _ in phases:
+    rows, all_scores, all_counts, all_phases = [], [], [], []
+    for phase, phase_rows, phase_scores, phase_counts in [((_STREAM_COARSE, 0), layout, scores, counts)] + rounds:
+        rows += phase_rows
         all_scores += phase_scores
-        all_phases += [phase] * len(phase_scores)
+        all_counts += phase_counts or ()
+        all_phases += [phase] * len(phase_rows)
     final, resolved = resolve_sign(refined, params.prior)
     return TransferResult(
         direction=final,
@@ -401,9 +403,9 @@ def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> Tr
         sign_resolved=resolved,
         singlets_used=0 if counts is None else len(rows) * params.batch_size,
         refine_evaluations=len(rows) - len(layout),
-        directions=tuple(map(tuple, rows.tolist())),
+        directions=tuple(rows),
         scores=tuple(all_scores),
-        counts=None if counts is None else tuple(map(tuple, np.vstack([p[3] for p in phases]).tolist())),
+        counts=None if counts is None else tuple(map(tuple, all_counts)),
         phases=tuple(all_phases),
     )
 

@@ -11,19 +11,22 @@ same sequence on any platform, and distinct stream ids give independent
 streams that may be consumed in any order.  ``joint_count_sampler`` draws
 the counts of many settings at once: one multinomial over k rows from one
 child stream.  A counter-based generator's whole state is its key and
-counter, so the sampler keeps one Philox and re-keys it before each draw
-to ``(seed, child stream id)`` with a zero counter; each draw is bit for
-bit the one ``config.child(...).generator()`` gives.
+counter, so each thread keeps one Philox, built on its first draw, and
+every draw re-keys it to ``(seed, child stream id)`` with a zero
+counter; each draw is bit for bit the one ``config.child(...).generator()``
+gives.
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UINT64_MAX, Direction, _checked_cos, _checked_int, _checked_outcomes, _cosines, cos_angle
+from .core import UINT64_MAX, Direction, _checked_cos, _checked_int, _checked_outcomes, _dots, _singlet_cells
+from .core import cos_angle
 
 __all__ = [
     "SamplerConfig",
@@ -35,9 +38,6 @@ __all__ = [
 ]
 
 GENERATOR_NAME = "philox4x64"
-
-# p(a, b) = (1 + s*c) / 4 with s = -a*b, for the cells (+,+), (+,-), (-,+), (-,-)
-_CELL_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 def _splitmix64(x: int) -> int:
@@ -171,36 +171,49 @@ def sample_joint_counts(
     (the two consume ``config``'s stream differently, so their values
     differ).  Deterministic in ``config``.
     """
-    return tuple(joint_count_sampler(batch_size, config)(x, y.as_array()[None])[0].tolist())
+    return tuple(joint_count_sampler(batch_size, config)(x, ((y.x, y.y, y.z),))[0].tolist())
+
+
+class _ThreadPhilox(threading.local):
+    """One Philox, its Generator and a state to re-key it with, built on a thread's first use."""
+
+    def __init__(self):
+        self.key = np.zeros(2, dtype=np.uint64)
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self.key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self.bit_generator = np.random.Philox(key=self.key)
+        self.generator = np.random.Generator(self.bit_generator)
+
+
+_THREAD_PHILOX = _ThreadPhilox()
 
 
 def joint_count_sampler(batch_size: int, config: SamplerConfig):
     """``draw(x, ys, *path)``: one (k, 4) int64 multinomial of the joint counts at x and each row of ``ys``.
 
-    The k rows are drawn in order from ``config.child(*path)``, so a one-row
-    draw is ``sample_joint_counts(x, y, batch_size, config.child(*path))``.
-    ``batch_size`` is checked once, and every draw re-keys the same Philox
-    to the state a Philox keyed ``(seed, child stream id)`` is built in:
-    zero counter, empty buffer.  Re-keying and drawing are two steps on
-    shared state, so build one sampler per thread.
+    The k rows (each (y.x, y.y, y.z), as Python floats or an array row) are
+    drawn in order from ``config.child(*path)``, so a one-row draw is
+    ``sample_joint_counts(x, y, batch_size, config.child(*path))``.
+    ``batch_size`` is checked once.  Every draw re-keys the calling
+    thread's Philox to the state a Philox keyed ``(seed, child stream id)``
+    is built in: zero counter, empty buffer.  Only a thread's first draw
+    builds a bit generator, and a sampler may be shared between threads.
     """
     _checked_int(batch_size, "batch_size", 1)
-    key = np.array((config.seed, config.stream_id), dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    bit_generator = np.random.Philox(key=key)
-    generator = np.random.Generator(bit_generator)
+    seed, stream_id = config.seed, config.stream_id
 
-    def draw(x: Direction, ys: np.ndarray, *path: int) -> np.ndarray:
-        pvals = (1.0 + np.multiply.outer(_cosines(x, ys), _CELL_SIGNS)) / 4.0
-        key[1] = _fold(config.stream_id, path)
-        bit_generator.state = state
-        return generator.multinomial(batch_size, pvals)
+    def draw(x: Direction, ys, *path: int) -> np.ndarray:
+        pvals = list(map(_singlet_cells, _dots(x, ys)))
+        philox = _THREAD_PHILOX
+        philox.key[0] = seed
+        philox.key[1] = _fold(stream_id, path)
+        philox.bit_generator.state = philox.state
+        return philox.generator.multinomial(batch_size, pvals)
 
     return draw

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -190,7 +192,9 @@ class TestGeometryBits:
                 for j in range(RING_SIZE):
                     az = 2.0 * math.pi * j / RING_SIZE
                     want.append(Direction(*(ch * d.as_array() + sh * (math.cos(az) * e1 + math.sin(az) * e2))))
-                rows = _ring_candidates(d, half_angle)
+                ring = _ring_candidates(d, half_angle)
+                assert all(type(row) is tuple for row in ring)
+                rows = np.array(ring)
                 assert rows.shape == (RING_SIZE + 1, 3) and rows[0].tobytes() == _bits(d)
                 assert [r.tobytes() for r in rows[1:]] == [_bits(w) for w in want]
 
@@ -210,8 +214,8 @@ class TestEvaluateTrial:
     @staticmethod
     def _score(truth, trial, batch, seed, stream=(_STREAM_COARSE, 0)):
         score = _make_scorer(truth, ProtocolParams(1, batch, 0, NO_PRIOR, config=SamplerConfig(seed)))
-        (mi,), counts = score(np.array([[trial.x, trial.y, trial.z]]), *stream)
-        return mi, counts.tolist()
+        (mi,), counts = score([(trial.x, trial.y, trial.z)], *stream)
+        return mi, counts
 
     def test_aligned_trial_scores_high(self):
         d = direction_from_polar(1.2, 0.5)
@@ -503,7 +507,8 @@ class TestTransferDirection:
     def test_one_philox_per_sampled_transfer(self, monkeypatch):
         # guards the fixed cost per evaluation: each of the 1 + refine_rounds
         # phases is one fold of its stream path and one multinomial, and all
-        # of them re-key one bit generator
+        # of them re-key the thread's one bit generator, which only the
+        # thread's first transfer may build; a fresh thread shows that build
         built, folds, draws = [], [], []
         philox, fold = np.random.Philox, sampler._fold
 
@@ -526,15 +531,50 @@ class TestTransferDirection:
         params = ProtocolParams(
             12, 300, 2, HemispherePrior.around(direction_from_polar(0.7, 0.5)), config=SamplerConfig(5), mode="sampled",
         )
-        res = transfer_direction(direction_from_polar(0.9, 0.2), params)
-        assert len(res.trials) + res.refine_evaluations == 30
-        assert len(draws) == len(folds) == 1 + params.refine_rounds
-        per_transfer = len(built)
+        per_transfer = 1 + params.refine_rounds
+
+        def counted_transfer(config):
+            res = transfer_direction(direction_from_polar(0.9, 0.2), replace(params, config=config))
+            return len(res.trials) + res.refine_evaluations, (len(built), len(draws), len(folds))
+
+        with ThreadPoolExecutor(max_workers=1) as pool:  # one new thread runs both transfers
+            evaluations, first = pool.submit(counted_transfer, SamplerConfig(5)).result(timeout=60)
+            _, second = pool.submit(counted_transfer, SamplerConfig(6)).result(timeout=60)
+        assert evaluations == 30
+        assert first[1] == first[2] == per_transfer and first[0] <= 1
+        assert second == (first[0], 2 * per_transfer, 2 * per_transfer)
         SamplerConfig(1).generator().multinomial(3, [0.5, 0.5])
         SamplerConfig(1).child(4)
         # the counters see every construction, draw and fold
-        assert (len(built), len(draws), len(folds)) == (per_transfer + 1, 4, 4)
-        assert per_transfer <= 1
+        assert (len(built), len(draws), len(folds)) == (first[0] + 1, 2 * per_transfer + 1, 2 * per_transfer + 1)
+
+    def test_concurrent_threads_give_the_serial_results(self):
+        # each thread re-keys its own Philox, so draws made at the same time cannot take each other's key
+        prior = HemispherePrior.around(direction_from_polar(0.7, 0.5))
+        frame = (Direction(1.0, 0.0, 0.0), Direction(0.0, 1.0, 0.0), Direction(0.0, 0.0, 1.0))
+
+        def directions():
+            return [
+                transfer_direction(direction_from_polar(0.2 + 0.1 * i, 0.3 * i),
+                                   ProtocolParams(12, 10**5, 3, prior, config=SamplerConfig(100 + i, i)))
+                for i in range(20)
+            ]
+
+        def frames():
+            return [transfer_frame(frame, ProtocolParams(8, 500, 2, NO_PRIOR, config=SamplerConfig(200 + i)))
+                    for i in range(20)]
+
+        serial = [directions(), frames()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            # two threads of each kind, all switching often
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                running = [pool.submit(work) for work in (directions, frames, directions, frames)]
+                concurrent = [f.result(timeout=120) for f in running]
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial * 2
 
     def test_result_rows_hold_every_evaluation(self):
         truth = direction_from_polar(0.9, 0.2)

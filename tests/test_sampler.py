@@ -184,13 +184,13 @@ class TestRunMeasurementBatch:
 
 
 class _FixedDot:
-    """Setting stand-in whose dot product with anything is ``value``."""
+    """Setting stand-in (value, 0, 0), which no Direction can hold: its dot product with X is ``value``."""
 
     def __init__(self, value):
-        self.value = value
+        self.x, self.y, self.z = value, 0.0, 0.0
 
     def dot(self, other):
-        return self.value
+        return self.x * other.x + self.y * other.y + self.z * other.z
 
 
 class TestSampleJointCounts:

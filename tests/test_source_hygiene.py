@@ -1,10 +1,14 @@
-"""Every name the package imports is used by the module that imports it.
+"""Every name the package imports is used by the module that imports it,
+and every private name a module defines is read somewhere in the package.
 
-No linter ships with the test dependencies, so this is pyflakes' F401
+No linter ships with the test dependencies, so the first is pyflakes' F401
 rule in a few lines of ``ast``: an import binds a name, and some
 expression of the module (or its ``__all__``) must read it.  ``from
 __future__`` imports, ``*`` imports and import statements carrying
-``# noqa: F401`` are exempt.
+``# noqa: F401`` are exempt.  The second is a dead-code rule: a function,
+class or assignment at module level whose name starts with ``_`` (dunder
+names aside) must be read by some expression, attribute access or
+``from`` import of the package.
 """
 
 import ast
@@ -35,6 +39,56 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
     return [f"line {lineno}: {name}" for lineno, name in sorted(bound) if name not in used]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each module-level private name of ``sources`` (module name -> source) read nowhere."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{module}: {name}" for name in defined
+                if name.startswith("_") and not name.endswith("__") and name not in read
+            ]
+    return unread
+
+
+def test_no_unread_private_names():
+    assert unread_private_names({path.stem: path.read_text(encoding="utf-8") for path in SOURCES}) == []
+
+
+@pytest.mark.parametrize(
+    "sources, unread",
+    [
+        pytest.param({"a": "def _f():\n    pass\n"}, ["a: _f"], id="function"),
+        pytest.param({"a": "class _C:\n    pass\n_C()\n"}, [], id="read-in-module"),
+        pytest.param({"a": "_X = 1\n", "b": "from .a import _X\n"}, [], id="imported"),
+        pytest.param({"a": "_X = 1\n", "b": "import a\na._X\n"}, [], id="attribute"),
+        pytest.param({"a": "_X, _Y = 1, 2\n_Y\n"}, ["a: _X"], id="tuple-target"),
+        pytest.param({"a": "_T: int = 1\n"}, ["a: _T"], id="annotated"),
+        pytest.param({"a": "__all__ = []\nPUBLIC = 1\n"}, [], id="dunder-and-public"),
+        pytest.param({"a": "def f():\n    _local = 1\n    return 2\n"}, [], id="not-module-level"),
+    ],
+)
+def test_dead_code_rule_on_small_sources(sources, unread):
+    assert unread_private_names(sources) == unread
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

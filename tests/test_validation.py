@@ -177,6 +177,28 @@ def test_direction_from_polar_rejects_non_finite_angles(which, bad):
         core.direction_from_polar(**angles)
 
 
+
+# every entry point that takes a float argument, each given the int ``v``
+FLOAT_ENTRY_POINTS = [
+    ("direction_from_polar", core.DomainError, lambda v: core.direction_from_polar(v, 0.0)),
+    ("Direction", core.DomainError, lambda v: Direction(v, 0.0, 0.0)),
+    ("cos_angle", core.DomainError, lambda v: core.cos_angle(Direction(0.0, v, 1.0), Z)),
+    ("singlet_joint_distribution", core.DomainError, lambda v: core.singlet_joint_distribution(v)),
+    ("JointDistribution2x2", core.DistributionError, lambda v: core.JointDistribution2x2(v, 0.0, 0.0, 0.0)),
+    ("analytic_mutual_information", core.DomainError, lambda v: core.analytic_mutual_information(v)),
+    ("posterior_density", core.DomainError, lambda v: bayes.posterior_density(v, SignTally(3, 4))),
+    ("posterior_theta_density", core.DomainError, lambda v: bayes.posterior_theta_density(v, SignTally(3, 4))),
+    ("log_likelihood", core.DomainError, lambda v: bayes.log_likelihood(SignTally(3, 4), v)),
+]
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["+10**400", "-10**400"])
+@pytest.mark.parametrize("error, call", [e[1:] for e in FLOAT_ENTRY_POINTS], ids=[e[0] for e in FLOAT_ENTRY_POINTS])
+def test_int_too_large_for_a_float_is_a_domain_error(error, call, value):
+    # float(10**400) raises OverflowError, which is not a ValueError
+    with pytest.raises(error):
+        call(value)
+
 class TestPublicNames:
     MODULES = (core, sampler, estimator, protocol, bayes)
 
