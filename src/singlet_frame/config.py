@@ -8,7 +8,9 @@ or "sampled"), exactly one of ``alice_direction`` / ``alice_frame``
 ``orthonormalize`` (frame runs only), ``out``.
 
 Angles: {"theta": t, "phi": p}.  Prior: {"enabled": bool, "pole": angle}
-or, for frame runs, {"enabled": bool, "poles": [angle, angle, angle]}.
+or, for frame runs, {"enabled": bool, "poles": [angle, angle, angle]}.  A
+disabled prior's pole or poles are checked like an enabled one's, then
+dropped.
 
 ``canonical_dict`` materializes defaults; parsing its output yields an
 equal config (round-trip stability).
@@ -40,8 +42,7 @@ class ExperimentConfig:
     trials: int
     batch: int
     refine_rounds: int
-    prior_enabled: bool
-    prior_poles: tuple[tuple[float, float], ...] | None
+    prior_poles: tuple[tuple[float, float], ...] | None  # None: the prior is disabled
     seed: int | None
     stream: int
     jitter_seed: int | None
@@ -61,8 +62,8 @@ class ExperimentConfig:
     def priors(self) -> tuple[HemispherePrior, ...]:
         """One prior per target axis (a single one for direction runs)."""
         n = 3 if self.is_frame else 1
-        if not self.prior_enabled:
-            return tuple(HemispherePrior.none() for _ in range(n))
+        if self.prior_poles is None:
+            return (HemispherePrior.none(),) * n
         poles = self.prior_poles
         if len(poles) == 1:
             poles = poles * n
@@ -145,7 +146,6 @@ def parse_config(data) -> ExperimentConfig:
     batch = _field(_checked_int, data["batch"], "batch", 1)
     refine_rounds = _field(_checked_int, data.get("refine_rounds", 3), "refine_rounds")
 
-    prior_enabled = False
     prior_poles = None
     if "prior" in data:
         prior = data["prior"]
@@ -154,21 +154,22 @@ def parse_config(data) -> ExperimentConfig:
         unknown = sorted(set(prior) - {"enabled", "pole", "poles"})
         if unknown:
             raise ConfigError(f"field 'prior.{unknown[0]}': unknown key")
-        prior_enabled = _bool(prior.get("enabled", False), "prior.enabled")
+        enabled = _bool(prior.get("enabled", False), "prior.enabled")
         if "pole" in prior and "poles" in prior:
             raise ConfigError("field 'prior.pole': give either 'pole' or 'poles', not both")
-        if prior_enabled:
-            if "pole" in prior:
-                prior_poles = (_angle_pair(prior["pole"], "prior.pole"),)
-            elif "poles" in prior:
-                raw = prior["poles"]
-                if not isinstance(raw, list) or len(raw) != 3:
-                    raise ConfigError("field 'prior.poles': must be a list of three angle pairs")
-                prior_poles = tuple(_angle_pair(v, f"prior.poles[{i}]") for i, v in enumerate(raw))
-                if not has_frame:
-                    raise ConfigError("field 'prior.poles': only valid with 'alice_frame'")
-            else:
-                raise ConfigError("field 'prior.pole': required when the prior is enabled")
+        if "pole" in prior:
+            prior_poles = (_angle_pair(prior["pole"], "prior.pole"),)
+        elif "poles" in prior:
+            raw = prior["poles"]
+            if not isinstance(raw, list) or len(raw) != 3:
+                raise ConfigError("field 'prior.poles': must be a list of three angle pairs")
+            prior_poles = tuple(_angle_pair(v, f"prior.poles[{i}]") for i, v in enumerate(raw))
+            if not has_frame:
+                raise ConfigError("field 'prior.poles': only valid with 'alice_frame'")
+        elif enabled:
+            raise ConfigError("field 'prior.pole': required when the prior is enabled")
+        if not enabled:  # checked above, then dropped
+            prior_poles = None
 
     seed = data.get("seed")
     if seed is not None:
@@ -192,7 +193,7 @@ def parse_config(data) -> ExperimentConfig:
 
     # every local above is named as its field, in field order
     return ExperimentConfig(
-        mode, alice_direction, alice_frame, trials, batch, refine_rounds, prior_enabled, prior_poles,
+        mode, alice_direction, alice_frame, trials, batch, refine_rounds, prior_poles,
         seed, stream, jitter_seed, orthonormalize, out,
     )
 
@@ -223,7 +224,7 @@ def canonical_dict(cfg: ExperimentConfig) -> dict:
     out["trials"] = cfg.trials
     out["batch"] = cfg.batch
     out["refine_rounds"] = cfg.refine_rounds
-    prior: dict = {"enabled": cfg.prior_enabled}
+    prior: dict = {"enabled": cfg.prior_poles is not None}
     if cfg.prior_poles is not None:
         if len(cfg.prior_poles) == 1:
             prior["pole"] = _angle_dict(cfg.prior_poles[0])

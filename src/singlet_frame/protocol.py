@@ -19,7 +19,6 @@ direction's (x, y, z) as a tuple of Python floats.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -29,7 +28,7 @@ from .core import UINT64_MAX, Direction, _check_orthonormal, _checked_int, _dots
 from .core import analytic_mutual_information
 # tally and run_measurement_batch stay bound for perfbench's tracer, which wraps them by name
 from .estimator import CountTable, estimate_mutual_information, tally  # noqa: F401
-from .sampler import SamplerConfig, joint_count_sampler, run_measurement_batch  # noqa: F401
+from .sampler import SamplerConfig, _keyed_generator, joint_count_sampler, run_measurement_batch  # noqa: F401
 
 __all__ = [
     "HemispherePrior",
@@ -38,13 +37,9 @@ __all__ = [
     "TransferResult",
     "FrameEstimate",
     "generate_trial_directions",
-    "select_best",
-    "refine",
     "resolve_sign",
     "transfer_direction",
     "transfer_frame",
-    "default_initial_half_angle",
-    "refinement_resolution",
 ]
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -68,24 +63,25 @@ class HemispherePrior:
     """Side information restricting the unknown direction to dot(v, pole) >= 0; ``pole`` is a Direction or None."""
 
     pole: Direction | None
-    enabled: bool
 
     def __post_init__(self):
         if self.pole is not None and not isinstance(self.pole, Direction):
             raise ValueError(f"pole must be a Direction or None, got {self.pole!r}")
-        if self.enabled and self.pole is None:
-            raise ValueError("an enabled hemisphere prior needs a pole")
+
+    @property
+    def enabled(self) -> bool:
+        return self.pole is not None
 
     @classmethod
     def around(cls, pole: Direction) -> "HemispherePrior":
-        return cls(pole=pole, enabled=True)
+        return cls(pole)
 
     @classmethod
     def none(cls) -> "HemispherePrior":
-        return cls(pole=None, enabled=False)
+        return cls(None)
 
     def contains(self, d: Direction) -> bool:
-        return (not self.enabled) or self.pole.dot(d) >= 0.0
+        return self.pole is None or self.pole.dot(d) >= 0.0
 
 
 @dataclass(frozen=True)
@@ -113,9 +109,7 @@ class ProtocolParams:
     ``n_trials`` coarse directions, ``batch_size`` pairs per evaluation,
     ``refine_rounds`` shrinking-cap rounds.  ``prior`` is a
     ``HemispherePrior``.  ``config`` may be None in exact mode.
-    ``jitter_seed`` is None or a uint64.  ``initial_half_angle`` must be
-    a positive int or float no larger than the largest float, not a
-    bool; it defaults to a cap covering the coarse layout's worst gap.
+    ``jitter_seed`` is None or a uint64.
     """
 
     n_trials: int
@@ -125,7 +119,6 @@ class ProtocolParams:
     config: SamplerConfig | None = None
     mode: str = "sampled"
     jitter_seed: int | None = None
-    initial_half_angle: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("sampled", "exact"):
@@ -137,19 +130,16 @@ class ProtocolParams:
         _checked_int(self.refine_rounds, "refine_rounds")
         if self.jitter_seed is not None:
             _checked_int(self.jitter_seed, "jitter_seed", 0, UINT64_MAX)
-        angle = self.initial_half_angle
-        real = isinstance(angle, (int, float)) and not isinstance(angle, bool)
-        if angle is not None and not (real and 0.0 < angle <= sys.float_info.max):  # an int compares exactly
-            raise ValueError(f"initial_half_angle must be a finite angle > 0, got {angle!r}")
         if self.mode == "sampled" and self.config is None:
             raise ValueError("sampled mode requires a sampler config")
 
-    def resolved_initial_half_angle(self) -> float:
-        return self.initial_half_angle or default_initial_half_angle(self.n_trials, self.prior.enabled)
+    def initial_half_angle(self) -> float:
+        """Half-angle of the first refinement cap, covering the worst-case gap of the coarse layout."""
+        return 1.5 * math.sqrt((2.0 if self.prior.enabled else 4.0) / self.n_trials)
 
     def resolution(self) -> float:
-        """Half-angle of the last refinement cap (the nominal final accuracy)."""
-        return refinement_resolution(self.resolved_initial_half_angle(), self.refine_rounds)
+        """Half-angle of the last refinement cap (the nominal final accuracy): the cap halves each round."""
+        return self.initial_half_angle() * 0.5 ** max(self.refine_rounds - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -199,16 +189,6 @@ class FrameEstimate:
     def __post_init__(self):
         if self.orthonormalized:
             _check_orthonormal(self.axes, "FrameEstimate.axes")
-
-
-def default_initial_half_angle(n_trials: int, hemisphere: bool) -> float:
-    """Cap half-angle covering the worst-case gap of the coarse layout."""
-    return 1.5 * math.sqrt((2.0 if hemisphere else 4.0) / n_trials)
-
-
-def refinement_resolution(initial_half_angle: float, rounds: int) -> float:
-    """Half-angle of the last evaluated cap: halves each round."""
-    return initial_half_angle * 0.5 ** max(rounds - 1, 0)
 
 
 def _cross(a, b) -> tuple[float, float, float]:
@@ -272,7 +252,7 @@ def _trial_layout(count: int, prior: HemispherePrior, jitter_seed: int | None) -
         points = local
 
     if jitter_seed is not None:
-        rng = SamplerConfig(jitter_seed, _JITTER_STREAM).generator()  # checks the seed is a uint64
+        rng = _keyed_generator(_checked_int(jitter_seed, "jitter_seed", 0, UINT64_MAX), _JITTER_STREAM)
         sigma = 0.5 * math.sqrt((2.0 if prior.enabled else 4.0) / count)
         noise = sigma * rng.normal(size=(count, 3))
         if prior.enabled:
@@ -310,17 +290,9 @@ def _make_scorer(alice_direction: Direction, params: ProtocolParams):
     return score
 
 
-def select_best(trials: list[TrialRecord] | tuple[TrialRecord, ...]) -> tuple[Direction, float]:
-    """Direction of the maximal estimate; ties go to the lowest trial index."""
-    if not trials:
-        raise ValueError("cannot select from an empty trial list")
-    best = max(trials, key=lambda t: (t.mi_estimate, -t.trial_index))
-    return best.direction, best.mi_estimate
-
-
 def resolve_sign(estimate: Direction, prior: HemispherePrior) -> tuple[Direction, bool]:
     """Flip the estimate into the prior hemisphere; no-op without a prior."""
-    if not prior.enabled:
+    if prior.pole is None:
         return estimate, False
     if prior.pole.dot(estimate) < 0.0:
         return -estimate, True
@@ -341,72 +313,47 @@ def _ring_candidates(center: Direction, half_angle: float) -> list[tuple[float, 
     ]
 
 
-def _refine_search(start, score, rounds, initial_half_angle):
-    """Shrinking-cap ring search; returns (direction, score, phases).
-
-    The objective is even under negation, so the search ignores any prior
-    and tracks the direction up to sign; callers map the result into the
-    prior hemisphere with ``resolve_sign``.  Restricting candidates instead
-    would trap the search at the hemisphere boundary whenever the target
-    sits near the equator and the climb approaches its antipode.
-
-    ``score`` comes from ``_make_scorer``; round r scores its 9 rows on
-    stream (_STREAM_REFINE, r) and adds ``(phase, rows, scores, counts)`` to
-    ``phases``.  Score is None when rounds == 0.
-    """
-    current, best_score, phases = start, None, []
-    half_angle = initial_half_angle
-    for r in range(rounds):
-        candidates = _ring_candidates(current, half_angle)
-        scores, counts = score(candidates, _STREAM_REFINE, r)
-        phases.append(((_STREAM_REFINE, r), candidates, scores, counts))
-        best = max(range(len(scores)), key=scores.__getitem__)
-        current, best_score = Direction(*candidates[best]), scores[best]
-        half_angle *= 0.5
-    return current, best_score, phases
-
-
-def refine(coarse_best: Direction, alice_direction: Direction, params: ProtocolParams) -> Direction:
-    """Sharpen a coarse maximum with the shrinking-cap ring search ``transfer_direction`` runs.
-
-    Each of ``params.refine_rounds`` rounds scores the current best plus a
-    ring of 8 candidates at the cap half-angle, keeps the argmax, and
-    halves the cap, starting from ``params.resolved_initial_half_angle()``.
-    rounds=0 returns the input unchanged.  Candidates may leave an enabled
-    prior hemisphere mid-search (scores are even under negation); the
-    returned direction always lies inside it.
-    """
-    score = _make_scorer(alice_direction, params)
-    direction, _, _ = _refine_search(coarse_best, score, params.refine_rounds, params.resolved_initial_half_angle())
-    return resolve_sign(direction, params.prior)[0]
-
-
 def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> TransferResult:
-    """Full single-direction pipeline: layout, score, select, refine, resolve."""
+    """Full single-direction pipeline: layout, score, select, refine, resolve.
+
+    Each phase keeps its first maximum.  Refinement round r scores that
+    direction and a ring of RING_SIZE candidates around it on stream
+    (_STREAM_REFINE, r), at a cap half-angle that starts at
+    ``params.initial_half_angle()`` and halves each round.  The objective
+    is even under negation, so the search ignores any prior and tracks
+    the direction up to sign until ``resolve_sign`` maps it into the prior
+    hemisphere; restricting candidates instead would trap the search at
+    the hemisphere boundary whenever the target sits near the equator.
+    """
     score = _make_scorer(alice_direction, params)
     layout = list(zip(*_trial_layout(params.n_trials, params.prior, params.jitter_seed).T.tolist()))  # tuple rows
     scores, counts = score(layout, _STREAM_COARSE)
-    best = max(range(len(scores)), key=scores.__getitem__)  # the first maximum, as select_best picks it
-    refined, refined_score, rounds = _refine_search(
-        Direction(*layout[best]), score, params.refine_rounds, params.resolved_initial_half_angle(),
-    )
-    rows, all_scores, all_counts, all_phases = [], [], [], []
-    for phase, phase_rows, phase_scores, phase_counts in [((_STREAM_COARSE, 0), layout, scores, counts)] + rounds:
-        rows += phase_rows
-        all_scores += phase_scores
-        all_counts += phase_counts or ()
-        all_phases += [phase] * len(phase_rows)
-    final, resolved = resolve_sign(refined, params.prior)
+    rows, all_scores, all_counts, phases = list(layout), list(scores), counts, [(_STREAM_COARSE, 0)] * len(layout)
+    best = max(range(len(scores)), key=scores.__getitem__)
+    direction, mi_score = Direction(*layout[best]), scores[best]
+    half_angle = params.initial_half_angle()
+    for r in range(params.refine_rounds):
+        ring = _ring_candidates(direction, half_angle)
+        scores, counts = score(ring, _STREAM_REFINE, r)
+        best = max(range(len(scores)), key=scores.__getitem__)
+        direction, mi_score = Direction(*ring[best]), scores[best]
+        rows += ring
+        all_scores += scores
+        phases += [(_STREAM_REFINE, r)] * len(ring)
+        if all_counts is not None:
+            all_counts += counts
+        half_angle *= 0.5
+    final, resolved = resolve_sign(direction, params.prior)
     return TransferResult(
         direction=final,
-        mi_score=scores[best] if refined_score is None else refined_score,
+        mi_score=mi_score,
         sign_resolved=resolved,
-        singlets_used=0 if counts is None else len(rows) * params.batch_size,
+        singlets_used=0 if all_counts is None else len(rows) * params.batch_size,
         refine_evaluations=len(rows) - len(layout),
         directions=tuple(rows),
         scores=tuple(all_scores),
-        counts=None if counts is None else tuple(map(tuple, all_counts)),
-        phases=tuple(all_phases),
+        counts=None if all_counts is None else tuple(map(tuple, all_counts)),
+        phases=tuple(phases),
     )
 
 
@@ -421,7 +368,9 @@ def transfer_frame(
     Each axis gets its own derived random stream.  ``priors`` overrides
     the shared prior per axis (an orthonormal frame usually needs one
     pole per axis).  With ``orthonormalize`` the three estimates are
-    projected to the nearest orthonormal triad.
+    projected to the nearest orthonormal triad, and each projected axis
+    is then put back in its prior hemisphere: the paper fixes each axis
+    only up to inversion, so the triad's handedness may be -1.
     """
     _check_orthonormal(alice_frame, "alice_frame")
     if priors is not None and len(priors) != 3:
@@ -438,7 +387,8 @@ def transfer_frame(
     axes = tuple(r.direction for r in results)
     if orthonormalize:  # the closest orthonormal matrix in Frobenius norm (polar factor)
         u, _, vt = np.linalg.svd(np.vstack([a.as_array() for a in axes]))
-        axes = tuple(Direction(*row) for row in u @ vt)
+        # negating a row keeps the matrix orthogonal
+        axes = tuple(resolve_sign(Direction(*row), prior)[0] for row, prior in zip(u @ vt, priors))
 
     return FrameEstimate(
         axes=axes,

@@ -194,6 +194,15 @@ class _ThreadPhilox(threading.local):
 _THREAD_PHILOX = _ThreadPhilox()
 
 
+def _keyed_generator(seed: int, stream_id: int) -> np.random.Generator:
+    """The thread's generator, in the state ``SamplerConfig(seed, stream_id).generator()`` starts in."""
+    philox = _THREAD_PHILOX
+    philox.key[0] = seed
+    philox.key[1] = stream_id
+    philox.bit_generator.state = philox.state
+    return philox.generator  # shared by the thread's draws: use it before the next re-key
+
+
 def joint_count_sampler(batch_size: int, config: SamplerConfig):
     """``draw(x, ys, *path)``: one (k, 4) int64 multinomial of the joint counts at x and each row of ``ys``.
 
@@ -210,10 +219,6 @@ def joint_count_sampler(batch_size: int, config: SamplerConfig):
 
     def draw(x: Direction, ys, *path: int) -> np.ndarray:
         pvals = list(map(_singlet_cells, _dots(x, ys)))
-        philox = _THREAD_PHILOX
-        philox.key[0] = seed
-        philox.key[1] = _fold(stream_id, path)
-        philox.bit_generator.state = philox.state
-        return philox.generator.multinomial(batch_size, pvals)
+        return _keyed_generator(seed, _fold(stream_id, path)).multinomial(batch_size, pvals)
 
     return draw

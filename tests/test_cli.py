@@ -351,9 +351,7 @@ class TestRunCommand:
         assert _run(["run", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["result"]["kind"] == "direction"
-        from singlet_frame import default_initial_half_angle, refinement_resolution
-
-        resolution = refinement_resolution(default_initial_half_angle(50, True), 6)
+        resolution = parse_config(json.loads(cfg.read_text())).protocol_params().resolution()
         assert report["result"]["error"]["angle_to_truth_rad"] <= resolution
         assert report["budget"]["singlets_used"] == 0
         assert report["config"]["mode"] == "exact"

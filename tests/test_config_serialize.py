@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import first_difference
-from singlet_frame import Direction, OutcomeRecord, SamplerConfig, direction_from_polar, run_measurement_batch
+from singlet_frame import (
+    Direction, HemispherePrior, OutcomeRecord, SamplerConfig, direction_from_polar, run_measurement_batch,
+)
 from singlet_frame.config import ConfigError, canonical_dict, load_config, parse_config
 from singlet_frame.serialize import (
     ParseError,
@@ -346,7 +348,7 @@ class TestParseConfig:
         assert cfg.alice_direction == (1.5, 2.1)
         assert cfg.refine_rounds == 3  # default
         assert cfg.stream == 0
-        assert not cfg.prior_enabled
+        assert cfg.prior_poles is None and cfg.priors() == (HemispherePrior.none(),)
 
     def test_exact_mode_needs_no_seed(self):
         data = _minimal(mode="exact")
@@ -394,12 +396,13 @@ class TestParseConfig:
 
     def test_prior_pole_parsed(self):
         cfg = parse_config(_minimal(prior={"enabled": True, "pole": {"theta": 0.5, "phi": 0.1}}))
-        assert cfg.prior_enabled and cfg.prior_poles == ((0.5, 0.1),)
-        priors = cfg.priors()
-        assert len(priors) == 1 and priors[0].enabled
+        assert cfg.prior_poles == ((0.5, 0.1),)
+        assert cfg.priors() == (HemispherePrior.around(direction_from_polar(0.5, 0.1)),)
 
-    def test_poles_only_for_frames(self):
-        bad = _minimal(prior={"enabled": True, "poles": [{"theta": 0.0, "phi": 0.0}] * 3})
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_poles_only_for_frames(self, enabled):
+        # a disabled prior's poles are checked as an enabled one's are, then dropped
+        bad = _minimal(prior={"enabled": enabled, "poles": [{"theta": 0.0, "phi": 0.0}] * 3})
         with pytest.raises(ConfigError, match="'prior.poles'"):
             parse_config(bad)
 
@@ -431,22 +434,32 @@ class TestParseConfig:
         cfg = parse_config(data)
         assert cfg.is_frame and len(cfg.priors()) == 3
 
-    def test_bad_angle_field_named(self):
-        with pytest.raises(ConfigError, match="alice_direction.theta"):
-            parse_config(_minimal(alice_direction={"theta": "x", "phi": 0.0}))
+    @pytest.mark.parametrize("overrides, field", [
+        pytest.param({"alice_direction": {"theta": "x", "phi": 0.0}}, "alice_direction.theta", id="alice_direction"),
+        pytest.param({"prior": {"enabled": False, "pole": "garbage"}}, "prior.pole", id="disabled-prior-pole"),
+    ])
+    def test_bad_angle_field_named(self, overrides, field):
+        with pytest.raises(ConfigError, match=re.escape(f"field '{field}'")):
+            parse_config(_minimal(**overrides))
 
-    # each angle field of a config, and the angle pair that holds it
-    ANGLE_PAIRS = {
-        "alice_direction.theta": lambda data: data["alice_direction"],
-        "alice_direction.phi": lambda data: data["alice_direction"],
-        "alice_frame[1].theta": lambda data: data["alice_frame"][1],
-        "prior.pole.phi": lambda data: data["prior"]["pole"],
-        "prior.poles[2].phi": lambda data: data["prior"]["poles"][2],
-    }
+    # each angle field of a config, the angle pair that holds it, and the
+    # prior's "enabled" value (None: no such key, so disabled)
+    ANGLE_PAIRS = [
+        pytest.param(field, pair, enabled, id=field + {True: "", False: "-disabled", None: "-enabled-absent"}[enabled])
+        for field, pair, enabled in [
+            ("alice_direction.theta", lambda data: data["alice_direction"], True),
+            ("alice_direction.phi", lambda data: data["alice_direction"], True),
+            ("alice_frame[1].theta", lambda data: data["alice_frame"][1], True),
+            ("prior.pole.phi", lambda data: data["prior"]["pole"], True),
+            ("prior.poles[2].phi", lambda data: data["prior"]["poles"][2], True),
+            ("prior.pole.theta", lambda data: data["prior"]["pole"], None),
+            ("prior.poles[2].phi", lambda data: data["prior"]["poles"][2], False),
+        ]
+    ]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -(10**400)], ids=["nan", "inf", "int-too-large"])
-    @pytest.mark.parametrize("field", ANGLE_PAIRS)
-    def test_non_finite_angle_field_named(self, field, value):
+    @pytest.mark.parametrize("field, pair, enabled", ANGLE_PAIRS)
+    def test_non_finite_angle_field_named(self, field, pair, enabled, value):
         # every angle pair of a config passes one rule; an int too large for a float
         # compares below math.inf, so it must fail the rule as NaN and inf do
         frame = [
@@ -459,7 +472,10 @@ class TestParseConfig:
             del data["alice_direction"]
             data["alice_frame"] = frame
             data["prior"] = {"enabled": True, "poles": [dict(pair) for pair in frame]}
-        self.ANGLE_PAIRS[field](data)[field.rsplit(".", 1)[1]] = value
+        data["prior"]["enabled"] = enabled
+        if enabled is None:
+            del data["prior"]["enabled"]
+        pair(data)[field.rsplit(".", 1)[1]] = value
         with pytest.raises(ConfigError, match=re.escape(f"field '{field}': must be a finite number")):
             parse_config(data)
 
@@ -477,6 +493,9 @@ class TestCanonicalForm:
         ):
             cfg = parse_config(data)
             assert parse_config(canonical_dict(cfg)) == cfg
+        # a disabled prior's pole is checked, then dropped
+        disabled = parse_config(_minimal(prior={"enabled": False, "pole": {"theta": 0.4, "phi": 0.2}}))
+        assert canonical_dict(disabled) == canonical_dict(parse_config(_minimal()))
 
     def test_canonical_is_json_stable(self):
         cfg = parse_config(_minimal())

@@ -1,4 +1,6 @@
-"""Property tests of the joint-count sampler, the count table, refine, the cosine, the record CSV and the JSON writer."""
+"""Property tests of the joint-count sampler, the count table, the transfer search, the cosine,
+the record CSV and the JSON writer.
+"""
 
 import json
 import math
@@ -19,9 +21,8 @@ from singlet_frame import (
     cos_angle,
     estimate_mutual_information,
     joint_count_sampler,
-    refine,
+    resolve_sign,
     sample_joint_counts,
-    select_best,
     transfer_direction,
 )
 from singlet_frame.core import _plug_in_mi
@@ -127,11 +128,18 @@ def test_count_table_dict_form(counts):
     config=configs,
     jitter_seed=st.none() | st.integers(min_value=0, max_value=2**64 - 1),
 )
-def test_refine_repeats_the_transfer_search(truth, pole, n_trials, batch, rounds, config, jitter_seed):
+def test_transfer_search_follows_each_phase_first_maximum(truth, pole, n_trials, batch, rounds, config, jitter_seed):
     prior = HemispherePrior.none() if pole is None else HemispherePrior.around(pole)
     params = ProtocolParams(n_trials, batch, rounds, prior, config=config, jitter_seed=jitter_seed)
     res = transfer_direction(truth, params)
-    assert refine(select_best(res.trials)[0], truth, params) == res.direction
+    starts = [i for i, phase in enumerate(res.phases) if i == 0 or phase != res.phases[i - 1]] + [len(res.phases)]
+    assert len(starts) == rounds + 2
+    for start, end in zip(starts, starts[1:]):
+        best = max(range(start, end), key=lambda i: (res.scores[i], -i))
+        if end < len(res.directions):  # the next round is centered on this phase's first maximum
+            assert res.directions[end] == res.directions[best]
+    assert res.mi_score == res.scores[best]
+    assert (res.direction, res.sign_resolved) == resolve_sign(Direction(*res.directions[best]), prior)
 
 
 paths = st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=4).map(tuple)

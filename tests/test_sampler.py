@@ -18,6 +18,7 @@ from singlet_frame import (
     singlet_joint_distribution,
     tally,
 )
+from singlet_frame.sampler import _keyed_generator
 
 Z = Direction(0.0, 0.0, 1.0)
 X = Direction(1.0, 0.0, 0.0)
@@ -66,6 +67,16 @@ class TestSamplerConfig:
         for seed, stream in ((2**64 - 1, 2**63 + 1), (2**63 - 1, 2**63), (5, 2**64 - 2)):
             key = SamplerConfig(seed, stream).generator().bit_generator.state["state"]["key"]
             assert key.tolist() == [seed, stream]
+
+    def test_rekeyed_thread_generator_restarts_the_fresh_stream(self):
+        # the re-key also drops what an earlier draw left buffered: a part-used
+        # Philox block and a spare 32-bit half
+        for seed, stream in ((0, 0), (7, 2**63), (2**64 - 1, 5)):
+            want = SamplerConfig(seed, stream).generator().normal(size=7)
+            used = _keyed_generator(1, 2)
+            used.random(3)
+            used.integers(0, 10, dtype=np.uint32)
+            assert _keyed_generator(seed, stream).normal(size=7).tobytes() == want.tobytes()
 
 
 class TestSampleOutcomePair:

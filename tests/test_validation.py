@@ -86,33 +86,12 @@ def test_integer_rule_accepts_bounds(name, low, high, build):
         build(high)
 
 
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 0.0, -0.1])
-def test_initial_half_angle_checked_at_construction(angle):
-    with pytest.raises(ValueError, match="initial_half_angle"):
-        _params(initial_half_angle=angle)
-
-
-def test_initial_half_angle_too_large_for_a_float_rejected():
-    # 10**400 compares below math.inf, and float() of it raises OverflowError inside transfer_direction
-    with pytest.raises(ValueError, match="initial_half_angle must be a finite angle > 0"):
-        _params(initial_half_angle=10**400)
-
-
-@pytest.mark.parametrize("angle", [True, False])
-def test_initial_half_angle_rejects_bools(angle):
-    # True would otherwise pass as 1 rad and come back from resolved_initial_half_angle() as True
-    with pytest.raises(ValueError, match="initial_half_angle"):
-        _params(initial_half_angle=angle)
-
-
 @pytest.mark.parametrize("pole", [(0, 0, 1), np.array([0.0, 0.0, 1.0]), "z"], ids=["tuple", "array", "str"])
-@pytest.mark.parametrize("enabled", [True, False])
-def test_hemisphere_prior_pole_must_be_a_direction(pole, enabled):
-    # an enabled prior with a tuple pole used to fail only inside transfer_direction
+def test_hemisphere_prior_pole_must_be_a_direction(pole):
+    # a prior with a tuple pole used to fail only inside transfer_direction
     with pytest.raises(ValueError, match="pole"):
-        HemispherePrior(pole=pole, enabled=enabled)
-    HemispherePrior(pole=Z, enabled=enabled)
-    HemispherePrior(pole=None, enabled=False)
+        HemispherePrior(pole)
+    assert HemispherePrior(Z).enabled and not HemispherePrior(None).enabled
 
 
 @pytest.mark.parametrize("prior", [None, Z], ids=["None", "Direction"])
@@ -208,7 +187,18 @@ class TestPublicNames:
     def test_union_of_module_lists(self):
         union = {"__version__"}.union(*(m.__all__ for m in self.MODULES))
         assert set(singlet_frame.__all__) == union
-        assert len(union) == 44
+        # the whole list, so an added or re-added name shows in review
+        assert sorted(union) == [
+            "CountTable", "Direction", "DistributionError", "DomainError", "FrameEstimate", "HemispherePrior",
+            "JointDistribution2x2", "OutcomeRecord", "PosteriorSummary", "ProtocolParams", "SamplerConfig",
+            "SignTally", "TransferResult", "TrialRecord", "__version__", "analytic_mutual_information",
+            "conditional_direction_density", "cos_angle", "credible_interval", "direction_from_polar",
+            "estimate_mutual_information", "generate_trial_directions", "joint_count_sampler", "log_likelihood",
+            "log_normalization_d", "mutual_information_from_joint", "posterior_density", "posterior_peak",
+            "posterior_summary", "posterior_theta_density", "resolve_sign", "run_measurement_batch",
+            "sample_joint_counts", "sample_outcome_pair", "sign_tally", "sign_tally_from_arrays",
+            "singlet_joint_distribution", "tally", "transfer_direction", "transfer_frame",
+        ]
 
     def test_names_resolve_to_module_objects(self):
         for module in self.MODULES:
