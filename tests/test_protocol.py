@@ -24,7 +24,7 @@ from singlet_frame import (
     transfer_direction,
     transfer_frame,
 )
-from singlet_frame import sampler
+from singlet_frame import protocol, sampler
 from singlet_frame.protocol import (
     RING_SIZE,
     _STREAM_COARSE,
@@ -277,6 +277,36 @@ class TestRefine:
             assert res.refine_evaluations == 0 and res.mi_score == res.scores[best]
             assert (res.direction, res.sign_resolved) == resolve_sign(Direction(*res.directions[best]), prior)
 
+    def test_output_in_hemisphere(self, rng):
+        for seed in range(5):
+            truth = random_direction(rng)
+            prior = HemispherePrior.around(random_direction(rng))
+            res = transfer_direction(truth, ProtocolParams(50, 200, 3, prior, config=SamplerConfig(seed)))
+            for x, y, z in res.directions:
+                assert abs(x * x + y * y + z * z - 1.0) < 1e-12
+            out = res.direction
+            assert abs(out.x**2 + out.y**2 + out.z**2 - 1.0) < 1e-12
+            assert prior.contains(out)
+
+    def test_tie_breaks_to_lowest_index(self, monkeypatch):
+        # with every score equal each phase keeps its first row, and a ring's
+        # first row is its center, so the search never leaves the first trial
+        monkeypatch.setattr(protocol, "analytic_mutual_information", np.zeros_like)
+        params = ProtocolParams(12, 1, 3, NO_PRIOR, mode="exact")
+        res = transfer_direction(direction_from_polar(0.9, 0.2), params)
+        assert res.direction == Direction(*res.directions[0]) == generate_trial_directions(12, NO_PRIOR)[0]
+        assert res.mi_score == 0.0
+        starts = [i for i, phase in enumerate(res.phases) if i == 0 or phase != res.phases[i - 1]]
+        assert len(starts) == 4 and {res.directions[i] for i in starts} == {res.directions[0]}
+
+    def test_invariant_under_monotone_transform(self, rng, monkeypatch):
+        mi = protocol.analytic_mutual_information
+        params = ProtocolParams(30, 1, 4, HemispherePrior.around(random_direction(rng)), mode="exact")
+        truths = [random_direction(rng) for _ in range(10)]
+        plain = [transfer_direction(t, params).direction for t in truths]
+        monkeypatch.setattr(protocol, "analytic_mutual_information", lambda c: 2.0 * mi(c) + 1.0)
+        assert [transfer_direction(t, params).direction for t in truths] == plain
+
     def test_improves_on_coarse_in_most_runs(self):
         # sampled mode, rounds=4, N=50 coarse grid: refined error beats the
         # coarse-only error in at least 80% of 20 seeded runs (observed 20/20)
@@ -323,6 +353,12 @@ class TestProtocolParams:
         assert replace(p, prior=POLE_PRIOR).initial_half_angle() == 1.5 * math.sqrt(2.0 / 50)
         assert p.resolution() == p.initial_half_angle() * 0.5**3
         assert replace(p, refine_rounds=0).resolution() == p.initial_half_angle()
+
+    @pytest.mark.parametrize("prior", [NO_PRIOR, POLE_PRIOR], ids=["no-prior", "prior"])
+    def test_initial_half_angle_shrinks_with_the_layout(self, prior):
+        caps = [ProtocolParams(n, 1, 1, prior, mode="exact").initial_half_angle() for n in (1, 2, 10, 100, 10**6)]
+        assert all(math.isfinite(c) and c > 0.0 for c in caps)
+        assert caps == sorted(caps, reverse=True) and len(set(caps)) == len(caps)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
