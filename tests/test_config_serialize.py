@@ -7,6 +7,7 @@ import os
 import re
 import stat
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -19,11 +20,13 @@ from conftest import first_difference
 from singlet_frame import (
     Direction, HemispherePrior, OutcomeRecord, SamplerConfig, direction_from_polar, run_measurement_batch,
 )
+from singlet_frame import serialize
 from singlet_frame.config import ConfigError, canonical_dict, load_config, parse_config
 from singlet_frame.serialize import (
+    _READ_BYTES,
+    _WRITE_ROWS,
     ParseError,
-    _plain_record_arrays,
-    _record_csv_bytes,
+    _record_rows,
     format_float,
     read_record_arrays_csv,
     record_to_csv,
@@ -71,6 +74,26 @@ class TestAtomicWriters:
     def test_missing_directory_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             write_csv_atomic(tmp_path / "nope" / "t.csv", ["a"], [])
+
+    def test_failing_record_stream_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b"previous\n")
+        render = serialize._record_rows
+        starts = []
+
+        def fail_at_second_block(a, b, start):
+            starts.append(start)
+            if len(starts) == 2:
+                assert [p.stat().st_size > 0 for p in tmp_path.glob("rec.csv.*.tmp")] == [True]
+                raise RuntimeError("stream failed")
+            return render(a, b, start)
+
+        monkeypatch.setattr(serialize, "_record_rows", fail_at_second_block)
+        with pytest.raises(RuntimeError, match="stream failed"):
+            record_to_csv(_random_record(3 * _WRITE_ROWS, 1), path)
+        assert starts == [0, _WRITE_ROWS]
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rec.csv"]
 
 
 class TestRecordSerialization:
@@ -128,7 +151,9 @@ def _record_text(rec: OutcomeRecord, row="{i},{a},{b}", end="\n") -> str:
 
 
 class TestRecordCsvBytes:
-    @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 100001])
+    @pytest.mark.parametrize(
+        "n", [1, 9, 10, 11, 99, 100, 101, 100001, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1, 2 * _WRITE_ROWS + 1]
+    )
     def test_bytes_equal_csv_writer_across_digit_widths(self, tmp_path, n):
         rng = np.random.default_rng(n)
         rec = OutcomeRecord(a=rng.choice([-1, 1], n), b=rng.choice([-1, 1], n), x=X, y=Z)
@@ -168,24 +193,40 @@ class TestRecordCsvDigitBoundaries:
             record_to_csv(rec, path)
             assert path.read_bytes() == _csv_writer_bytes(rec)
 
-    def test_peak_memory_at_1e6_rows(self):
-        # tracemalloc sees numpy's buffers; the bounds keep record-path memory from creeping
-        rec = _random_record(10**6, 3)
+    @pytest.mark.parametrize("start", [10**8 - 4, 10**8 - 1001, 10**9 - 4, 10**9 + 998, 10**16 - 3])
+    def test_rows_of_nine_and_more_digit_indices(self, start):
+        rng = np.random.default_rng(start)
+        a, b = rng.choice([-1, 1], 8), rng.choice([-1, 1], 8)
+        expected = "".join(f"{start + k},{x},{y}\n" for k, (x, y) in enumerate(zip(a, b)))
+        assert bytes(_record_rows(a, b, start)) == expected.encode()
+
+    @settings(deadline=None)
+    @given(start=st.integers(min_value=0, max_value=10**18), m=st.integers(min_value=1, max_value=2100))
+    def test_rows_from_any_start(self, start, m):
+        rng = np.random.default_rng(m)
+        a, b = rng.choice([-1, 1], m), rng.choice([-1, 1], m)
+        expected = "".join(f"{start + k},{x},{y}\n" for k, (x, y) in enumerate(zip(a, b)))
+        assert bytes(_record_rows(a, b, start)) == expected.encode()
+
+    def test_peak_memory_at_1e6_rows(self, tmp_path):
+        # tracemalloc sees numpy's buffers: writing holds one block of rows,
+        # reading one read block plus the int8 outcome arrays
+        n = 10**6
+        rec = _random_record(n, 3)
+        path = tmp_path / "rec.csv"
         tracemalloc.start()
         try:
-            out = _record_csv_bytes(rec.a, rec.b)
+            record_to_csv(rec, path)
             write_peak = tracemalloc.get_traced_memory()[1]
-            data = bytes(out)
-            del out
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            a, b = _plain_record_arrays(data)
+            a, b = read_record_arrays_csv(path)
             read_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert np.array_equal(a, rec.a) and np.array_equal(b, rec.b)
-        assert write_peak <= 4.0 * len(data)
-        assert read_peak <= 6.0 * len(data)
+        assert write_peak <= 2 * 2**20
+        assert read_peak <= 4 * n + 2 * 2**20
 
 
 class TestAtomicWriteMode:
@@ -250,11 +291,38 @@ class TestJsonBytes:
         assert list(tmp_path.iterdir()) == []
 
 
+def _record_ending_a_row_at(size: int, tail: int, seed: int) -> OutcomeRecord:
+    """A random record whose CSV, header included, has a row ending at byte ``size``, then ``tail`` more rows."""
+    k, length = 0, len("index,a,b\n")
+    while length + len(str(k)) + len(",1,1\n") <= size:
+        length += len(str(k)) + len(",1,1\n")
+        k += 1
+    signs = np.ones(2 * k, dtype=np.int8)
+    signs[: size - length] = -1  # each -1 adds a byte
+    rng = np.random.default_rng(seed)
+    a = np.concatenate([signs[0::2], rng.choice([-1, 1], tail)])
+    b = np.concatenate([signs[1::2], rng.choice([-1, 1], tail)])
+    rec = OutcomeRecord(a=a, b=b, x=X, y=Z)
+    text = _record_text(rec)
+    assert text[size - 1] == "\n" and text[:size].count("\n") == k + 1
+    return rec
+
+
+_BIG = _random_record(70_001, 17)  # spans three reads
+_BIG_TEXT = _record_text(_BIG)
+_PLUS_ROW = f"70000,{int(_BIG.a[70_000]):+d},{int(_BIG.b[70_000]):+d}\n"
+# canonical rows 0..69999, over three reads
+_LONG_BODY = "".join(f"{i},{1 - 2 * (i % 3 == 0)},{1 - 2 * (i % 7 == 0)}\n" for i in range(70_000))
+
+
 class TestRecordCsvReader:
     """Files written by record_to_csv parse without a row loop; every other
     layout goes through the csv.reader loop, and both must agree."""
 
     REC = run_measurement_batch(X, direction_from_polar(1.0, 2.0), 2000, SamplerConfig(11))
+    AFTER_LF = _record_ending_a_row_at(_READ_BYTES, 3000, 1)
+    MID_ROW = _record_ending_a_row_at(_READ_BYTES + 3, 3000, 2)  # the first read ends 3 bytes before an LF
+    AT_READ_SIZE = _record_ending_a_row_at(2 * _READ_BYTES + 1, 0, 3)
 
     def _read(self, tmp_path, data: bytes):
         path = tmp_path / "rec.csv"
@@ -291,6 +359,9 @@ class TestRecordCsvReader:
             ("0,1,-1\n1,1,-1,1\n", "line 3: expected 3 fields, got 4"),
             ("0,1,-1\n1,--1,1\n", "line 3: outcomes must be integers"),
             ("0,1,-1\n" * 1000 + "1000,0,1\n", "line 1002: outcomes must be -1 or +1"),
+            (_LONG_BODY + "70000,0,1\n", "line 70002: outcomes must be -1 or +1"),
+            (_LONG_BODY + "70000,1,1\r\n70001,1\n", "line 70003: expected 3 fields, got 2"),
+            (_LONG_BODY[:-1] + "\r\n70000,-1,x\n", "line 70002: outcomes must be integers"),
             ("", "no outcome rows"),
         ],
     )
@@ -300,27 +371,169 @@ class TestRecordCsvReader:
         assert str(err.value) == f"{tmp_path / 'rec.csv'}: {message}"
 
     @pytest.mark.parametrize(
-        "text, byte_path",
+        "rec, text, byte_path",
         [
-            pytest.param(_record_text(REC), True, id="as-written"),
-            pytest.param(_record_text(REC).rstrip("\n"), True, id="no-final-newline"),
-            pytest.param(_record_text(REC).replace("\n5,", "\n05,", 1), False, id="padded-index"),
-            pytest.param(_record_text(REC).replace("\n5,", "\n6,", 1), False, id="repeated-index"),
-            pytest.param(_record_text(REC).replace("\n", "\n\n", 1), False, id="blank-line"),
-            pytest.param(_record_text(REC, end="\r\n"), False, id="crlf"),
+            pytest.param(REC, _record_text(REC), True, id="as-written"),
+            pytest.param(REC, _record_text(REC).rstrip("\n"), True, id="no-final-newline"),
+            pytest.param(REC, _record_text(REC).replace("\n5,", "\n05,", 1), False, id="padded-index"),
+            pytest.param(REC, _record_text(REC).replace("\n5,", "\n6,", 1), False, id="repeated-index"),
+            pytest.param(REC, _record_text(REC).replace("\n", "\n\n", 1), False, id="blank-line"),
+            pytest.param(REC, _record_text(REC, end="\r\n"), False, id="crlf"),
+            pytest.param(_BIG, _BIG_TEXT, True, id="multi-block"),
+            pytest.param(AFTER_LF, _record_text(AFTER_LF), True, id="read-ends-after-lf"),
+            pytest.param(MID_ROW, _record_text(MID_ROW), True, id="read-ends-mid-row"),
+            pytest.param(AT_READ_SIZE, _record_text(AT_READ_SIZE)[:-1], True, id="no-final-newline-at-read-size"),
+            pytest.param(_BIG, _BIG_TEXT[: _BIG_TEXT.rindex("\n70000,") + 1] + _PLUS_ROW, False, id="late-plus-sign"),
+            pytest.param(_BIG, _BIG_TEXT[:-1] + "\r\n", False, id="late-crlf"),
         ],
     )
-    def test_only_bytes_record_to_csv_writes_skip_the_row_loop(self, tmp_path, monkeypatch, text, byte_path):
+    def test_only_bytes_record_to_csv_writes_skip_the_row_loop(self, tmp_path, monkeypatch, rec, text, byte_path):
         def no_row_loop(*args, **kwargs):
             raise AssertionError("csv.reader called")
 
         monkeypatch.setattr(csv, "reader", no_row_loop)
         if byte_path:
             a, b = self._read(tmp_path, text.encode("ascii"))
-            assert np.array_equal(a, self.REC.a) and np.array_equal(b, self.REC.b)
+            assert np.array_equal(a, rec.a) and np.array_equal(b, rec.b)
         else:
             with pytest.raises(AssertionError, match="csv.reader called"):
                 self._read(tmp_path, text.encode("ascii"))
+            monkeypatch.undo()
+            a, b = self._read(tmp_path, text.encode("ascii"))
+            assert np.array_equal(a, rec.a) and np.array_equal(b, rec.b)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["as-written", "crlf"])
+    def test_a_pipe_is_read_whole(self, tmp_path, end):
+        # a pipe cannot seek back for the row loop, as `bayes --record /dev/stdin` needs
+        fifo = tmp_path / "rec.fifo"
+        os.mkfifo(fifo)
+        text = _record_text(self.REC, end=end).encode()
+        writer = threading.Thread(target=fifo.write_bytes, args=(text,), daemon=True)
+        writer.start()
+        a, b = read_record_arrays_csv(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(a, self.REC.a) and np.array_equal(b, self.REC.b)
+
+
+def _whole_file_record_bytes(a: np.ndarray, b: np.ndarray) -> bytearray:
+    """The record CSV as the former writer built it: one NUL-padded (n + 1, W) byte matrix, header in row 0."""
+    n = a.size
+    digits = len(str(n - 1))
+    width = -(-digits // 8) * 8
+    text = bytearray((n + 1) * (width + 8))
+    rows = np.frombuffer(text, dtype=np.uint8).reshape(n + 1, width + 8)
+    rows[0, :10] = np.frombuffer(b"index,a,b\n", dtype=np.uint8)
+    body = rows[1:]
+    cycle = np.tile(np.arange(48, 58, dtype=np.uint8), n // 10 + 1)
+    for k in range(digits):
+        run = 10**k
+        column = body[:, width - 1 - k]
+        full = n - n % run
+        column[:full].reshape(-1, run)[...] = cycle[: full // run, None]
+        column[full:] = cycle[full // run]
+        if k:
+            column[:run] = 0
+    tails = np.frombuffer(b",1,1\n\0\0\0,1,-1\n\0\0,-1,1\n\0\0,-1,-1\n\0", dtype=np.uint64)
+    body.view(np.uint64)[:, -1] = tails.take(2 * (a < 0).view(np.int8) + (b < 0).view(np.int8))
+    return text.translate(None, b"\0")
+
+
+def _whole_file_read(path):
+    """The former reader: the file's bytes, kept if re-writing their signs gives them back, else csv.reader."""
+    data = Path(path).read_bytes()
+    if data.startswith(b"index,a,b\n") and len(data) > 10:
+        whole = data if data.endswith(b"\n") else data + b"\n"
+        buf = np.frombuffer(whole, dtype=np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))[1:]
+        neg_b = buf.take(ends - 2) == ord("-")
+        ends -= 4
+        ends -= neg_b
+        neg_a = buf.take(ends) == ord("-")
+        a = 1 - 2 * neg_a.view(np.int8)
+        b = 1 - 2 * neg_b.view(np.int8)
+        if _whole_file_record_bytes(a, b) == whole:
+            return a, b
+    a_vals, b_vals = [], []
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != ["index", "a", "b"]:
+                raise ParseError(f"{path}: line 1: expected header 'index,a,b', got {header!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ParseError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+                try:
+                    a, b = int(row[1]), int(row[2])
+                except ValueError:
+                    raise ParseError(f"{path}: line {lineno}: outcomes must be integers") from None
+                if a not in (-1, 1) or b not in (-1, 1):
+                    raise ParseError(f"{path}: line {lineno}: outcomes must be -1 or +1")
+                a_vals.append(a)
+                b_vals.append(b)
+        except csv.Error as e:
+            raise ParseError(f"{path}: line {reader.line_num}: {e}") from None
+    if not a_vals:
+        raise ParseError(f"{path}: no outcome rows")
+    return np.array(a_vals, dtype=np.int8), np.array(b_vals, dtype=np.int8)
+
+
+def _read_outcome(read, path):
+    try:
+        a, b = read(path)
+    except Exception as e:  # the readers must fail alike, whatever the exception
+        return type(e), str(e)
+    return a.dtype, a.tobytes(), b.dtype, b.tobytes()
+
+
+class TestRecordCsvReaderDifferential:
+    """The block reader against the former whole-file reader on mutated record files."""
+
+    MUTATION_BYTES = b"0123456789,-+ \"\n\r\x00\xff\xe9"
+
+    def _mutated(self, rng) -> bytes:
+        # log-uniform in 1 .. 1e3, and 1e4 + 1 in one file of 50
+        n = 10**4 + 1 if rng.random() < 0.02 else int(np.exp(rng.uniform(0.0, math.log(1000))))
+        signs = rng.choice([-1, 1], (n, 2)).tolist()
+        data = bytearray(("index,a,b\n" + "".join(f"{i},{a},{b}\n" for i, (a, b) in enumerate(signs))).encode())
+        for _ in range(int(rng.integers(0, 4))):
+            at = int(rng.integers(len(data) + 1)) if rng.random() < 0.7 else len(data) - int(rng.integers(1, 12))
+            at = min(max(at, 0), len(data) - 1)
+            byte = self.MUTATION_BYTES[int(rng.integers(len(self.MUTATION_BYTES)))]
+            kind = rng.integers(4)
+            if kind == 0:
+                data[at] = byte
+            elif kind == 1:
+                data.insert(at, byte)
+            elif kind == 2:
+                del data[at]
+            else:
+                other = int(rng.integers(len(data)))
+                data[at], data[other] = data[other], data[at]
+            if not data:
+                break
+        if rng.random() < 0.2:
+            data = data.rstrip(b"\n")
+        return bytes(data)
+
+    def test_mutated_files_read_as_the_whole_file_reader_reads_them(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(20261019)
+        path = tmp_path / "rec.csv"
+        accepted = 0
+        for k in range(2000):
+            data = self._mutated(rng)
+            # smaller reads put read boundaries all through these files
+            size = _READ_BYTES if rng.random() < 0.2 else int(rng.integers(64, len(data) + 65))
+            monkeypatch.setattr(serialize, "_READ_BYTES", size)
+            path.write_bytes(data)
+            expected = _read_outcome(_whole_file_read, path)
+            assert _read_outcome(read_record_arrays_csv, path) == expected, (k, data[:200])
+            accepted += expected[0] == np.int8
+        assert 100 < accepted < 2000
 
 
 class TestDensityCurveCsv:
