@@ -178,13 +178,11 @@ class TransferResult:
 
 @dataclass(frozen=True)
 class FrameEstimate:
-    """Three transferred axes with per-axis sign flags and scores."""
+    """Three transferred axes and the per-axis transfers they came from."""
 
     axes: tuple[Direction, Direction, Direction]
-    sign_resolved: tuple[bool, bool, bool]
-    mi_scores: tuple[float, float, float]
+    axis_results: tuple[TransferResult, TransferResult, TransferResult]
     orthonormalized: bool
-    axis_results: tuple[TransferResult, ...] | None = None
 
     def __post_init__(self):
         if self.orthonormalized:
@@ -390,10 +388,4 @@ def transfer_frame(
         # negating a row keeps the matrix orthogonal
         axes = tuple(resolve_sign(Direction(*row), prior)[0] for row, prior in zip(u @ vt, priors))
 
-    return FrameEstimate(
-        axes=axes,
-        sign_resolved=tuple(r.sign_resolved for r in results),
-        mi_scores=tuple(r.mi_score for r in results),
-        orthonormalized=orthonormalize,
-        axis_results=tuple(results),
-    )
+    return FrameEstimate(axes=axes, axis_results=tuple(results), orthonormalized=orthonormalize)

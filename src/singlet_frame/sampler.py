@@ -39,6 +39,9 @@ __all__ = [
 
 GENERATOR_NAME = "philox4x64"
 
+# the largest multinomial count numpy takes (a C long); exact mode never samples and has no bound
+_BATCH_MAX = (1 << 63) - 1
+
 
 def _splitmix64(x: int) -> int:
     """One step of the splitmix64 mixer (used only to derive stream ids)."""
@@ -209,12 +212,13 @@ def joint_count_sampler(batch_size: int, config: SamplerConfig):
     The k rows (each (y.x, y.y, y.z), as Python floats or an array row) are
     drawn in order from ``config.child(*path)``, so a one-row draw is
     ``sample_joint_counts(x, y, batch_size, config.child(*path))``.
-    ``batch_size`` is checked once.  Every draw re-keys the calling
-    thread's Philox to the state a Philox keyed ``(seed, child stream id)``
-    is built in: zero counter, empty buffer.  Only a thread's first draw
-    builds a bit generator, and a sampler may be shared between threads.
+    ``batch_size`` is checked once, and must be below 2**63.  Every draw
+    re-keys the calling thread's Philox to the state a Philox keyed
+    ``(seed, child stream id)`` is built in: zero counter, empty buffer.
+    Only a thread's first draw builds a bit generator, and a sampler may
+    be shared between threads.
     """
-    _checked_int(batch_size, "batch_size", 1)
+    _checked_int(batch_size, "batch_size", 1, _BATCH_MAX)
     seed, stream_id = config.seed, config.stream_id
 
     def draw(x: Direction, ys, *path: int) -> np.ndarray:

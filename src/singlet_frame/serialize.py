@@ -2,12 +2,10 @@
 
 All text output is UTF-8 with LF line endings and a header row on CSV.
 Floats are written with 17 significant digits in CSV; JSON floats use
-Python's shortest round-trip representation.  JSON is the C encoder's
-compact form re-indented as one byte array, byte-identical to
-``json.dumps(obj, sort_keys=True, indent=2)`` plus a final LF (any
-``indent`` selects the slower pure-Python encoder before Python 3.13).
-A run report's ``trials`` lists are rendered from the transfer's rows,
-one ``%`` template per trial, in those same bytes.
+Python's shortest round-trip representation.  JSON is
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a final LF; a run
+report's ``trials`` lists are rendered from the transfer's rows, one
+``%`` template per trial, in the bytes that call would give.
 Files are written atomically (temp file + rename in the target directory)
 with the mode ``open`` would give them (0o666 less the umask).
 
@@ -60,12 +58,6 @@ _DIGITS, _PADDED_DIGITS = (
 _WRITE_ROWS = 16_384
 # bytes per read of a record file; a row of a written file is far shorter
 _READ_BYTES = 256 * 1024
-_QUOTE, _SPACE = b'" '
-# 1 at a string delimiter or a possible structural byte of JSON
-_JSON_MARKS = bytes(c in b'"[]{},' for c in range(256))
-_DEPTH_STEP = np.zeros(256, dtype=np.int64)
-_DEPTH_STEP[list(b"[{")] = 1
-_DEPTH_STEP[list(b"]}")] = -1
 
 
 class ParseError(ValueError):
@@ -105,40 +97,6 @@ def write_csv_atomic(path, header: list[str], rows) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     write_text_atomic(path, buf.getvalue())
-
-
-def _indented_json_bytes(obj) -> np.ndarray:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` as one uint8 array.
-
-    The C encoder writes the compact form; the line breaks and indents are
-    then inserted as bytes.  With the escaped backslashes and then the
-    escaped quotes blanked, every quote left opens or closes a string, so a
-    bracket or comma is structure when an even number of quotes precedes
-    it.  A line break and ``2 * depth`` spaces go after each open bracket
-    and comma and before each close bracket, except between ``[]`` or ``{}``.
-    """
-    text = json.dumps(obj, sort_keys=True, separators=(",", ": ")).encode("ascii")
-    src = np.frombuffer(text, dtype=np.uint8)
-    plain = text.replace(b"\\\\", b"  ").replace(b'\\"', b"  ")
-    marks = np.flatnonzero(np.frombuffer(plain.translate(_JSON_MARKS), dtype=bool))
-    kinds = src[marks]
-    quote = kinds == _QUOTE
-    structure = ~(quote | np.logical_xor.accumulate(quote))
-    marks = marks[structure]
-    step = _DEPTH_STEP[kinds[structure]]
-    at = marks + (step >= 0)  # the byte each break goes before
-    keep = (_DEPTH_STEP[src[at - 1]] <= 0) | (_DEPTH_STEP[src[at]] >= 0)  # none inside [] or {}
-    at = at[keep]
-    width = 2 * np.cumsum(step)[keep] + 1
-    dest = np.ones(src.size, dtype=np.int64)  # becomes where each compact byte lands
-    dest[0] = 0
-    dest[at] += width
-    np.cumsum(dest, out=dest)
-    out = np.full(int(dest[-1]) + 2, _SPACE, dtype=np.uint8)
-    out[dest] = src
-    out[dest[at] - width] = _NEWLINE
-    out[-1] = _NEWLINE
-    return out
 
 
 # a "trials" entry to be filled from rows.  The encoder escapes every quote
@@ -190,9 +148,9 @@ def write_json_atomic(path, obj, trials=()) -> None:
     written as the list ``_trials_json(rows, ..., counts)`` renders, as if
     ``obj`` had held that list.
     """
-    data = _indented_json_bytes(obj)
+    data = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
     if trials:
-        head, *tails = data.tobytes().split(_TRIALS_SLOT)
+        head, *tails = data.split(_TRIALS_SLOT)
         parts = [head]
         for (rows, counts), tail in zip(trials, tails, strict=True):
             indent = len(parts[-1]) - parts[-1].rindex(b"\n") - 1
@@ -278,11 +236,17 @@ def _record_blocks(fh) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _csv_rows(reader, path):
-    """The rows of ``reader``; a csv.Error (not a ValueError) becomes a ParseError naming its line."""
+    """The rows of ``reader``; a csv.Error becomes a ParseError naming its line, a decode error one naming the file.
+
+    Text is decoded in chunks ahead of the row being parsed, so a decode
+    error's position says nothing about the row.
+    """
     try:
         yield from reader
     except csv.Error as e:
         raise ParseError(f"{path}: line {reader.line_num}: {e}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not a UTF-8 text file") from None
 
 
 def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +254,8 @@ def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
     Accepts what ``csv.reader`` accepts, with an ``index,a,b`` header and
     rows whose outcomes parse as -1 or +1.  Raises ParseError naming the
-    1-based line of the first offending row.  Files laid out exactly as
+    1-based line of the first offending row, or only the file when it is
+    not UTF-8.  Files laid out exactly as
     ``record_to_csv`` writes them are parsed in byte blocks
     (``_record_blocks``); any other file is read again from its start by
     the row loop below, which defines the format and gives the error

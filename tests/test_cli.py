@@ -251,6 +251,12 @@ class TestBayesCommand:
         assert _run(["bayes", "--record", str(rec), "--out", str(tmp_path / "s.json")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_record_non_utf8_byte_names_the_file(self, tmp_path, capsys):
+        rec = tmp_path / "rec.csv"
+        rec.write_bytes(b"index,a,b\n0,1,\xff1\n")
+        assert _run(["bayes", "--record", str(rec), "--out", str(tmp_path / "s.json")]) == 1
+        assert capsys.readouterr().err == f"error: {rec}: not a UTF-8 text file\n"
+
     def test_record_oversized_field_exits_1(self, tmp_path, capsys):
         # a field over csv's 131072-character limit raises csv.Error, which is not a ValueError
         rec = tmp_path / "rec.csv"
@@ -403,6 +409,15 @@ class TestRunCommand:
         cfg = _sampled_config(tmp_path)
         assert _run(["run", "--config", str(cfg), "--seed", str(2**64)]) == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_sampled_batch_above_int64_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert _run(["run", "--config", str(_sampled_config(tmp_path, batch=2**63 - 1)), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["result"]["trials"][0]["counts"]["total"] == 2**63 - 1
+        assert _run(["run", "--config", str(_sampled_config(tmp_path, batch=2**63)), "--out", str(out)]) == 1
+        assert "batch_size" in capsys.readouterr().err
+        # exact mode never samples, so its batch has no bound
+        assert _run(["run", "--config", str(_exact_config(tmp_path, batch=2**63)), "--out", str(out)]) == 0
 
     def test_seed_override_changes_report(self, tmp_path):
         cfg = _sampled_config(tmp_path)

@@ -255,8 +255,8 @@ class TestAtomicWriteMode:
 
 
 class TestJsonBytes:
-    """write_json_atomic re-indents the C encoder's compact form; the bytes
-    must stay those of ``json.dumps(obj, sort_keys=True, indent=2)``."""
+    """write_json_atomic writes ``json.dumps(obj, sort_keys=True, indent=2)``
+    and a final LF; these pin its bytes at values that stress the encoder."""
 
     @pytest.mark.parametrize(
         "value",
@@ -371,6 +371,20 @@ class TestRecordCsvReader:
         assert str(err.value) == f"{tmp_path / 'rec.csv'}: {message}"
 
     @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(b"index,a,b\n0,1,\xff1\n", id="in-a-row"),
+            pytest.param(b"ind\xe9x,a,b\n0,1,1\n", id="in-the-header"),
+            pytest.param(b"index,a,b\n" + _LONG_BODY.encode("ascii") + b"70000,\xc3,1\n", id="past-the-first-read"),
+        ],
+    )
+    def test_non_utf8_file_is_a_parse_error_naming_the_file(self, tmp_path, data):
+        # the decoder's byte position counts from an 8192-byte chunk, so the message gives none
+        with pytest.raises(ParseError) as err:
+            self._read(tmp_path, data)
+        assert str(err.value) == f"{tmp_path / 'rec.csv'}: not a UTF-8 text file"
+
+    @pytest.mark.parametrize(
         "rec, text, byte_path",
         [
             pytest.param(REC, _record_text(REC), True, id="as-written"),
@@ -441,7 +455,10 @@ def _whole_file_record_bytes(a: np.ndarray, b: np.ndarray) -> bytearray:
 
 
 def _whole_file_read(path):
-    """The former reader: the file's bytes, kept if re-writing their signs gives them back, else csv.reader."""
+    """The former reader: the file's bytes, kept if re-writing their signs gives them back, else csv.reader.
+
+    A file that is not UTF-8 raises the ParseError that names it, as the block reader does.
+    """
     data = Path(path).read_bytes()
     if data.startswith(b"index,a,b\n") and len(data) > 10:
         whole = data if data.endswith(b"\n") else data + b"\n"
@@ -477,6 +494,8 @@ def _whole_file_read(path):
                 b_vals.append(b)
         except csv.Error as e:
             raise ParseError(f"{path}: line {reader.line_num}: {e}") from None
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not a UTF-8 text file") from None
     if not a_vals:
         raise ParseError(f"{path}: no outcome rows")
     return np.array(a_vals, dtype=np.int8), np.array(b_vals, dtype=np.int8)

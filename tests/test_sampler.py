@@ -285,10 +285,16 @@ class TestJointCountSampler:
         for path in [(0, 3), (), (1, 2, 8), (1, 2, 0), (0, 3), (0,), (1, 2, 8), ()]:
             assert _one_row(draw, Z, y, *path) == sample_joint_counts(Z, y, 300, cfg.child(*path))
 
-    @pytest.mark.parametrize("batch_size", [0, 2.5, True])
+    @pytest.mark.parametrize("batch_size", [0, 2.5, True, 2**63])
     def test_batch_size_checked_when_built(self, batch_size):
         with pytest.raises(ValueError, match="batch_size"):
             joint_count_sampler(batch_size, SamplerConfig(1))
+
+    def test_batch_size_bound_is_the_largest_int64(self):
+        # numpy's multinomial takes a C long: 2**63 used to escape as an OverflowError
+        assert sum(sample_joint_counts(Z, X, 2**63 - 1, SamplerConfig(1))) == 2**63 - 1
+        with pytest.raises(ValueError, match="batch_size"):
+            sample_joint_counts(Z, X, 2**63, SamplerConfig(1))
 
     @pytest.mark.parametrize("path", [(-1,), (0, True), (True, 2, 3), (1, 2.0, 3), (1.0, 2, 3), (1, "2", 3)])
     def test_bad_path_rejected_after_an_equal_good_one(self, path):

@@ -20,6 +20,7 @@ from singlet_frame import (
     run_measurement_batch,
     sample_joint_counts,
     sign_tally_from_arrays,
+    transfer_frame,
 )
 from singlet_frame import bayes, core, estimator, protocol, sampler
 from singlet_frame.config import ConfigError, parse_config
@@ -123,10 +124,12 @@ def test_outcome_rule_rejects_instead_of_casting(entry, values):
 
 
 def test_orthonormalized_frame_estimate_checks_its_axes():
+    frame = (Direction(1.0, 0.0, 0.0), Direction(0.0, 1.0, 0.0), Z)
+    results = transfer_frame(frame, _params()).axis_results
     skewed = (Direction(1.0, 0.0, 0.0), Direction(0.9, 0.1, 0.0), Z)
     with pytest.raises(ValueError, match="FrameEstimate.axes"):
-        FrameEstimate(skewed, (False,) * 3, (0.0,) * 3, orthonormalized=True)
-    FrameEstimate(skewed, (False,) * 3, (0.0,) * 3, orthonormalized=False)
+        FrameEstimate(skewed, results, orthonormalized=True)
+    assert FrameEstimate(skewed, results, orthonormalized=False).axis_results == results
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
