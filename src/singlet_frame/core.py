@@ -7,7 +7,10 @@ probability is
     p(a, b) = (1 - a*b*cos(angle(x, y))) / 4
 
 so every quantity here depends on the settings only through the cosine of
-the relative angle.  All information values are in bits (base-2 logs).
+the relative angle.  A 2x2 outcome table is held as probabilities
+(``JointDistribution2x2``) or as one batch's counts (``CountTable``), and
+one plug-in mutual information, with no bias correction, scores both.
+All information values are in bits (base-2 logs).
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ __all__ = [
     "DistributionError",
     "Direction",
     "JointDistribution2x2",
+    "CountTable",
     "direction_from_polar",
     "cos_angle",
     "singlet_joint_distribution",
     "mutual_information_from_joint",
+    "estimate_mutual_information",
     "analytic_mutual_information",
 ]
 
@@ -46,6 +51,8 @@ DISTRIBUTION_TOL = 1e-12
 FRAME_TOL = 1e-10
 
 UINT64_MAX = (1 << 64) - 1
+# the largest int64: numpy's multinomial draws no larger count, and a sign tally holds none
+INT64_MAX = (1 << 63) - 1
 
 
 class DomainError(ValueError):
@@ -145,18 +152,25 @@ class Direction:
     z: float
 
     def __post_init__(self):
+        x, y, z = self.x, self.y, self.z
         try:
-            n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+            n = math.sqrt(x * x + y * y + z * z)
         except OverflowError:  # an int component too large for a float
             n = math.inf
         if not math.isfinite(n) or n == 0.0:
-            raise DomainError(f"direction must be a nonzero finite vector, got {(self.x, self.y, self.z)}")
-        # leave already-unit components untouched so that negating a
-        # Direction is exact (the invariant tolerance is 1e-12 anyway)
-        if abs(n - 1.0) > 1e-12:
-            object.__setattr__(self, "x", self.x / n)
-            object.__setattr__(self, "y", self.y / n)
-            object.__setattr__(self, "z", self.z / n)
+            # the squared norm of a tiny or huge finite vector under- or overflows: scale by its largest entry
+            scale = max(abs(x), abs(y), abs(z)) if all(abs(t) <= _FLOAT_MAX for t in (x, y, z)) else 0.0
+            if scale == 0.0:
+                raise DomainError(f"direction must be a nonzero finite vector, got {(x, y, z)}")
+            x, y, z = x / scale, y / scale, z / scale
+            n = math.sqrt(x * x + y * y + z * z)
+        elif abs(n - 1.0) <= 1e-12:
+            # leave already-unit components untouched so that negating a
+            # Direction is exact (the invariant tolerance is 1e-12 anyway)
+            return
+        object.__setattr__(self, "x", x / n)
+        object.__setattr__(self, "y", y / n)
+        object.__setattr__(self, "z", z / n)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
@@ -221,6 +235,57 @@ class JointDistribution2x2:
         return (self.p_pp + self.p_mp, self.p_pm + self.p_mm)
 
 
+@dataclass(frozen=True)
+class CountTable:
+    """The four joint outcome counts of one batch.
+
+    Suffixes name the (a, b) signs: ``m_pm`` counts pairs with a=+1, b=-1.
+    The marginal counts and the total are derived from the joint ones.
+    """
+
+    m_pp: int
+    m_pm: int
+    m_mp: int
+    m_mm: int
+
+    def __post_init__(self):
+        counts = (self.m_pp, self.m_pm, self.m_mp, self.m_mm)
+        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in counts):
+            raise ValueError("counts must be nonnegative integers")
+        if sum(counts) < 1:
+            raise ValueError("count table must cover at least one pair")
+
+    @property
+    def m_a_plus(self) -> int:
+        return self.m_pp + self.m_pm
+
+    @property
+    def m_a_minus(self) -> int:
+        return self.m_mp + self.m_mm
+
+    @property
+    def m_b_plus(self) -> int:
+        return self.m_pp + self.m_mp
+
+    @property
+    def m_b_minus(self) -> int:
+        return self.m_pm + self.m_mm
+
+    @property
+    def total(self) -> int:
+        return self.m_pp + self.m_pm + self.m_mp + self.m_mm
+
+    def to_dict(self) -> dict:
+        return {
+            "m_joint": {"pp": self.m_pp, "pm": self.m_pm, "mp": self.m_mp, "mm": self.m_mm},
+            "m_a_plus": self.m_a_plus,
+            "m_a_minus": self.m_a_minus,
+            "m_b_plus": self.m_b_plus,
+            "m_b_minus": self.m_b_minus,
+            "total": self.total,
+        }
+
+
 def singlet_joint_distribution(cos_theta: float) -> JointDistribution2x2:
     """The four joint outcome probabilities at a given relative-angle cosine."""
     return JointDistribution2x2(*_singlet_cells(cos_theta))
@@ -256,6 +321,11 @@ def mutual_information_from_joint(joint: JointDistribution2x2) -> float:
     nothing (continuity convention).
     """
     return _plug_in_mi(joint.p_pp, joint.p_pm, joint.p_mp, joint.p_mm, 1)
+
+
+def estimate_mutual_information(counts: CountTable) -> float:
+    """Plug-in mutual information (bits) of a count table; see ``_plug_in_mi``."""
+    return _plug_in_mi(counts.m_pp, counts.m_pm, counts.m_mp, counts.m_mm, counts.total)
 
 
 def analytic_mutual_information(cos_theta):

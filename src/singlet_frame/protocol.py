@@ -24,11 +24,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import UINT64_MAX, Direction, _check_orthonormal, _checked_int, _dots, _plug_in_mi
-from .core import analytic_mutual_information
-# tally and run_measurement_batch stay bound for perfbench's tracer, which wraps them by name
-from .estimator import CountTable, estimate_mutual_information, tally  # noqa: F401
-from .sampler import SamplerConfig, _keyed_generator, joint_count_sampler, run_measurement_batch  # noqa: F401
+from .core import UINT64_MAX, CountTable, Direction, _check_orthonormal, _checked_int, _dots, _plug_in_mi
+from .core import analytic_mutual_information, estimate_mutual_information
+# tally and run_measurement_batch go uncalled here, bound for perfbench's tracer, which wraps them by name
+from .sampler import SamplerConfig, _keyed_generator, joint_count_sampler, run_measurement_batch, tally  # noqa: F401
 
 __all__ = [
     "HemispherePrior",

@@ -2,9 +2,10 @@
 
 Outcome pairs are drawn by inverse-CDF sampling of the closed-form joint
 distribution, with the cumulative categories fixed in the order
-(+,+), (+,-), (-,+), (-,-).  When only the four joint counts of a batch
-are needed, one multinomial draw over the same categories gives them with
-the same distribution at a cost independent of the batch size.
+(+,+), (+,-), (-,+), (-,-); ``tally`` counts a drawn record's pairs into
+a ``CountTable`` in the same order.  When only the four joint counts of a
+batch are needed, one multinomial draw over the same categories gives
+them with the same distribution at a cost independent of the batch size.
 Randomness comes from numpy's Philox (4x64) counter-based bit generator
 keyed by ``(seed, stream_id)``: the same configuration reproduces the
 same sequence on any platform, and distinct stream ids give independent
@@ -25,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UINT64_MAX, Direction, _checked_cos, _checked_int, _checked_outcomes, _dots, _singlet_cells
-from .core import cos_angle
+from .core import INT64_MAX, UINT64_MAX, CountTable, Direction, _checked_cos, _checked_int, _checked_outcomes, _dots
+from .core import _singlet_cells, cos_angle
 
 __all__ = [
     "SamplerConfig",
     "OutcomeRecord",
+    "tally",
     "sample_outcome_pair",
     "run_measurement_batch",
     "sample_joint_counts",
@@ -38,9 +40,6 @@ __all__ = [
 ]
 
 GENERATOR_NAME = "philox4x64"
-
-# the largest multinomial count numpy takes (a C long); exact mode never samples and has no bound
-_BATCH_MAX = (1 << 63) - 1
 
 
 def _splitmix64(x: int) -> int:
@@ -135,6 +134,11 @@ class OutcomeRecord:
         return self.a * self.b
 
 
+def tally(record: OutcomeRecord) -> CountTable:
+    """Exact joint and marginal counts of one outcome record."""
+    return CountTable(*np.bincount(2 * (record.a < 0) + (record.b < 0), minlength=4).tolist())
+
+
 def _category_bounds(c: float) -> tuple[float, float, float]:
     # cumulative boundaries after (+,+), (+,-), (-,+) under the fixed ordering
     return ((1.0 - c) / 4.0, 0.5, (3.0 + c) / 4.0)
@@ -218,7 +222,7 @@ def joint_count_sampler(batch_size: int, config: SamplerConfig):
     Only a thread's first draw builds a bit generator, and a sampler may
     be shared between threads.
     """
-    _checked_int(batch_size, "batch_size", 1, _BATCH_MAX)
+    _checked_int(batch_size, "batch_size", 1, INT64_MAX)  # numpy's multinomial takes a C long
     seed, stream_id = config.seed, config.stream_id
 
     def draw(x: Direction, ys, *path: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from singlet_frame import (
     sign_tally,
     tally,
 )
+from singlet_frame.bayes import CI_MAX_TALLY
 
 X = Direction(1.0, 0.0, 0.0)
 Z = Direction(0.0, 0.0, 1.0)
@@ -95,6 +96,16 @@ class TestLogLikelihood:
             c = float(rng.uniform(-0.99, 0.99))
             direct = t.n_plus * math.log((1 - c) / 4) + t.n_minus * math.log((1 + c) / 4)
             assert log_likelihood(t, c) == pytest.approx(direct, rel=1e-14)
+
+    def test_is_the_log_posterior_density_less_its_normalization(self, rng):
+        # p(c) = likelihood * 4^N / (8 pi^2 d): the likelihood and the density share one kernel
+        for _ in range(50):
+            t = SignTally(int(rng.integers(0, 200)), int(rng.integers(0, 200)))
+            c = float(rng.uniform(-0.99, 0.99))
+            value = log_likelihood(t, c)
+            assert type(value) is float
+            log_density = value + 2 * t.n_total * math.log(2.0) - math.log(8.0 * math.pi**2) - log_normalization_d(t)
+            assert log_density == pytest.approx(math.log(posterior_density(c, t)), abs=1e-9)
 
 
 class TestNormalization:
@@ -313,6 +324,30 @@ class TestCredibleInterval:
     def test_empty_tally_rejected(self):
         with pytest.raises(ValueError):
             credible_interval(SignTally(0, 0), 0.5)
+
+    @pytest.mark.parametrize("level", [0.95, 0.99])
+    @pytest.mark.parametrize("n_plus, n_minus", [(CI_MAX_TALLY, 0), (0, CI_MAX_TALLY), (63 * 10**9, 27 * 10**9)])
+    def test_mass_matches_beta_oracle_at_the_largest_tally(self, n_plus, n_minus, level):
+        from scipy.stats import beta
+
+        lo, hi = credible_interval(SignTally(n_plus, n_minus), level)
+        u = beta(n_plus + 1, n_minus + 1)
+        assert abs(u.cdf((1.0 - lo) / 2.0) - u.cdf((1.0 - hi) / 2.0) - level) <= 1e-3
+
+    @pytest.mark.parametrize(
+        "n_plus, n_minus",
+        [
+            (CI_MAX_TALLY + 1, 0), (0, CI_MAX_TALLY + 1), (10**13, 10**13), (7 * 10**18, 3 * 10**18),
+            (2**63 - 1, 2**63 - 1),
+        ],
+    )
+    def test_tally_above_the_largest_rejected(self, n_plus, n_minus):
+        # the float grid is too coarse for these posteriors: the mass went wrong, or exp overflowed
+        message = f"at most {CI_MAX_TALLY} pairs, got {n_plus + n_minus}"
+        with pytest.raises(DomainError, match=message):
+            credible_interval(SignTally(n_plus, n_minus), 0.95)
+        with pytest.raises(DomainError, match=message):
+            posterior_summary(SignTally(n_plus, n_minus))
 
 
 class TestPosteriorSummary:

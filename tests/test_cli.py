@@ -11,7 +11,7 @@ from conftest import first_difference
 from singlet_frame import __version__, cos_angle, transfer_direction, transfer_frame
 from singlet_frame.cli import build_parser, main
 from singlet_frame.config import canonical_dict, parse_config
-from singlet_frame.estimator import CountTable
+from singlet_frame.core import CountTable
 
 TRUTH_THETA, TRUTH_PHI = 1.5, 2.1
 

@@ -47,6 +47,41 @@ class TestDirection:
             d = Direction(*rng.normal(size=3) * 10.0)
             assert abs(d.x**2 + d.y**2 + d.z**2 - 1.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "v, unit",
+        [
+            pytest.param((1e-170, 0.0, 0.0), (1.0, 0.0, 0.0), id="tiny"),
+            pytest.param((1e200, 0.0, 0.0), (1.0, 0.0, 0.0), id="huge"),
+            pytest.param((-3e200, 0.0, 4e200), (-0.6, 0.0, 0.8), id="huge-3-4-5"),
+            pytest.param((3e-170, 4e-170, 0.0), (0.6, 0.8, 0.0), id="tiny-3-4-5"),
+            pytest.param((0.0, -5e-324, 0.0), (0.0, -1.0, 0.0), id="subnormal"),
+            pytest.param((10**300, 0, 0), (1.0, 0.0, 0.0), id="int-whose-square-is-too-large"),
+            pytest.param((1e308, 1e308, 1e308), (3**-0.5,) * 3, id="largest-floats"),
+        ],
+    )
+    def test_vector_with_an_underflowing_or_overflowing_square_norm(self, v, unit):
+        # the squared norm underflows to 0 or overflows to inf, yet the vector is nonzero and finite
+        d = Direction(*v)
+        assert (d.x, d.y, d.z) == pytest.approx(unit, abs=1e-15)
+        assert abs(d.x**2 + d.y**2 + d.z**2 - 1.0) < 1e-12
+        assert Direction(*(-t for t in v)) == -d
+
+    def test_scaled_vector_is_the_unscaled_one(self, rng):
+        for _ in range(100):
+            v = rng.normal(size=3)
+            unit = Direction(*v).as_array()
+            for scale in (1e-170, 1e200):  # Python floats: numpy scalars warn when their squares overflow
+                assert Direction(*(v * scale).tolist()).as_array() == pytest.approx(unit, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "v",
+        [(0.0, 0.0, -0.0), (math.nan, 1e-170, 0.0), (1e-170, math.nan, 0.0), (1e200, -math.inf, 0.0),
+         (1e200, 0.0, math.nan), (1e-170, 0.0, -(10**400))],
+    )
+    def test_rescaling_keeps_rejecting(self, v):
+        with pytest.raises(DomainError, match="must be a nonzero finite vector"):
+            Direction(*v)
+
 
 class TestDirectionFromPolar:
     def test_north_pole_any_azimuth(self):

@@ -373,3 +373,15 @@ class TestOutcomeRecord:
         assert rec.a.tolist() == [1, -1, 1] and rec.b.tolist() == [-1, -1, 1]
         with pytest.raises(ValueError):
             rec.b[0] = 1
+
+    @pytest.mark.parametrize("size", [1, 2, 1000, 70_000])
+    def test_tally_is_the_per_pair_count(self, rng, size):
+        # the loop reference for the one bincount over 2 * (a < 0) + (b < 0)
+        rec = OutcomeRecord(a=rng.choice([-1, 1], size=size), b=rng.choice([-1, 1], size=size), x=X, y=Z)
+        cells = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        counts = [0, 0, 0, 0]
+        for pair in rec.pairs():
+            counts[cells.index(pair)] += 1
+        t = tally(rec)
+        assert (t.m_pp, t.m_pm, t.m_mp, t.m_mm) == tuple(counts)
+        assert all(type(m) is int for m in (t.m_pp, t.m_pm, t.m_mp, t.m_mm))

@@ -22,11 +22,12 @@ from singlet_frame import (
     sign_tally_from_arrays,
     transfer_frame,
 )
-from singlet_frame import bayes, core, estimator, protocol, sampler
+from singlet_frame import bayes, core, protocol, sampler
 from singlet_frame.config import ConfigError, parse_config
 
 Z = Direction(0.0, 0.0, 1.0)
 U64 = 2**64 - 1
+I64 = 2**63 - 1
 
 
 def _params(**overrides):
@@ -52,8 +53,8 @@ INT_FIELDS = [
     ("batch_size", 1, None, lambda v: _params(batch_size=v)),
     ("refine_rounds", 0, None, lambda v: _params(refine_rounds=v)),
     ("jitter_seed", 0, U64, lambda v: _params(jitter_seed=v)),
-    ("n_plus", 0, None, lambda v: SignTally(v, 1)),
-    ("n_minus", 0, None, lambda v: SignTally(1, v)),
+    ("n_plus", 0, I64, lambda v: SignTally(v, 1)),
+    ("n_minus", 0, I64, lambda v: SignTally(1, v)),
     ("substream indices", 0, None, lambda v: SamplerConfig(1).child(v)),
     ("count", 1, None, lambda v: generate_trial_directions(v, HemispherePrior.none())),
     ("'trials'", 1, None, lambda v: _config(trials=v)),
@@ -182,7 +183,7 @@ def test_int_too_large_for_a_float_is_a_domain_error(error, call, value):
         call(value)
 
 class TestPublicNames:
-    MODULES = (core, sampler, estimator, protocol, bayes)
+    MODULES = (core, sampler, protocol, bayes)
 
     def test_no_duplicates(self):
         assert len(singlet_frame.__all__) == len(set(singlet_frame.__all__))
