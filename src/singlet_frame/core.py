@@ -123,10 +123,18 @@ def _shaped(out: np.ndarray, like):
     return out.reshape(np.shape(like))
 
 
+def _checked_direction(value, name: str) -> "Direction":
+    """Return ``value`` if it is a Direction; a tuple or array of components is a ValueError."""
+    if not isinstance(value, Direction):
+        raise ValueError(f"{name} must be a Direction, got {value!r}")
+    return value
+
+
 def _check_orthonormal(axes, name: str) -> None:
     """Raise ValueError unless ``axes`` are three pairwise orthogonal Directions (unit by construction)."""
-    if len(axes) != 3 or any(abs(axes[i].dot(axes[j])) > FRAME_TOL for i, j in ((0, 1), (0, 2), (1, 2))):
-        raise ValueError(f"{name} must be three orthonormal axes within {FRAME_TOL}")
+    if (len(axes) != 3 or not all(isinstance(a, Direction) for a in axes)
+            or any(abs(axes[i].dot(axes[j])) > FRAME_TOL for i, j in ((0, 1), (0, 2), (1, 2)))):
+        raise ValueError(f"{name} must be three orthonormal Directions within {FRAME_TOL}")
 
 
 def _checked_outcome(value: int, name: str) -> int:
@@ -153,8 +161,11 @@ class Direction:
 
     def __post_init__(self):
         x, y, z = self.x, self.y, self.z
+        # a numpy float squares with an overflow warning; the same value as a Python float squares silently
+        sx, sy, sz = (float(x) if isinstance(x, float) else x, float(y) if isinstance(y, float) else y,
+                      float(z) if isinstance(z, float) else z)
         try:
-            n = math.sqrt(x * x + y * y + z * z)
+            n = math.sqrt(sx * sx + sy * sy + sz * sz)
         except OverflowError:  # an int component too large for a float
             n = math.inf
         if not math.isfinite(n) or n == 0.0:

@@ -24,10 +24,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import UINT64_MAX, CountTable, Direction, _check_orthonormal, _checked_int, _dots, _plug_in_mi
-from .core import analytic_mutual_information, estimate_mutual_information
+from .core import UINT64_MAX, CountTable, Direction, _check_orthonormal, _checked_direction, _checked_int, _dots
+from .core import _plug_in_mi, analytic_mutual_information, estimate_mutual_information
 # tally and run_measurement_batch go uncalled here, bound for perfbench's tracer, which wraps them by name
-from .sampler import SamplerConfig, _keyed_generator, joint_count_sampler, run_measurement_batch, tally  # noqa: F401
+from .sampler import SamplerConfig, _joint_counts, _keyed_generator, run_measurement_batch, tally  # noqa: F401
 
 __all__ = [
     "HemispherePrior",
@@ -129,6 +129,8 @@ class ProtocolParams:
         _checked_int(self.refine_rounds, "refine_rounds")
         if self.jitter_seed is not None:
             _checked_int(self.jitter_seed, "jitter_seed", 0, UINT64_MAX)
+        if self.config is not None and not isinstance(self.config, SamplerConfig):
+            raise ValueError(f"config must be a SamplerConfig or None, got {self.config!r}")
         if self.mode == "sampled" and self.config is None:
             raise ValueError("sampled mode requires a sampler config")
 
@@ -264,27 +266,19 @@ def _trial_layout(count: int, prior: HemispherePrior, jitter_seed: int | None) -
     return points
 
 
-def _make_scorer(alice_direction: Direction, params: ProtocolParams):
-    """The row scorer shared by coarse trials and refinement.
+def _score_rows(alice_direction: Direction, ys, params: ProtocolParams, *stream: int):
+    """``(scores, counts)`` of each (x, y, z) row of ``ys``, the scores a list of floats.
 
-    ``score(ys, *stream)`` scores each (x, y, z) row of ``ys``; it returns
-    ``(scores, counts)``, the scores a list of floats.  In sampled mode the
-    counts are one draw of k rows from ``params.config.child(*stream)``, as
-    lists of 4 ints, and a score is its row's plug-in MI on Python ints
-    (exact at any batch); in exact mode the scores are the closed form and
-    counts is None.
+    Coarse trials and refinement share it.  In sampled mode the counts are
+    one draw of k rows from ``params.config.child(*stream)``, as lists of
+    4 ints, and a score is its row's plug-in MI on Python ints (exact at
+    any batch); in exact mode the scores are the closed form and counts is
+    None.
     """
     if params.mode == "exact":
-        return lambda ys, *stream: (analytic_mutual_information(_dots(alice_direction, ys)).tolist(), None)
-
-    batch_size = params.batch_size
-    draw = joint_count_sampler(batch_size, params.config)
-
-    def score(ys, *stream):
-        counts = draw(alice_direction, ys, *stream).tolist()
-        return [_plug_in_mi(*row, batch_size) for row in counts], counts
-
-    return score
+        return analytic_mutual_information(_dots(alice_direction, ys)).tolist(), None
+    counts = _joint_counts(alice_direction, ys, params.batch_size, params.config, *stream).tolist()
+    return [_plug_in_mi(*row, params.batch_size) for row in counts], counts
 
 
 def resolve_sign(estimate: Direction, prior: HemispherePrior) -> tuple[Direction, bool]:
@@ -322,34 +316,29 @@ def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> Tr
     hemisphere; restricting candidates instead would trap the search at
     the hemisphere boundary whenever the target sits near the equator.
     """
-    score = _make_scorer(alice_direction, params)
-    layout = list(zip(*_trial_layout(params.n_trials, params.prior, params.jitter_seed).T.tolist()))  # tuple rows
-    scores, counts = score(layout, _STREAM_COARSE)
-    rows, all_scores, all_counts, phases = list(layout), list(scores), counts, [(_STREAM_COARSE, 0)] * len(layout)
-    best = max(range(len(scores)), key=scores.__getitem__)
-    direction, mi_score = Direction(*layout[best]), scores[best]
-    half_angle = params.initial_half_angle()
+    _checked_direction(alice_direction, "alice_direction")
+    rows = list(zip(*_trial_layout(params.n_trials, params.prior, params.jitter_seed).T.tolist()))  # tuple rows
+    scores, counts = _score_rows(alice_direction, rows, params, _STREAM_COARSE)
+    phases = [(_STREAM_COARSE, 0)] * len(rows)
+    best = scores.index(max(scores))  # the row index of the current phase's first maximum
     for r in range(params.refine_rounds):
-        ring = _ring_candidates(direction, half_angle)
-        scores, counts = score(ring, _STREAM_REFINE, r)
-        best = max(range(len(scores)), key=scores.__getitem__)
-        direction, mi_score = Direction(*ring[best]), scores[best]
+        ring = _ring_candidates(Direction(*rows[best]), params.initial_half_angle() * 0.5**r)  # halving is exact
+        ring_scores, ring_counts = _score_rows(alice_direction, ring, params, _STREAM_REFINE, r)
+        best = len(rows) + ring_scores.index(max(ring_scores))
         rows += ring
-        all_scores += scores
+        scores += ring_scores
+        counts = None if counts is None else counts + ring_counts
         phases += [(_STREAM_REFINE, r)] * len(ring)
-        if all_counts is not None:
-            all_counts += counts
-        half_angle *= 0.5
-    final, resolved = resolve_sign(direction, params.prior)
+    final, resolved = resolve_sign(Direction(*rows[best]), params.prior)
     return TransferResult(
         direction=final,
-        mi_score=mi_score,
+        mi_score=scores[best],
         sign_resolved=resolved,
-        singlets_used=0 if all_counts is None else len(rows) * params.batch_size,
-        refine_evaluations=len(rows) - len(layout),
+        singlets_used=0 if counts is None else len(rows) * params.batch_size,
+        refine_evaluations=len(rows) - params.n_trials,
         directions=tuple(rows),
-        scores=tuple(all_scores),
-        counts=None if all_counts is None else tuple(map(tuple, all_counts)),
+        scores=tuple(scores),
+        counts=None if counts is None else tuple(map(tuple, counts)),
         phases=tuple(phases),
     )
 
@@ -385,6 +374,6 @@ def transfer_frame(
     if orthonormalize:  # the closest orthonormal matrix in Frobenius norm (polar factor)
         u, _, vt = np.linalg.svd(np.vstack([a.as_array() for a in axes]))
         # negating a row keeps the matrix orthogonal
-        axes = tuple(resolve_sign(Direction(*row), prior)[0] for row, prior in zip(u @ vt, priors))
+        axes = tuple(resolve_sign(Direction(*row), prior)[0] for row, prior in zip((u @ vt).tolist(), priors))
 
     return FrameEstimate(axes=axes, axis_results=tuple(results), orthonormalized=orthonormalize)

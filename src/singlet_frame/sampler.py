@@ -9,8 +9,8 @@ them with the same distribution at a cost independent of the batch size.
 Randomness comes from numpy's Philox (4x64) counter-based bit generator
 keyed by ``(seed, stream_id)``: the same configuration reproduces the
 same sequence on any platform, and distinct stream ids give independent
-streams that may be consumed in any order.  ``joint_count_sampler`` draws
-the counts of many settings at once: one multinomial over k rows from one
+streams that may be consumed in any order.  ``_joint_counts`` draws the
+counts of many settings at once: one multinomial over k rows from one
 child stream.  A counter-based generator's whole state is its key and
 counter, so each thread keeps one Philox, built on its first draw, and
 every draw re-keys it to ``(seed, child stream id)`` with a zero
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INT64_MAX, UINT64_MAX, CountTable, Direction, _checked_cos, _checked_int, _checked_outcomes, _dots
-from .core import _singlet_cells, cos_angle
+from .core import INT64_MAX, UINT64_MAX, CountTable, Direction, _checked_cos, _checked_direction, _checked_int
+from .core import _checked_outcomes, _dots, _singlet_cells, cos_angle
 
 __all__ = [
     "SamplerConfig",
@@ -36,10 +36,7 @@ __all__ = [
     "sample_outcome_pair",
     "run_measurement_batch",
     "sample_joint_counts",
-    "joint_count_sampler",
 ]
-
-GENERATOR_NAME = "philox4x64"
 
 
 def _splitmix64(x: int) -> int:
@@ -100,6 +97,8 @@ class OutcomeRecord:
     y: Direction
 
     def __post_init__(self):
+        _checked_direction(self.x, "x")
+        _checked_direction(self.y, "y")
         # private copies: freezing them leaves the caller's arrays writable
         a = _checked_outcomes(self.a).copy()
         b = _checked_outcomes(self.b).copy()
@@ -178,7 +177,7 @@ def sample_joint_counts(
     (the two consume ``config``'s stream differently, so their values
     differ).  Deterministic in ``config``.
     """
-    return tuple(joint_count_sampler(batch_size, config)(x, ((y.x, y.y, y.z),))[0].tolist())
+    return tuple(_joint_counts(x, ((y.x, y.y, y.z),), batch_size, config)[0].tolist())
 
 
 class _ThreadPhilox(threading.local):
@@ -210,23 +209,17 @@ def _keyed_generator(seed: int, stream_id: int) -> np.random.Generator:
     return philox.generator  # shared by the thread's draws: use it before the next re-key
 
 
-def joint_count_sampler(batch_size: int, config: SamplerConfig):
-    """``draw(x, ys, *path)``: one (k, 4) int64 multinomial of the joint counts at x and each row of ``ys``.
+def _joint_counts(x: Direction, ys, batch_size: int, config: SamplerConfig, *path: int) -> np.ndarray:
+    """One (k, 4) int64 multinomial of the joint counts at x and each row of ``ys``.
 
     The k rows (each (y.x, y.y, y.z), as Python floats or an array row) are
     drawn in order from ``config.child(*path)``, so a one-row draw is
     ``sample_joint_counts(x, y, batch_size, config.child(*path))``.
-    ``batch_size`` is checked once, and must be below 2**63.  Every draw
-    re-keys the calling thread's Philox to the state a Philox keyed
-    ``(seed, child stream id)`` is built in: zero counter, empty buffer.
-    Only a thread's first draw builds a bit generator, and a sampler may
-    be shared between threads.
+    ``batch_size`` must be below 2**63.  Every call re-keys the calling
+    thread's Philox to the state a Philox keyed ``(seed, child stream id)``
+    is built in: zero counter, empty buffer.  Only a thread's first draw
+    builds a bit generator.
     """
     _checked_int(batch_size, "batch_size", 1, INT64_MAX)  # numpy's multinomial takes a C long
-    seed, stream_id = config.seed, config.stream_id
-
-    def draw(x: Direction, ys, *path: int) -> np.ndarray:
-        pvals = list(map(_singlet_cells, _dots(x, ys)))
-        return _keyed_generator(seed, _fold(stream_id, path)).multinomial(batch_size, pvals)
-
-    return draw
+    pvals = list(map(_singlet_cells, _dots(x, ys)))
+    return _keyed_generator(config.seed, _fold(config.stream_id, path)).multinomial(batch_size, pvals)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,30 @@ class TestDirection:
     def test_rescaling_keeps_rejecting(self, v):
         with pytest.raises(DomainError, match="must be a nonzero finite vector"):
             Direction(*v)
+
+
+    def test_numpy_float_whose_square_overflows_rescales_silently(self):
+        # a numpy float component used to square as a numpy scalar, whose overflow warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Direction(np.float64(1e200), 0.0, np.float64(0.0))
+        assert np.array([got.x, got.y, got.z]).tobytes() == Direction(1e200, 0.0, 0.0).as_array().tobytes()
+
+    def test_accepted_vectors_keep_their_bits_and_types(self, rng):
+        # the plain norm, x / sqrt(x*x + y*y + z*z), on the components as given: exact for ints, numpy
+        # floats stay numpy floats, and a unit vector is left as it is
+        def plain(x, y, z):
+            n = math.sqrt(x * x + y * y + z * z)
+            return (x, y, z) if abs(n - 1.0) <= 1e-12 else (x / n, y / n, z / n)
+
+        vectors = [tuple(rng.normal(size=3) * 10.0) for _ in range(50)]  # numpy floats
+        vectors += [tuple(v.tolist()) for v in rng.normal(size=(50, 3))]  # Python floats
+        vectors += [(2**53 + 1, -3, 2**60 + 7), (2**80 - 1, 2**80, 1), (3, 0, 4), (1, 0, 0)]
+        for v in vectors:
+            d = Direction(*v)
+            want = plain(*v)
+            assert [type(t) for t in (d.x, d.y, d.z)] == [type(t) for t in want]
+            assert np.array([d.x, d.y, d.z], dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 class TestDirectionFromPolar:

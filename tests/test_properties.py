@@ -20,12 +20,12 @@ from singlet_frame import (
     SamplerConfig,
     cos_angle,
     estimate_mutual_information,
-    joint_count_sampler,
     resolve_sign,
     sample_joint_counts,
     transfer_direction,
 )
 from singlet_frame.core import _plug_in_mi
+from singlet_frame.sampler import _joint_counts
 from singlet_frame.serialize import read_record_arrays_csv, record_to_csv, write_json_atomic
 
 Z = Direction(0.0, 0.0, 1.0)
@@ -148,12 +148,12 @@ paths = st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=4).map(
 @settings(deadline=None)
 @given(config=configs, batch=batches, c=cosines, path=paths, earlier_c=cosines, earlier_path=paths)
 def test_rekeyed_draw_is_the_freshly_keyed_child_draw(config, batch, c, path, earlier_c, earlier_path):
-    draw = joint_count_sampler(batch, config)
-    draw(Z, _at_cosine(earlier_c).as_array()[None], *earlier_path)  # leaves the shared Philox mid-stream
+    # leaves the shared Philox mid-stream
+    _joint_counts(Z, _at_cosine(earlier_c).as_array()[None], batch, config, *earlier_path)
     y = _at_cosine(c)
     same, anti = (1.0 - cos_angle(Z, y)) / 4.0, (1.0 + cos_angle(Z, y)) / 4.0
     fresh = config.child(*path).generator().multinomial(batch, (same, anti, anti, same))
-    assert draw(Z, y.as_array()[None], *path).tolist() == [fresh.tolist()]
+    assert _joint_counts(Z, y.as_array()[None], batch, config, *path).tolist() == [fresh.tolist()]
 
 
 @settings(deadline=None)
@@ -162,9 +162,8 @@ def test_rekeyed_draw_is_the_freshly_keyed_child_draw(config, batch, c, path, ea
     earlier=st.lists(directions, min_size=1, max_size=9),
 )
 def test_one_row_draw_is_sample_joint_counts_on_the_child(config, batch, x, y, path, earlier):
-    draw = joint_count_sampler(batch, config)
-    draw(x, np.array([d.as_array() for d in earlier]), 1, 2)  # a phase draw leaves the Philox mid-stream
-    got = draw(x, y.as_array()[None], *path)
+    _joint_counts(x, np.array([d.as_array() for d in earlier]), batch, config, 1, 2)  # leaves the Philox mid-stream
+    got = _joint_counts(x, y.as_array()[None], batch, config, *path)
     assert got.dtype == np.int64 and got.shape == (1, 4)
     assert tuple(got[0].tolist()) == sample_joint_counts(x, y, batch, config.child(*path))
 

@@ -29,8 +29,8 @@ from singlet_frame.protocol import (
     RING_SIZE,
     _STREAM_COARSE,
     _STREAM_REFINE,
-    _make_scorer,
     _ring_candidates,
+    _score_rows,
     _tangent_basis,
     _trial_layout,
     _unit_spiral,
@@ -215,11 +215,11 @@ class TestGeometryBits:
 
 
 class TestEvaluateTrial:
-    # one trial is one row of the scorer that coarse trials and refinement share
+    # one trial is one row of the scoring that coarse trials and refinement share
     @staticmethod
     def _score(truth, trial, batch, seed, stream=(_STREAM_COARSE, 0)):
-        score = _make_scorer(truth, ProtocolParams(1, batch, 0, NO_PRIOR, config=SamplerConfig(seed)))
-        (mi,), counts = score([(trial.x, trial.y, trial.z)], *stream)
+        params = ProtocolParams(1, batch, 0, NO_PRIOR, config=SamplerConfig(seed))
+        (mi,), counts = _score_rows(truth, [(trial.x, trial.y, trial.z)], params, *stream)
         return mi, counts
 
     def test_aligned_trial_scores_high(self):
@@ -688,6 +688,12 @@ class TestTransferFrame:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert abs(est.axes[i].dot(est.axes[j])) < 1e-10
+
+    def test_orthonormalized_axes_hold_python_floats(self):
+        # as the per-axis results do; the rows of the polar factor are numpy floats
+        params = ProtocolParams(8, 100, 1, NO_PRIOR, config=SamplerConfig(4))
+        est = transfer_frame(self.IDENTITY, params, orthonormalize=True)
+        assert all(type(t) is float for axis in est.axes for t in (axis.x, axis.y, axis.z))
 
     def test_orthonormalized_axes_stay_in_their_hemispheres(self, rng):
         # the polar factor can push a noisy axis across its pole's equator;

@@ -11,14 +11,13 @@ from singlet_frame import (
     SamplerConfig,
     cos_angle,
     direction_from_polar,
-    joint_count_sampler,
     run_measurement_batch,
     sample_joint_counts,
     sample_outcome_pair,
     singlet_joint_distribution,
     tally,
 )
-from singlet_frame.sampler import _keyed_generator
+from singlet_frame.sampler import _joint_counts, _keyed_generator
 
 Z = Direction(0.0, 0.0, 1.0)
 X = Direction(1.0, 0.0, 0.0)
@@ -271,28 +270,28 @@ class TestSampleJointCounts:
         assert p_value > 1e-3
 
 
-def _one_row(draw, x, y, *path):
+def _one_row(x, y, batch_size, config, *path):
     """A one-row draw at (x, y) as a tuple, the form sample_joint_counts returns."""
-    return tuple(draw(x, y.as_array()[None], *path)[0].tolist())
+    return tuple(_joint_counts(x, y.as_array()[None], batch_size, config, *path)[0].tolist())
 
 
-class TestJointCountSampler:
+class TestJointCounts:
     def test_draws_equal_sample_joint_counts_on_child_streams(self):
         cfg = SamplerConfig(77, 5)
         y = direction_from_polar(0.4, 2.0)
-        draw = joint_count_sampler(300, cfg)
-        # repeated paths, shared prefixes and the empty path, in one sampler
+        # repeated paths, shared prefixes and the empty path, one after another
         for path in [(0, 3), (), (1, 2, 8), (1, 2, 0), (0, 3), (0,), (1, 2, 8), ()]:
-            assert _one_row(draw, Z, y, *path) == sample_joint_counts(Z, y, 300, cfg.child(*path))
+            assert _one_row(Z, y, 300, cfg, *path) == sample_joint_counts(Z, y, 300, cfg.child(*path))
 
     @pytest.mark.parametrize("batch_size", [0, 2.5, True, 2**63])
-    def test_batch_size_checked_when_built(self, batch_size):
+    def test_batch_size_checked_on_every_draw(self, batch_size):
         with pytest.raises(ValueError, match="batch_size"):
-            joint_count_sampler(batch_size, SamplerConfig(1))
+            _joint_counts(Z, ((1.0, 0.0, 0.0),), batch_size, SamplerConfig(1))
 
     def test_batch_size_bound_is_the_largest_int64(self):
         # numpy's multinomial takes a C long: 2**63 used to escape as an OverflowError
         assert sum(sample_joint_counts(Z, X, 2**63 - 1, SamplerConfig(1))) == 2**63 - 1
+        assert _joint_counts(Z, ((1.0, 0.0, 0.0),), 2**63 - 1, SamplerConfig(1)).sum() == 2**63 - 1
         with pytest.raises(ValueError, match="batch_size"):
             sample_joint_counts(Z, X, 2**63, SamplerConfig(1))
 
@@ -300,11 +299,10 @@ class TestJointCountSampler:
     def test_bad_path_rejected_after_an_equal_good_one(self, path):
         # True and 1.0 compare equal to 1, so nothing may be looked up by the path
         cfg = SamplerConfig(1)
-        draw = joint_count_sampler(10, cfg)
-        good = _one_row(draw, Z, X, 1, 2, 3)
+        good = _one_row(Z, X, 10, cfg, 1, 2, 3)
         with pytest.raises(ValueError, match="substream"):
-            _one_row(draw, Z, X, *path)
-        assert _one_row(draw, Z, X, 1, 2, 3) == good == sample_joint_counts(Z, X, 10, cfg.child(1, 2, 3))
+            _one_row(Z, X, 10, cfg, *path)
+        assert _one_row(Z, X, 10, cfg, 1, 2, 3) == good == sample_joint_counts(Z, X, 10, cfg.child(1, 2, 3))
 
     def test_phase_draw_is_one_multinomial_over_its_rows(self):
         # the rows of a (k, 4) draw are one 2-d multinomial from the child stream
@@ -314,7 +312,7 @@ class TestJointCountSampler:
             ((1.0 - c) / 4.0, (1.0 + c) / 4.0, (1.0 + c) / 4.0, (1.0 - c) / 4.0)
             for c in (cos_angle(Z, Direction(*y)) for y in ys.tolist())
         ]
-        got = joint_count_sampler(5000, cfg)(Z, ys, 1, 4)
+        got = _joint_counts(Z, ys, 5000, cfg, 1, 4)
         assert got.dtype == np.int64 and got.shape == (8, 4)
         assert got.tolist() == cfg.child(1, 4).generator().multinomial(5000, pvals).tolist()
         assert got.sum(axis=1).tolist() == [5000] * 8
@@ -326,10 +324,12 @@ class TestJointCountSampler:
         # from its own child stream
         y = Direction(math.sqrt(1.0 - c * c), 0.0, c)
         batch, runs, k = 6, 3000, 5
-        phase_draw = joint_count_sampler(batch, SamplerConfig(903))
         ys = np.tile(y.as_array(), (k, 1))
         draws = {
-            "phase rows": [tuple(row) for i in range(runs // k) for row in phase_draw(Z, ys, i).tolist()],
+            "phase rows": [
+                tuple(row) for i in range(runs // k)
+                for row in _joint_counts(Z, ys, batch, SamplerConfig(903), i).tolist()
+            ],
             "one row": [sample_joint_counts(Z, y, batch, SamplerConfig(904).child(i)) for i in range(runs)],
         }
         cells = sorted(set(draws["phase rows"]) | set(draws["one row"]))

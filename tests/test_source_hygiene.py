@@ -10,8 +10,9 @@ the benchmark's tracer wraps that name on that module (an entry of
 ``WRAP_POINTS`` in ``perfbench/tracing.py``, read with ``ast``), so a
 stale re-export cannot hide behind the mark.  The second is a dead-code
 rule: a function, class or assignment at module level whose name starts
-with ``_`` (dunder names aside) must be read by some expression,
-attribute access or ``from`` import of the package.
+with ``_`` (dunder names aside), and a public assignment at module level
+that its module's ``__all__`` does not list, must be read by some
+expression, attribute access or ``from`` import of the package.
 """
 
 import ast
@@ -29,6 +30,11 @@ def _assigned(tree, name: str) -> list:
         node.value for node in ast.walk(tree)
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
     ]
+
+
+def _all_names(tree) -> set[str]:
+    """The string constants of every ``__all__`` assignment in ``tree``."""
+    return {c.value for value in _assigned(tree, "__all__") for c in ast.walk(value) if isinstance(c, ast.Constant)}
 
 
 def wrapped_names(source: str) -> dict[str, set[str]]:
@@ -62,16 +68,19 @@ def unused_imports(source: str, wrapped=frozenset()) -> list[str]:
             if alias.name != "*":
                 bound.append((node.lineno, alias.asname or alias.name.split(".")[0], noqa))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for value in _assigned(tree, "__all__"):  # names re-exported through __all__ are used
-        used.update(c.value for c in ast.walk(value) if isinstance(c, ast.Constant))
+    used |= _all_names(tree)  # names re-exported through __all__ are used
     return [
         f"line {lineno}: {name}" for lineno, name, noqa in sorted(bound)
         if name not in used and not (noqa and name in wrapped)
     ]
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """``module: name`` for each module-level private name of ``sources`` (module name -> source) read nowhere."""
+def unread_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each module-level name of ``sources`` (module name -> source) the rule covers, read nowhere.
+
+    The rule covers private functions, classes and assignments, and public
+    assignments missing from the module's ``__all__``.
+    """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -84,23 +93,22 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 read.update(alias.name for alias in node.names)
     unread = []
     for module, tree in trees.items():
+        exported = _all_names(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined = [node.name]
+                covered = [node.name] if node.name.startswith("_") else []
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                covered = [name for name in names if name not in exported]
             else:
                 continue
-            unread += [
-                f"{module}: {name}" for name in defined
-                if name.startswith("_") and not name.endswith("__") and name not in read
-            ]
+            unread += [f"{module}: {name}" for name in covered if not name.endswith("__") and name not in read]
     return unread
 
 
-def test_no_unread_private_names():
-    assert unread_private_names({path.stem: path.read_text(encoding="utf-8") for path in SOURCES}) == []
+def test_no_unread_names():
+    assert unread_names({path.stem: path.read_text(encoding="utf-8") for path in SOURCES}) == []
 
 
 @pytest.mark.parametrize(
@@ -112,12 +120,15 @@ def test_no_unread_private_names():
         pytest.param({"a": "_X = 1\n", "b": "import a\na._X\n"}, [], id="attribute"),
         pytest.param({"a": "_X, _Y = 1, 2\n_Y\n"}, ["a: _X"], id="tuple-target"),
         pytest.param({"a": "_T: int = 1\n"}, ["a: _T"], id="annotated"),
-        pytest.param({"a": "__all__ = []\nPUBLIC = 1\n"}, [], id="dunder-and-public"),
+        pytest.param({"a": "__all__ = []\n__version__ = '1'\n"}, [], id="dunder"),
+        pytest.param({"a": "__all__ = []\nPUBLIC = 1\ndef f():\n    pass\n"}, ["a: PUBLIC"], id="public-assignment"),
+        pytest.param({"a": "__all__ = ['PUBLIC']\nPUBLIC = 1\n"}, [], id="public-in-all"),
+        pytest.param({"a": "__all__ = []\nPUBLIC = 1\n", "b": "from .a import PUBLIC\n"}, [], id="public-imported"),
         pytest.param({"a": "def f():\n    _local = 1\n    return 2\n"}, [], id="not-module-level"),
     ],
 )
 def test_dead_code_rule_on_small_sources(sources, unread):
-    assert unread_private_names(sources) == unread
+    assert unread_names(sources) == unread
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

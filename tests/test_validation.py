@@ -16,10 +16,10 @@ from singlet_frame import (
     SamplerConfig,
     SignTally,
     generate_trial_directions,
-    joint_count_sampler,
     run_measurement_batch,
     sample_joint_counts,
     sign_tally_from_arrays,
+    transfer_direction,
     transfer_frame,
 )
 from singlet_frame import bayes, core, protocol, sampler
@@ -48,7 +48,7 @@ INT_FIELDS = [
     ("stream_id", 0, U64, lambda v: SamplerConfig(0, v)),
     ("batch_size", 1, None, lambda v: run_measurement_batch(Z, Z, v, SamplerConfig(1))),
     ("batch_size", 1, None, lambda v: sample_joint_counts(Z, Z, v, SamplerConfig(1))),
-    ("batch_size", 1, None, lambda v: joint_count_sampler(v, SamplerConfig(1))),
+    ("batch_size", 1, None, lambda v: sampler._joint_counts(Z, ((0.0, 0.0, 1.0),), v, SamplerConfig(1))),
     ("n_trials", 1, None, lambda v: _params(n_trials=v)),
     ("batch_size", 1, None, lambda v: _params(batch_size=v)),
     ("refine_rounds", 0, None, lambda v: _params(refine_rounds=v)),
@@ -100,6 +100,36 @@ def test_hemisphere_prior_pole_must_be_a_direction(pole):
 def test_protocol_params_checks_prior(prior):
     with pytest.raises(ValueError, match="prior"):
         _params(prior=prior)
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exact"])
+@pytest.mark.parametrize("config", [(1, 2), 7, {"seed": 1}], ids=["tuple", "int", "dict"])
+def test_protocol_params_checks_config(config, mode):
+    # a tuple config used to fail only inside the transfer, as an AttributeError
+    with pytest.raises(ValueError, match="config must be a SamplerConfig or None"):
+        ProtocolParams(10, 100, 1, HemispherePrior.none(), config=config, mode=mode)
+
+
+FRAME = (Direction(1.0, 0.0, 0.0), Direction(0.0, 1.0, 0.0), Z)
+# (start of the message, call given a stand-in for one Direction)
+DIRECTION_ENTRY_POINTS = {
+    "transfer_direction": ("alice_direction", lambda v: transfer_direction(v, _params())),
+    "transfer_frame": ("alice_frame", lambda v: transfer_frame(FRAME[:2] + (v,), _params())),
+    "FrameEstimate": ("FrameEstimate.axes", lambda v: FrameEstimate(
+        FRAME[:2] + (v,), transfer_frame(FRAME, _params()).axis_results, orthonormalized=True)),
+    "OutcomeRecord.x": ("x", lambda v: OutcomeRecord(a=np.ones(2), b=np.ones(2), x=v, y=Z)),
+    "OutcomeRecord.y": ("y", lambda v: OutcomeRecord(a=np.ones(2), b=np.ones(2), x=Z, y=v)),
+}
+
+
+@pytest.mark.parametrize("value", [(0.0, 0.0, 1.0), np.array([0.0, 0.0, 1.0])], ids=["tuple", "array"])
+@pytest.mark.parametrize("entry", DIRECTION_ENTRY_POINTS)
+def test_settings_must_be_directions(entry, value):
+    # a tuple used to raise AttributeError in the transfers and was stored silently by OutcomeRecord
+    name, call = DIRECTION_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be (a Direction|three orthonormal Directions)"):
+        call(value)
+    call(Z)
 
 
 # each bad entry equals neither -1 nor +1, yet a cast to int8 or int64 would have made it one
@@ -197,7 +227,7 @@ class TestPublicNames:
             "JointDistribution2x2", "OutcomeRecord", "PosteriorSummary", "ProtocolParams", "SamplerConfig",
             "SignTally", "TransferResult", "TrialRecord", "__version__", "analytic_mutual_information",
             "conditional_direction_density", "cos_angle", "credible_interval", "direction_from_polar",
-            "estimate_mutual_information", "generate_trial_directions", "joint_count_sampler", "log_likelihood",
+            "estimate_mutual_information", "generate_trial_directions", "log_likelihood",
             "log_normalization_d", "mutual_information_from_joint", "posterior_density", "posterior_peak",
             "posterior_summary", "posterior_theta_density", "resolve_sign", "run_measurement_batch",
             "sample_joint_counts", "sample_outcome_pair", "sign_tally", "sign_tally_from_arrays",
