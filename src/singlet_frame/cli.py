@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 validation, 2 runtime, 3 I/O.  Reports carry no
 timestamps (timing goes to a ``.log`` sidecar) so identical inputs yield
 byte-identical outputs.  When ``--out`` is omitted, files land in
 ``$SINGLET_FRAME_OUT_DIR`` (default: current directory) under a
-per-command default name.
+per-command default name; ``run`` first takes the config's ``out``.  An
+empty path is a validation error.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import numpy as np
 
 from . import __version__
 from .bayes import SignTally, posterior_summary, posterior_theta_density, sign_tally_from_arrays
-from .config import ConfigError, ExperimentConfig, _field, canonical_dict, load_config, parse_config
+from .config import ConfigError, _field, axis_priors, load_config, parse_config, protocol_params, target_axes
 from .core import _checked_int, analytic_mutual_information, cos_angle, direction_from_polar
-from .protocol import FrameEstimate, TransferResult, transfer_direction, transfer_frame
+from .protocol import TransferResult, transfer_direction, transfer_frame
 from .serialize import format_float, read_record_arrays_csv, write_csv_atomic, write_json_atomic
 
 OUT_DIR_ENV = "SINGLET_FRAME_OUT_DIR"
@@ -112,17 +113,17 @@ def _direction_result(res: TransferResult, truth) -> dict:
     }
 
 
-def cmd_run(cfg: ExperimentConfig, out_path, include_counts: bool = True) -> None:
-    """Execute the configured transfer and write the JSON report.
+def cmd_run(cfg: dict, out_path, include_counts: bool = True) -> None:
+    """Execute the transfer of a parsed config (``parse_config``) and write the JSON report.
 
     The wall time goes to the ``.log`` sidecar, not the report, so reports
     are byte-identical across reruns.
     """
     started = time.perf_counter()
-    params = cfg.protocol_params()
-    if cfg.is_frame:
-        truth = cfg.truth_frame()
-        frame: FrameEstimate = transfer_frame(truth, params, orthonormalize=cfg.orthonormalize, priors=cfg.priors())
+    params = protocol_params(cfg)
+    truth = target_axes(cfg)
+    if "alice_frame" in cfg:
+        frame = transfer_frame(truth, params, orthonormalize=cfg["orthonormalize"], priors=axis_priors(cfg))
         transfers = frame.axis_results
         result = {
             "kind": "frame",
@@ -137,16 +138,15 @@ def cmd_run(cfg: ExperimentConfig, out_path, include_counts: bool = True) -> Non
             ],
         }
     else:
-        truth = cfg.truth_direction()
-        transfers = (transfer_direction(truth, params),)
-        result = {"kind": "direction", **_direction_result(transfers[0], truth)}
+        transfers = (transfer_direction(truth[0], params),)
+        result = {"kind": "direction", **_direction_result(transfers[0], truth[0])}
     report = {
-        "config": canonical_dict(cfg),
+        "config": cfg,
         "result": result,
         "budget": {
             "singlets_used": sum(r.singlets_used for r in transfers),
-            "batch_size": cfg.batch,
-            "coarse_trials": cfg.trials,
+            "batch_size": cfg["batch"],
+            "coarse_trials": cfg["trials"],
         },
         "version": __version__,
     }
@@ -187,9 +187,11 @@ def _parse_tally(text: str) -> SignTally:
 
 
 def _resolve_out(arg_out, command: str) -> Path:
-    if arg_out is not None:
-        return Path(arg_out)
-    return Path(os.environ.get(OUT_DIR_ENV, ".")) / _DEFAULT_OUT[command]
+    if arg_out is None:
+        return Path(os.environ.get(OUT_DIR_ENV, ".")) / _DEFAULT_OUT[command]
+    if not arg_out:
+        raise ConfigError("field 'out': must not be empty")
+    return Path(arg_out)
 
 
 @functools.cache
@@ -243,8 +245,8 @@ def _dispatch(args) -> int:
         cfg = load_config(args.config)
         overrides = {k: v for k, v in (("seed", args.seed), ("mode", args.mode)) if v is not None}
         if overrides:
-            cfg = parse_config({**canonical_dict(cfg), **overrides})
-        out = Path(args.out) if args.out else (Path(cfg.out) if cfg.out else _resolve_out(None, "run"))
+            cfg = parse_config({**cfg, **overrides})
+        out = _resolve_out(args.out if args.out is not None else cfg.get("out"), "run")
         cmd_run(cfg, out, include_counts=not args.no_counts)
     elif args.command == "bayes":
         if args.tally is not None:

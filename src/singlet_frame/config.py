@@ -5,93 +5,56 @@ or "sampled"), exactly one of ``alice_direction`` / ``alice_frame``
 (polar angles, radians), ``trials``, ``batch``.  Optional:
 ``refine_rounds`` (default 3), ``prior`` (default disabled), ``seed``
 (required in sampled mode), ``stream`` (default 0), ``jitter_seed``,
-``orthonormalize`` (frame runs only), ``out``.
+``orthonormalize`` (default false; frame runs only), ``out``.
 
 Angles: {"theta": t, "phi": p}.  Prior: {"enabled": bool, "pole": angle}
 or, for frame runs, {"enabled": bool, "poles": [angle, angle, angle]}.  A
 disabled prior's pole or poles are checked like an enabled one's, then
 dropped.
 
-``canonical_dict`` materializes defaults; parsing its output yields an
-equal config (round-trip stability).
+``parse_config`` returns the config as a new dict in canonical form, the
+form a run report echoes.  ``target_axes``, ``axis_priors`` and
+``protocol_params`` read the run's inputs from that dict.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .core import UINT64_MAX, Direction, _check_orthonormal, _checked_int, direction_from_polar
 from .protocol import HemispherePrior, ProtocolParams
 from .sampler import SamplerConfig
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config", "canonical_dict"]
+__all__ = ["ConfigError", "parse_config", "load_config", "target_axes", "axis_priors", "protocol_params"]
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    mode: str
-    alice_direction: tuple[float, float] | None
-    alice_frame: tuple[tuple[float, float], ...] | None
-    trials: int
-    batch: int
-    refine_rounds: int
-    prior_poles: tuple[tuple[float, float], ...] | None  # None: the prior is disabled
-    seed: int | None
-    stream: int
-    jitter_seed: int | None
-    orthonormalize: bool
-    out: str | None
-
-    @property
-    def is_frame(self) -> bool:
-        return self.alice_frame is not None
-
-    def truth_direction(self) -> Direction:
-        return direction_from_polar(*self.alice_direction)
-
-    def truth_frame(self) -> tuple[Direction, Direction, Direction]:
-        return tuple(direction_from_polar(t, p) for t, p in self.alice_frame)
-
-    def priors(self) -> tuple[HemispherePrior, ...]:
-        """One prior per target axis (a single one for direction runs)."""
-        n = 3 if self.is_frame else 1
-        if self.prior_poles is None:
-            return (HemispherePrior.none(),) * n
-        poles = self.prior_poles
-        if len(poles) == 1:
-            poles = poles * n
-        return tuple(HemispherePrior.around(direction_from_polar(t, p)) for t, p in poles)
-
-    def protocol_params(self) -> ProtocolParams:
-        return ProtocolParams(
-            n_trials=self.trials,
-            batch_size=self.batch,
-            refine_rounds=self.refine_rounds,
-            prior=self.priors()[0],
-            config=SamplerConfig(self.seed, self.stream) if self.mode == "sampled" else None,
-            mode=self.mode,
-            jitter_seed=self.jitter_seed,
-        )
-
-
-def _angle_pair(value, field: str) -> tuple[float, float]:
+def _angle(value, field: str) -> dict:
     if not isinstance(value, dict) or set(value) != {"theta", "phi"}:
         raise ConfigError(f"field '{field}': expected an object with keys 'theta' and 'phi'")
-    out = []
+    out = {}
     for key in ("theta", "phi"):
         v = value[key]
         # an exact comparison, so NaN and ints too large for a float fail it too
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
             raise ConfigError(f"field '{field}.{key}': must be a finite number")
-        out.append(float(v))
-    return tuple(out)
+        out[key] = float(v)
+    return out
+
+
+def _direction(angle: dict) -> Direction:
+    return direction_from_polar(angle["theta"], angle["phi"])
+
+
+def _angles(value, field: str) -> list[dict]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"field '{field}': must be a list of three angle pairs")
+    return [_angle(v, f"{field}[{i}]") for i, v in enumerate(value)]
 
 
 def _field(check, value, field: str, *args):
@@ -114,7 +77,13 @@ _KNOWN_KEYS = {
 }
 
 
-def parse_config(data) -> ExperimentConfig:
+def parse_config(data) -> dict:
+    """Validate a config and return it in canonical form, as a new dict that shares no dict or list with ``data``.
+
+    Every default is filled in, null or absent optional keys are left out,
+    angles are {"theta", "phi"} floats and a disabled prior is
+    {"enabled": false}; parsing the result again gives an equal dict.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root: must be a JSON object")
     unknown = sorted(set(data) - _KNOWN_KEYS)
@@ -124,29 +93,25 @@ def parse_config(data) -> ExperimentConfig:
     mode = data.get("mode")
     if mode not in ("exact", "sampled"):
         raise ConfigError("field 'mode': must be 'exact' or 'sampled'")
+    cfg = {"mode": mode}
 
-    has_dir = "alice_direction" in data
-    has_frame = "alice_frame" in data
-    if has_dir == has_frame:
+    is_frame = "alice_frame" in data
+    if is_frame == ("alice_direction" in data):
         raise ConfigError("field 'alice_direction': exactly one of 'alice_direction'/'alice_frame' is required")
-
-    alice_direction = _angle_pair(data["alice_direction"], "alice_direction") if has_dir else None
-    alice_frame = None
-    if has_frame:
-        raw = data["alice_frame"]
-        if not isinstance(raw, list) or len(raw) != 3:
-            raise ConfigError("field 'alice_frame': must be a list of three angle pairs")
-        alice_frame = tuple(_angle_pair(v, f"alice_frame[{i}]") for i, v in enumerate(raw))
-        _field(_check_orthonormal, [direction_from_polar(t, p) for t, p in alice_frame], "alice_frame")
+    if is_frame:
+        cfg["alice_frame"] = _angles(data["alice_frame"], "alice_frame")
+        _field(_check_orthonormal, target_axes(cfg), "alice_frame")
+    else:
+        cfg["alice_direction"] = _angle(data["alice_direction"], "alice_direction")
 
     for key in ("trials", "batch"):
         if key not in data:
             raise ConfigError(f"field '{key}': required")
-    trials = _field(_checked_int, data["trials"], "trials", 1)
-    batch = _field(_checked_int, data["batch"], "batch", 1)
-    refine_rounds = _field(_checked_int, data.get("refine_rounds", 3), "refine_rounds")
+    cfg["trials"] = _field(_checked_int, data["trials"], "trials", 1)
+    cfg["batch"] = _field(_checked_int, data["batch"], "batch", 1)
+    cfg["refine_rounds"] = _field(_checked_int, data.get("refine_rounds", 3), "refine_rounds")
 
-    prior_poles = None
+    cfg["prior"] = {"enabled": False}
     if "prior" in data:
         prior = data["prior"]
         if not isinstance(prior, dict):
@@ -158,47 +123,41 @@ def parse_config(data) -> ExperimentConfig:
         if "pole" in prior and "poles" in prior:
             raise ConfigError("field 'prior.pole': give either 'pole' or 'poles', not both")
         if "pole" in prior:
-            prior_poles = (_angle_pair(prior["pole"], "prior.pole"),)
+            key, poles = "pole", _angle(prior["pole"], "prior.pole")
         elif "poles" in prior:
-            raw = prior["poles"]
-            if not isinstance(raw, list) or len(raw) != 3:
-                raise ConfigError("field 'prior.poles': must be a list of three angle pairs")
-            prior_poles = tuple(_angle_pair(v, f"prior.poles[{i}]") for i, v in enumerate(raw))
-            if not has_frame:
+            key, poles = "poles", _angles(prior["poles"], "prior.poles")
+            if not is_frame:
                 raise ConfigError("field 'prior.poles': only valid with 'alice_frame'")
         elif enabled:
             raise ConfigError("field 'prior.pole': required when the prior is enabled")
-        if not enabled:  # checked above, then dropped
-            prior_poles = None
+        if enabled:  # a disabled prior's poles are checked above, then dropped
+            cfg["prior"] = {"enabled": True, key: poles}
 
-    seed = data.get("seed")
-    if seed is not None:
-        seed = _field(_checked_int, seed, "seed", 0, UINT64_MAX)
+    if data.get("seed") is not None:
+        cfg["seed"] = _field(_checked_int, data["seed"], "seed", 0, UINT64_MAX)
     elif mode == "sampled":
         raise ConfigError("field 'seed': required when mode='sampled'")
 
-    stream = _field(_checked_int, data.get("stream", 0), "stream", 0, UINT64_MAX)
+    cfg["stream"] = _field(_checked_int, data.get("stream", 0), "stream", 0, UINT64_MAX)
 
-    jitter_seed = data.get("jitter_seed")
-    if jitter_seed is not None:
-        jitter_seed = _field(_checked_int, jitter_seed, "jitter_seed", 0, UINT64_MAX)
+    if data.get("jitter_seed") is not None:
+        cfg["jitter_seed"] = _field(_checked_int, data["jitter_seed"], "jitter_seed", 0, UINT64_MAX)
 
-    orthonormalize = _bool(data.get("orthonormalize", False), "orthonormalize")
-    if orthonormalize and not has_frame:
+    cfg["orthonormalize"] = _bool(data.get("orthonormalize", False), "orthonormalize")
+    if cfg["orthonormalize"] and not is_frame:
         raise ConfigError("field 'orthonormalize': only valid with 'alice_frame'")
 
     out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("field 'out': must be a string path")
+    if out is not None:
+        if not isinstance(out, str):
+            raise ConfigError("field 'out': must be a string path")
+        if not out:
+            raise ConfigError("field 'out': must not be empty")
+        cfg["out"] = out
+    return cfg
 
-    # every local above is named as its field, in field order
-    return ExperimentConfig(
-        mode, alice_direction, alice_frame, trials, batch, refine_rounds, prior_poles,
-        seed, stream, jitter_seed, orthonormalize, out,
-    )
 
-
-def load_config(path) -> ExperimentConfig:
+def load_config(path) -> dict:
     """Read and parse a config file; a file that cannot be read raises its OSError, which names the file."""
     path = Path(path)
     try:
@@ -210,33 +169,27 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(data)
 
 
-def _angle_dict(pair: tuple[float, float]) -> dict:
-    return {"theta": pair[0], "phi": pair[1]}
+def target_axes(cfg: dict) -> tuple[Direction, ...]:
+    """The axes a parsed config transfers: ``alice_direction``, or the three of ``alice_frame``."""
+    if "alice_frame" in cfg:
+        return tuple(map(_direction, cfg["alice_frame"]))
+    return (_direction(cfg["alice_direction"]),)
 
 
-def canonical_dict(cfg: ExperimentConfig) -> dict:
-    """Config as a plain dict with all defaults materialized."""
-    out: dict = {"mode": cfg.mode}
-    if cfg.alice_direction is not None:
-        out["alice_direction"] = _angle_dict(cfg.alice_direction)
-    else:
-        out["alice_frame"] = [_angle_dict(p) for p in cfg.alice_frame]
-    out["trials"] = cfg.trials
-    out["batch"] = cfg.batch
-    out["refine_rounds"] = cfg.refine_rounds
-    prior: dict = {"enabled": cfg.prior_poles is not None}
-    if cfg.prior_poles is not None:
-        if len(cfg.prior_poles) == 1:
-            prior["pole"] = _angle_dict(cfg.prior_poles[0])
-        else:
-            prior["poles"] = [_angle_dict(p) for p in cfg.prior_poles]
-    out["prior"] = prior
-    if cfg.seed is not None:
-        out["seed"] = cfg.seed
-    out["stream"] = cfg.stream
-    if cfg.jitter_seed is not None:
-        out["jitter_seed"] = cfg.jitter_seed
-    out["orthonormalize"] = cfg.orthonormalize
-    if cfg.out is not None:
-        out["out"] = cfg.out
-    return out
+def axis_priors(cfg: dict) -> tuple[HemispherePrior, ...]:
+    """One prior per target axis of a parsed config."""
+    prior = cfg["prior"]
+    n = 3 if "alice_frame" in cfg else 1
+    if not prior["enabled"]:
+        return (HemispherePrior.none(),) * n
+    poles = prior["poles"] if "poles" in prior else (prior["pole"],) * n
+    return tuple(HemispherePrior(_direction(p)) for p in poles)
+
+
+def protocol_params(cfg: dict) -> ProtocolParams:
+    """The transfer knobs of a parsed config, with the first axis's prior."""
+    return ProtocolParams(
+        cfg["trials"], cfg["batch"], cfg["refine_rounds"], axis_priors(cfg)[0],
+        config=SamplerConfig(cfg["seed"], cfg["stream"]) if cfg["mode"] == "sampled" else None,
+        mode=cfg["mode"], jitter_seed=cfg.get("jitter_seed"),
+    )

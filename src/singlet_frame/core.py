@@ -160,14 +160,12 @@ class Direction:
     z: float
 
     def __post_init__(self):
-        x, y, z = self.x, self.y, self.z
-        # a numpy float squares with an overflow warning; the same value as a Python float squares silently
-        sx, sy, sz = (float(x) if isinstance(x, float) else x, float(y) if isinstance(y, float) else y,
-                      float(z) if isinstance(z, float) else z)
+        # Python floats square silently where numpy floats warn on overflow
         try:
-            n = math.sqrt(sx * sx + sy * sy + sz * sz)
+            x, y, z = float(self.x), float(self.y), float(self.z)
         except OverflowError:  # an int component too large for a float
-            n = math.inf
+            raise DomainError(f"direction must be a nonzero finite vector, got {(self.x, self.y, self.z)}") from None
+        n = math.sqrt(x * x + y * y + z * z)
         if not math.isfinite(n) or n == 0.0:
             # the squared norm of a tiny or huge finite vector under- or overflows: scale by its largest entry
             scale = max(abs(x), abs(y), abs(z)) if all(abs(t) <= _FLOAT_MAX for t in (x, y, z)) else 0.0
@@ -176,9 +174,12 @@ class Direction:
             x, y, z = x / scale, y / scale, z / scale
             n = math.sqrt(x * x + y * y + z * z)
         elif abs(n - 1.0) <= 1e-12:
-            # leave already-unit components untouched so that negating a
-            # Direction is exact (the invariant tolerance is 1e-12 anyway)
-            return
+            # leave already-unit components unscaled so that negating a
+            # Direction is exact (the invariant tolerance is 1e-12 anyway);
+            # Python floats need no conversion either
+            if type(self.x) is type(self.y) is type(self.z) is float:
+                return
+            n = 1.0
         object.__setattr__(self, "x", x / n)
         object.__setattr__(self, "y", y / n)
         object.__setattr__(self, "z", z / n)

@@ -10,7 +10,7 @@ import pytest
 from conftest import first_difference
 from singlet_frame import __version__, cos_angle, transfer_direction, transfer_frame
 from singlet_frame.cli import build_parser, main
-from singlet_frame.config import canonical_dict, parse_config
+from singlet_frame.config import axis_priors, parse_config, protocol_params, target_axes
 from singlet_frame.core import CountTable
 
 TRUTH_THETA, TRUTH_PHI = 1.5, 2.1
@@ -357,7 +357,7 @@ class TestRunCommand:
         assert _run(["run", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["result"]["kind"] == "direction"
-        resolution = parse_config(json.loads(cfg.read_text())).protocol_params().resolution()
+        resolution = protocol_params(parse_config(json.loads(cfg.read_text()))).resolution()
         assert report["result"]["error"]["angle_to_truth_rad"] <= resolution
         assert report["budget"]["singlets_used"] == 0
         assert report["config"]["mode"] == "exact"
@@ -643,10 +643,10 @@ def _reference_report(cfg, include_counts: bool) -> str:
             "singlets_used": res.singlets_used,
         }
 
-    params = cfg.protocol_params()
-    if cfg.is_frame:
-        truth = cfg.truth_frame()
-        frame = transfer_frame(truth, params, orthonormalize=cfg.orthonormalize, priors=cfg.priors())
+    params = protocol_params(cfg)
+    truth = target_axes(cfg)
+    if "alice_frame" in cfg:
+        frame = transfer_frame(truth, params, orthonormalize=cfg["orthonormalize"], priors=axis_priors(cfg))
         results = frame.axis_results
         result = {
             "kind": "frame",
@@ -657,15 +657,15 @@ def _reference_report(cfg, include_counts: bool) -> str:
             ],
         }
     else:
-        results = (transfer_direction(cfg.truth_direction(), params),)
-        result = {"kind": "direction", **axis(results[0], cfg.truth_direction())}
+        results = (transfer_direction(truth[0], params),)
+        result = {"kind": "direction", **axis(results[0], truth[0])}
     report = {
-        "config": canonical_dict(cfg),
+        "config": cfg,
         "result": result,
         "budget": {
             "singlets_used": sum(r.singlets_used for r in results),
-            "batch_size": cfg.batch,
-            "coarse_trials": cfg.trials,
+            "batch_size": cfg["batch"],
+            "coarse_trials": cfg["trials"],
         },
         "version": __version__,
     }

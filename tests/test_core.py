@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from conftest import random_direction
 # hand evaluation of the mutual information at cos = 0.5:
 # 2*(1/8)*log2((1/8)/(1/4)) + 2*(3/8)*log2((3/8)/(1/4))
 MI_AT_HALF = 0.25 * math.log2(0.5) + 0.75 * math.log2(1.5)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestDirection:
@@ -91,9 +96,20 @@ class TestDirection:
             got = Direction(np.float64(1e200), 0.0, np.float64(0.0))
         assert np.array([got.x, got.y, got.z]).tobytes() == Direction(1e200, 0.0, 0.0).as_array().tobytes()
 
+    def test_float32_components_normalize_in_float64(self):
+        # float32 components used to be normalized in float32 and stay float32
+        got = Direction(np.float32(3), np.float32(4), np.float32(0))
+        assert (got.x, got.y, got.z) == (0.6, 0.8, 0.0)
+        assert [type(t) for t in (got.x, got.y, got.z)] == [float] * 3
+
+    def test_float32_square_overflow_under_warnings_as_errors(self):
+        # a float32 component's square used to overflow with a RuntimeWarning
+        code = "import numpy as np; from singlet_frame import Direction; Direction(np.float32(1e20), 0, 0)"
+        subprocess.run([sys.executable, "-W", "error", "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
+
     def test_accepted_vectors_keep_their_bits_and_types(self, rng):
-        # the plain norm, x / sqrt(x*x + y*y + z*z), on the components as given: exact for ints, numpy
-        # floats stay numpy floats, and a unit vector is left as it is
+        # the plain norm, x / sqrt(x*x + y*y + z*z), on the components as given: the components come out as
+        # Python floats with the bits of that norm, and a unit vector is left as it is
         def plain(x, y, z):
             n = math.sqrt(x * x + y * y + z * z)
             return (x, y, z) if abs(n - 1.0) <= 1e-12 else (x / n, y / n, z / n)
@@ -104,7 +120,7 @@ class TestDirection:
         for v in vectors:
             d = Direction(*v)
             want = plain(*v)
-            assert [type(t) for t in (d.x, d.y, d.z)] == [type(t) for t in want]
+            assert [type(t) for t in (d.x, d.y, d.z)] == [float] * 3
             assert np.array([d.x, d.y, d.z], dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
 
 

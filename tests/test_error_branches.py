@@ -69,6 +69,7 @@ CONFIG_BRANCHES = [
         "field 'prior.poles': must be a list of three angle pairs", id="poles-object",
     ),
     pytest.param(_config(out=3), "field 'out': must be a string path", id="out-int"),
+    pytest.param(_config(out=""), "field 'out': must not be empty", id="out-empty"),
 ]
 
 
@@ -87,6 +88,36 @@ def test_run_config_branch_exits_1(tmp_path, capsys, data, message):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# each command's arguments but --out
+COMMANDS = {
+    "mi-curve": ["mi-curve", "--resolution", "3"],
+    "mi-surface": ["mi-surface", "--resolution", "3"],
+    "posterior-family": ["posterior-family", "--tally", "5,6"],
+    "run": ["run", "--config", "cfg.json"],
+    "bayes": ["bayes", "--tally", "5,6"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_empty_out_exits_1(tmp_path, capsys, monkeypatch, command):
+    # an empty --out used to exit 3 on rename to '.', and run's fell back to the config's out
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SINGLET_FRAME_OUT_DIR", str(tmp_path))
+    (tmp_path / "cfg.json").write_text(json.dumps(_config(out="report.json")))
+    assert main([*COMMANDS[command], "--out", ""]) == 1
+    assert capsys.readouterr().err == "error: field 'out': must not be empty\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_run_with_an_empty_config_out_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SINGLET_FRAME_OUT_DIR", str(tmp_path))
+    (tmp_path / "cfg.json").write_text(json.dumps(_config(out="")))
+    assert main(COMMANDS["run"]) == 1
+    assert capsys.readouterr().err == "error: field 'out': must not be empty\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 I64 = 2**63 - 1

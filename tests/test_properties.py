@@ -1,7 +1,8 @@
 """Property tests of the joint-count sampler, the count table, the transfer search, the cosine,
-the record CSV and the JSON writer.
+the record CSV, the JSON writer and the config's canonical form.
 """
 
+import copy
 import json
 import math
 import tempfile
@@ -24,6 +25,7 @@ from singlet_frame import (
     sample_joint_counts,
     transfer_direction,
 )
+from singlet_frame.config import parse_config
 from singlet_frame.core import _plug_in_mi
 from singlet_frame.sampler import _joint_counts
 from singlet_frame.serialize import read_record_arrays_csv, record_to_csv, write_json_atomic
@@ -212,3 +214,91 @@ def test_json_bytes_are_the_indented_encoder_bytes(value):
         write_json_atomic(path, value)
         data = path.read_bytes()
     assert data == (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
+
+
+angle_values = st.floats(min_value=-10.0, max_value=10.0) | st.integers(min_value=-10, max_value=10)
+angles = st.fixed_dictionaries({"theta": angle_values, "phi": angle_values})
+uint64s = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@st.composite
+def frames(draw):
+    """Three orthonormal axes as polar angles: (t, p), (t + pi/2, p) and (pi/2, p + pi/2)."""
+    t, p = draw(st.floats(min_value=-4.0, max_value=4.0)), draw(st.floats(min_value=-4.0, max_value=4.0))
+    return [
+        {"theta": t, "phi": p}, {"theta": t + math.pi / 2, "phi": p}, {"theta": math.pi / 2, "phi": p + math.pi / 2},
+    ]
+
+
+def _optional(draw, data, key, values):
+    """Give ``data[key]`` a drawn value, or None, or leave the key out."""
+    choice = draw(st.sampled_from(["absent", "null", "value"]))
+    if choice != "absent":
+        data[key] = None if choice == "null" else draw(values)
+
+
+@st.composite
+def valid_configs(draw):
+    """Every form a valid config may take: direction or frame, each prior form, optional keys present or not."""
+    is_frame = draw(st.booleans())
+    data = {"mode": draw(st.sampled_from(["exact", "sampled"]))}
+    data["alice_frame" if is_frame else "alice_direction"] = draw(frames() if is_frame else angles)
+    data["trials"], data["batch"] = draw(st.integers(1, 10**6)), draw(st.integers(1, 2**70))
+    if draw(st.booleans()):
+        data["refine_rounds"] = draw(st.integers(0, 20))
+    if draw(st.booleans()):
+        form = draw(st.sampled_from([None, "pole", "poles"] if is_frame else [None, "pole"]))
+        prior = data["prior"] = {}
+        if form is not None:
+            prior[form] = draw(angles if form == "pole" else st.lists(angles, min_size=3, max_size=3))
+        if draw(st.booleans()):  # an enabled prior needs a pole; without the key the prior is disabled
+            prior["enabled"] = form is not None and draw(st.booleans())
+    if data["mode"] == "sampled":
+        data["seed"] = draw(uint64s)
+    else:
+        _optional(draw, data, "seed", uint64s)
+    if draw(st.booleans()):
+        data["stream"] = draw(uint64s)
+    _optional(draw, data, "jitter_seed", uint64s)
+    if draw(st.booleans()):
+        data["orthonormalize"] = draw(st.booleans()) if is_frame else False
+    _optional(draw, data, "out", st.text(min_size=1, max_size=8))
+    return data
+
+
+def _mutate(value):
+    """Add an entry to every dict and list inside ``value``."""
+    if isinstance(value, dict):
+        for v in list(value.values()):
+            _mutate(v)
+        value["added"] = 1
+    elif isinstance(value, list):
+        for v in value:
+            _mutate(v)
+        value.append(1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=valid_configs())
+def test_parse_config_is_canonical_and_owns_its_dicts(data):
+    before = copy.deepcopy(data)
+    cfg = parse_config(data)
+    assert parse_config(cfg) == cfg
+    assert json.loads(json.dumps(cfg)) == cfg
+    assert all(type(a[key]) is float for a in _angle_dicts(cfg) for key in ("theta", "phi"))
+    assert not any(v is None for v in cfg.values())
+    assert {"refine_rounds", "prior", "stream", "orthonormalize"} <= cfg.keys()
+    assert cfg["prior"]["enabled"] or cfg["prior"] == {"enabled": False}
+    # the result shares no dict or list with its input: mutating either leaves the other as it was
+    want = copy.deepcopy(cfg)
+    _mutate(cfg)
+    assert data == before
+    cfg = parse_config(data)
+    _mutate(data)
+    assert cfg == want
+
+
+def _angle_dicts(cfg):
+    prior = cfg["prior"]
+    yield from cfg.get("alice_frame", [cfg.get("alice_direction")])
+    yield from prior.get("poles", [prior["pole"]] if "pole" in prior else [])
