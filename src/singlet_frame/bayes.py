@@ -17,12 +17,12 @@ expression) in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import INT64_MAX, LN2, Direction, DomainError, _checked_cos, _checked_cos_array, _checked_int
-from .core import _checked_outcomes, _float_array, _shaped, cos_angle
+from .core import INT64_MAX, LN2, Direction, DomainError, _checked_cos, _checked_cos_array, _checked_instance
+from .core import _checked_int, _checked_outcomes, _float_array, _shaped, cos_angle
 from .sampler import OutcomeRecord
 
 __all__ = [
@@ -86,15 +86,7 @@ class PosteriorSummary:
             raise ValueError("credible interval must contain the MAP point")
 
     def to_dict(self) -> dict:
-        return {
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "map_cos_theta": self.map_cos_theta,
-            "map_theta_pair": list(self.map_theta_pair),
-            "credible_interval_cos": list(self.credible_interval_cos),
-            "credible_level": self.credible_level,
-            "log_normalization": self.log_normalization,
-        }
+        return asdict(self)
 
 
 def sign_tally_from_arrays(a, b) -> SignTally:
@@ -254,7 +246,7 @@ def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
 
 def posterior_summary(tally: SignTally, level: float = 0.95) -> PosteriorSummary:
     """MAP point, +/- angle pair, credible interval, and log normalization."""
-    peak = posterior_peak(tally)
+    peak = posterior_peak(_checked_instance(tally, SignTally, "tally"))
     theta_star = math.acos(min(1.0, max(-1.0, peak)))
     return PosteriorSummary(
         n_plus=tally.n_plus,

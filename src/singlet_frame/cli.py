@@ -33,7 +33,7 @@ from .bayes import SignTally, posterior_summary, posterior_theta_density, sign_t
 from .config import ConfigError, _field, axis_priors, load_config, parse_config, protocol_params, target_axes
 from .core import _checked_int, analytic_mutual_information, cos_angle, direction_from_polar
 from .protocol import TransferResult, transfer_direction, transfer_frame
-from .serialize import format_float, read_record_arrays_csv, write_csv_atomic, write_json_atomic
+from .serialize import format_float, read_record_arrays_csv, write_csv_atomic, write_json_atomic, write_text_atomic
 
 OUT_DIR_ENV = "SINGLET_FRAME_OUT_DIR"
 
@@ -46,13 +46,17 @@ _DEFAULT_OUT = {
 }
 
 
+def _write_float_columns(out_path, header: list[str], *columns) -> None:
+    """CSV of equal-size float arrays, one column each, every array read in C order."""
+    rows = zip(*(np.ravel(c).tolist() for c in columns))
+    write_csv_atomic(out_path, header, (tuple(map(format_float, row)) for row in rows))
+
+
 def cmd_mi_curve(resolution: int, out_path) -> None:
     """CSV of (theta, mi_bits) over [0, pi], endpoints included."""
     _field(_checked_int, resolution, "resolution", 2)
     thetas = np.linspace(0.0, math.pi, resolution)
-    values = analytic_mutual_information(np.cos(thetas))
-    rows = ((format_float(t), format_float(v)) for t, v in zip(thetas, values))
-    write_csv_atomic(out_path, ["theta", "mi_bits"], rows)
+    _write_float_columns(out_path, ["theta", "mi_bits"], thetas, analytic_mutual_information(np.cos(thetas)))
 
 
 def cmd_mi_surface(theta_x: float, phi_x: float, resolution: int, out_path) -> None:
@@ -70,13 +74,8 @@ def cmd_mi_surface(theta_x: float, phi_x: float, resolution: int, out_path) -> N
     x = direction_from_polar(theta_x, phi_x)
     # cos(angle) = x . (sin ty cos py, sin ty sin py, cos ty)
     cosines = x.x * np.outer(st, cp) + x.y * np.outer(st, sp) + x.z * ct[:, None]
-    values = analytic_mutual_information(cosines)
-    rows = (
-        (format_float(thetas[i]), format_float(phis[j]), format_float(values[i, j]))
-        for i in range(thetas.size)
-        for j in range(phis.size)
-    )
-    write_csv_atomic(out_path, ["theta_y", "phi_y", "mi_bits"], rows)
+    grid = np.meshgrid(thetas, phis, indexing="ij")
+    _write_float_columns(out_path, ["theta_y", "phi_y", "mi_bits"], *grid, analytic_mutual_information(cosines))
 
 
 def cmd_posterior_family(tallies: list[SignTally], out_path, resolution: int = 2001) -> None:
@@ -85,19 +84,19 @@ def cmd_posterior_family(tallies: list[SignTally], out_path, resolution: int = 2
         raise ConfigError("field 'tally': at least one tally is required")
     _field(_checked_int, resolution, "resolution", 2)
     thetas = np.linspace(-math.pi, math.pi, resolution)
-
-    def rows():
-        for t in tallies:
-            dens = posterior_theta_density(thetas, t)
-            for th, d in zip(thetas, dens):
-                yield (t.n_plus, t.n_minus, format_float(th), format_float(d))
-
-    write_csv_atomic(out_path, ["n_plus", "n_minus", "theta", "density"], rows())
+    rows = (
+        (t.n_plus, t.n_minus, format_float(th), format_float(d))
+        for t in tallies
+        for th, d in zip(thetas.tolist(), posterior_theta_density(thetas, t).tolist())
+    )
+    write_csv_atomic(out_path, ["n_plus", "n_minus", "theta", "density"], rows)
 
 
-def _direction_result(res: TransferResult, truth) -> dict:
-    """One transfer's part of the report; ``write_json_atomic`` fills ``trials`` from its coarse rows."""
-    est = res.direction
+def _direction_result(res: TransferResult, est, truth) -> dict:
+    """One transfer's part of the report, with ``est`` as its reported direction and the error measured on it.
+
+    ``write_json_atomic`` fills ``trials`` from the transfer's coarse rows.
+    """
     dot = cos_angle(est, truth)
     return {
         "direction": [est.x, est.y, est.z],
@@ -128,18 +127,11 @@ def cmd_run(cfg: dict, out_path, include_counts: bool = True) -> None:
         result = {
             "kind": "frame",
             "orthonormalized": frame.orthonormalized,
-            "axes": [
-                {
-                    **_direction_result(transfers[k], truth[k]),
-                    "direction": [frame.axes[k].x, frame.axes[k].y, frame.axes[k].z],
-                    "axis_index": k,
-                }
-                for k in range(3)
-            ],
+            "axes": [{**_direction_result(transfers[k], frame.axes[k], truth[k]), "axis_index": k} for k in range(3)],
         }
     else:
         transfers = (transfer_direction(truth[0], params),)
-        result = {"kind": "direction", **_direction_result(transfers[0], truth[0])}
+        result = {"kind": "direction", **_direction_result(transfers[0], transfers[0].direction, truth[0])}
     report = {
         "config": cfg,
         "result": result,
@@ -155,8 +147,7 @@ def cmd_run(cfg: dict, out_path, include_counts: bool = True) -> None:
     write_json_atomic(
         out_path, report, [(r.coarse_rows(), include_counts and r.counts is not None) for r in transfers],
     )
-    sidecar = Path(str(out_path) + ".log")
-    sidecar.write_text(f"wall_time_s: {wall_time_s:.6f}\n", encoding="utf-8")
+    write_text_atomic(str(out_path) + ".log", f"wall_time_s: {wall_time_s:.6f}\n")
 
 
 def cmd_bayes(tally: SignTally, level: float, out_path) -> None:
@@ -186,75 +177,67 @@ def _parse_tally(text: str) -> SignTally:
         raise ConfigError(f"field 'tally': {e}") from None
 
 
-def _resolve_out(arg_out, command: str) -> Path:
-    if arg_out is None:
-        return Path(os.environ.get(OUT_DIR_ENV, ".")) / _DEFAULT_OUT[command]
-    if not arg_out:
-        raise ConfigError("field 'out': must not be empty")
-    return Path(arg_out)
-
-
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process; parse_args keeps no state in it."""
     parser = _Parser(prog="singlet-frame", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None, help="output path (for run, overrides the config's 'out')")
 
-    p = sub.add_parser("mi-curve", help="mutual information vs relative angle (CSV)")
+    p = sub.add_parser("mi-curve", parents=[common], help="mutual information vs relative angle (CSV)")
     p.add_argument("--resolution", type=int, default=1801, help="number of rows incl. endpoints")
-    p.add_argument("--out", default=None, help="output CSV path")
 
-    p = sub.add_parser("mi-surface", help="mutual information over the search sphere (CSV)")
+    p = sub.add_parser("mi-surface", parents=[common], help="mutual information over the search sphere (CSV)")
     p.add_argument("--theta-x", type=float, default=1.5, help="fixed direction polar angle")
     p.add_argument("--phi-x", type=float, default=2.1, help="fixed direction azimuth")
     p.add_argument("--resolution", type=int, default=181, help="polar rows (azimuth columns = 2x)")
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("posterior-family", help="angle-form posterior curves (CSV)")
+    p = sub.add_parser("posterior-family", parents=[common], help="angle-form posterior curves (CSV)")
     p.add_argument("--tally", action="append", required=True, metavar="N_PLUS,N_MINUS")
     p.add_argument("--resolution", type=int, default=2001, help="angle grid points on [-pi, pi]")
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("run", help="execute a transfer described by a config file")
+    p = sub.add_parser("run", parents=[common], help="execute a transfer described by a config file")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--mode", choices=("exact", "sampled"), default=None, help="override the config mode")
-    p.add_argument("--out", default=None, help="report path (overrides config 'out')")
     p.add_argument("--no-counts", action="store_true", help="omit per-trial count tables from the report")
 
-    p = sub.add_parser("bayes", help="posterior summary for a tally or record file")
+    p = sub.add_parser("bayes", parents=[common], help="posterior summary for a tally or record file")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--tally", metavar="N_PLUS,N_MINUS")
     g.add_argument("--record", help="outcome CSV (header index,a,b)")
     p.add_argument("--level", type=float, default=0.95, help="credible level in (0, 1)")
-    p.add_argument("--out", default=None)
 
     return parser
 
 
 def _dispatch(args) -> int:
-    if args.command == "mi-curve":
-        cmd_mi_curve(args.resolution, _resolve_out(args.out, "mi-curve"))
-    elif args.command == "mi-surface":
-        cmd_mi_surface(args.theta_x, args.phi_x, args.resolution, _resolve_out(args.out, "mi-surface"))
-    elif args.command == "posterior-family":
-        tallies = [_parse_tally(t) for t in args.tally]
-        cmd_posterior_family(tallies, _resolve_out(args.out, "posterior-family"), args.resolution)
-    elif args.command == "run":
+    cfg = {}
+    if args.command == "run":
         cfg = load_config(args.config)
         overrides = {k: v for k, v in (("seed", args.seed), ("mode", args.mode)) if v is not None}
         if overrides:
             cfg = parse_config({**cfg, **overrides})
-        out = _resolve_out(args.out if args.out is not None else cfg.get("out"), "run")
+    out = args.out if args.out is not None else cfg.get("out")
+    if out == "":
+        raise ConfigError("field 'out': must not be empty")
+    out = Path(os.environ.get(OUT_DIR_ENV, ".")) / _DEFAULT_OUT[args.command] if out is None else Path(out)
+    if args.command == "mi-curve":
+        cmd_mi_curve(args.resolution, out)
+    elif args.command == "mi-surface":
+        cmd_mi_surface(args.theta_x, args.phi_x, args.resolution, out)
+    elif args.command == "posterior-family":
+        cmd_posterior_family([_parse_tally(t) for t in args.tally], out, args.resolution)
+    elif args.command == "run":
         cmd_run(cfg, out, include_counts=not args.no_counts)
     elif args.command == "bayes":
         if args.tally is not None:
             tally = _parse_tally(args.tally)
         else:
-            a, b = read_record_arrays_csv(args.record)
-            tally = sign_tally_from_arrays(a, b)
-        cmd_bayes(tally, args.level, _resolve_out(args.out, "bayes"))
+            tally = sign_tally_from_arrays(*read_record_arrays_csv(args.record))
+        cmd_bayes(tally, args.level, out)
     else:  # pragma: no cover - argparse enforces the choices
         raise ConfigError(f"unknown command {args.command!r}")
     return 0

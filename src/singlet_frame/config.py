@@ -181,7 +181,7 @@ def axis_priors(cfg: dict) -> tuple[HemispherePrior, ...]:
     prior = cfg["prior"]
     n = 3 if "alice_frame" in cfg else 1
     if not prior["enabled"]:
-        return (HemispherePrior.none(),) * n
+        return (HemispherePrior(None),) * n
     poles = prior["poles"] if "poles" in prior else (prior["pole"],) * n
     return tuple(HemispherePrior(_direction(p)) for p in poles)
 

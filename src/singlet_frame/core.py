@@ -44,6 +44,9 @@ _COS_LIMIT = 1.0 + COS_DOMAIN_TOL
 # |v| <= FLOAT_MAX holds exactly for finite floats and for ints that fit a float, and fails for NaN
 _FLOAT_MAX = sys.float_info.max
 
+# values float() takes that are no real number: it parses text and drops a numpy imaginary part
+_NOT_REAL = (str, bytes, bytearray, np.complexfloating)
+
 # tolerance for "is a probability distribution" checks
 DISTRIBUTION_TOL = 1e-12
 
@@ -101,11 +104,8 @@ def _checked_cos_array(cos_theta) -> np.ndarray:
 
 
 def _dots(x: "Direction", rows) -> list[float]:
-    """``x.dot(y)`` for each (y.x, y.y, y.z) row of ``rows``, formed in ``Direction.dot``'s order.
-
-    ``x``'s components are taken as Python floats (exact for numpy floats), which multiply fastest.
-    """
-    ax, ay, az = float(x.x), float(x.y), float(x.z)
+    """``x.dot(y)`` for each (y.x, y.y, y.z) row of ``rows``, formed in ``Direction.dot``'s order."""
+    ax, ay, az = x.x, x.y, x.z
     return [ax * a + ay * b + az * c for a, b, c in rows]
 
 
@@ -123,10 +123,12 @@ def _shaped(out: np.ndarray, like):
     return out.reshape(np.shape(like))
 
 
-def _checked_direction(value, name: str) -> "Direction":
-    """Return ``value`` if it is a Direction; a tuple or array of components is a ValueError."""
-    if not isinstance(value, Direction):
-        raise ValueError(f"{name} must be a Direction, got {value!r}")
+def _checked_instance(value, cls, name: str):
+    """Return ``value`` if it is an instance of ``cls``, a class or a tuple of them (``type(None)`` admits None)."""
+    if not isinstance(value, cls):
+        kinds = [c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,))]
+        text = " or ".join("None" if k == "NoneType" else "a " + k for k in kinds)
+        raise ValueError(f"{name} must be {text}, got {value!r}")
     return value
 
 
@@ -160,11 +162,16 @@ class Direction:
     z: float
 
     def __post_init__(self):
-        # Python floats square silently where numpy floats warn on overflow
+        components = (self.x, self.y, self.z)
         try:
+            if isinstance(self.x, _NOT_REAL) or isinstance(self.y, _NOT_REAL) or isinstance(self.z, _NOT_REAL):
+                raise TypeError
+            # Python floats square silently where numpy floats warn on overflow
             x, y, z = float(self.x), float(self.y), float(self.z)
         except OverflowError:  # an int component too large for a float
-            raise DomainError(f"direction must be a nonzero finite vector, got {(self.x, self.y, self.z)}") from None
+            raise DomainError(f"direction must be a nonzero finite vector, got {components}") from None
+        except TypeError:  # text, a complex, None or any other value that is no real number
+            raise DomainError(f"direction components must be real numbers, got {components}") from None
         n = math.sqrt(x * x + y * y + z * z)
         if not math.isfinite(n) or n == 0.0:
             # the squared norm of a tiny or huge finite vector under- or overflows: scale by its largest entry
@@ -175,10 +182,7 @@ class Direction:
             n = math.sqrt(x * x + y * y + z * z)
         elif abs(n - 1.0) <= 1e-12:
             # leave already-unit components unscaled so that negating a
-            # Direction is exact (the invariant tolerance is 1e-12 anyway);
-            # Python floats need no conversion either
-            if type(self.x) is type(self.y) is type(self.z) is float:
-                return
+            # Direction is exact (the invariant tolerance is 1e-12 anyway)
             n = 1.0
         object.__setattr__(self, "x", x / n)
         object.__setattr__(self, "y", y / n)
@@ -204,7 +208,7 @@ def direction_from_polar(theta: float, phi: float) -> Direction:
 
 def cos_angle(u: Direction, v: Direction) -> float:
     """Cosine of the angle between two unit vectors; float drift is clamped, NaN is a DomainError."""
-    return _checked_cos(u.dot(v))
+    return _checked_cos(_checked_instance(u, Direction, "u").dot(_checked_instance(v, Direction, "v")))
 
 
 @dataclass(frozen=True)

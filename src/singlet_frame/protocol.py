@@ -5,10 +5,10 @@ the mutual information estimated from the joint counts of a shared
 measurement batch per trial, takes the best, sharpens it with a
 shrinking-cap ring search, and resolves the antipodal ambiguity with a
 hemisphere prior when one is available.  Repeating per axis transfers a
-full frame.
+full frame.  A prior is its pole: ``HemispherePrior(None)`` is no prior.
 
 Trial directions come from a deterministic Fibonacci-spiral layout
-(optionally jittered), restricted to the prior hemisphere when enabled.
+(optionally jittered), restricted to the prior hemisphere when it has a pole.
 In ``exact`` mode trials are scored by the closed-form mutual information
 instead of sampled batches, which separates optimizer behavior from
 statistical noise.  Each phase (the coarse layout, each refinement round)
@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import UINT64_MAX, CountTable, Direction, _check_orthonormal, _checked_direction, _checked_int, _dots
+from .core import UINT64_MAX, CountTable, Direction, _check_orthonormal, _checked_instance, _checked_int, _dots
 from .core import _plug_in_mi, analytic_mutual_information, estimate_mutual_information
 # tally and run_measurement_batch go uncalled here, bound for perfbench's tracer, which wraps them by name
 from .sampler import SamplerConfig, _joint_counts, _keyed_generator, run_measurement_batch, tally  # noqa: F401
@@ -59,28 +59,16 @@ _JITTER_STREAM = 0x5D1A4F7C3B2E6980
 
 @dataclass(frozen=True)
 class HemispherePrior:
-    """Side information restricting the unknown direction to dot(v, pole) >= 0; ``pole`` is a Direction or None."""
+    """Side information restricting the unknown direction to dot(v, pole) >= 0; a None pole is no prior."""
 
     pole: Direction | None
 
     def __post_init__(self):
-        if self.pole is not None and not isinstance(self.pole, Direction):
-            raise ValueError(f"pole must be a Direction or None, got {self.pole!r}")
-
-    @property
-    def enabled(self) -> bool:
-        return self.pole is not None
+        _checked_instance(self.pole, (Direction, type(None)), "pole")
 
     @classmethod
     def around(cls, pole: Direction) -> "HemispherePrior":
         return cls(pole)
-
-    @classmethod
-    def none(cls) -> "HemispherePrior":
-        return cls(None)
-
-    def contains(self, d: Direction) -> bool:
-        return self.pole is None or self.pole.dot(d) >= 0.0
 
 
 @dataclass(frozen=True)
@@ -122,21 +110,19 @@ class ProtocolParams:
     def __post_init__(self):
         if self.mode not in ("sampled", "exact"):
             raise ValueError(f"mode must be 'sampled' or 'exact', got {self.mode!r}")
-        if not isinstance(self.prior, HemispherePrior):
-            raise ValueError(f"prior must be a HemispherePrior, got {self.prior!r}")
+        _checked_instance(self.prior, HemispherePrior, "prior")
         _checked_int(self.n_trials, "n_trials", 1)
         _checked_int(self.batch_size, "batch_size", 1)
         _checked_int(self.refine_rounds, "refine_rounds")
         if self.jitter_seed is not None:
             _checked_int(self.jitter_seed, "jitter_seed", 0, UINT64_MAX)
-        if self.config is not None and not isinstance(self.config, SamplerConfig):
-            raise ValueError(f"config must be a SamplerConfig or None, got {self.config!r}")
+        _checked_instance(self.config, (SamplerConfig, type(None)), "config")
         if self.mode == "sampled" and self.config is None:
             raise ValueError("sampled mode requires a sampler config")
 
     def initial_half_angle(self) -> float:
         """Half-angle of the first refinement cap, covering the worst-case gap of the coarse layout."""
-        return 1.5 * math.sqrt((2.0 if self.prior.enabled else 4.0) / self.n_trials)
+        return 1.5 * math.sqrt((2.0 if self.prior.pole is not None else 4.0) / self.n_trials)
 
     def resolution(self) -> float:
         """Half-angle of the last refinement cap (the nominal final accuracy): the cap halves each round."""
@@ -216,11 +202,12 @@ def generate_trial_directions(
     """Deterministic low-discrepancy trial directions.
 
     Fibonacci-spiral layout over the sphere, or over the prior hemisphere
-    when the prior is enabled (the first point is then the pole itself, so
+    when the prior has a pole (the first point is then the pole itself, so
     count=1 returns exactly the pole).  A jitter seed perturbs each point
     by about half the lattice spacing, deterministically; jittered points
     are reflected back into the hemisphere if needed.
     """
+    _checked_instance(prior, HemispherePrior, "prior")
     return [Direction(*row) for row in _trial_layout(count, prior, jitter_seed).tolist()]
 
 
@@ -242,8 +229,8 @@ def _unit_spiral(count: int, hemisphere: bool) -> np.ndarray:
 def _trial_layout(count: int, prior: HemispherePrior, jitter_seed: int | None) -> np.ndarray:
     """``generate_trial_directions``' points as a (count, 3) array; read-only without a prior or jitter."""
     _checked_int(count, "count", 1)
-    local = _unit_spiral(count, prior.enabled)
-    if prior.enabled:
+    local = _unit_spiral(count, prior.pole is not None)
+    if prior.pole is not None:
         e1, e2 = _tangent_basis(prior.pole)
         frame = np.vstack([e1, e2, prior.pole.as_array()])
         points = local @ frame
@@ -252,13 +239,13 @@ def _trial_layout(count: int, prior: HemispherePrior, jitter_seed: int | None) -
 
     if jitter_seed is not None:
         rng = _keyed_generator(_checked_int(jitter_seed, "jitter_seed", 0, UINT64_MAX), _JITTER_STREAM)
-        sigma = 0.5 * math.sqrt((2.0 if prior.enabled else 4.0) / count)
+        sigma = 0.5 * math.sqrt((2.0 if prior.pole is not None else 4.0) / count)
         noise = sigma * rng.normal(size=(count, 3))
-        if prior.enabled:
+        if prior.pole is not None:
             noise[0] = 0.0  # keep the pole-by-convention first point
         points = points + noise
         points /= np.linalg.norm(points, axis=1, keepdims=True)
-        if prior.enabled:
+        if prior.pole is not None:
             pole_v = prior.pole.as_array()
             dots = points @ pole_v
             below = dots < 0.0
@@ -282,8 +269,9 @@ def _score_rows(alice_direction: Direction, ys, params: ProtocolParams, *stream:
 
 
 def resolve_sign(estimate: Direction, prior: HemispherePrior) -> tuple[Direction, bool]:
-    """Flip the estimate into the prior hemisphere; no-op without a prior."""
-    if prior.pole is None:
+    """Flip the estimate into the prior hemisphere; no-op without a pole."""
+    _checked_instance(estimate, Direction, "estimate")
+    if _checked_instance(prior, HemispherePrior, "prior").pole is None:
         return estimate, False
     if prior.pole.dot(estimate) < 0.0:
         return -estimate, True
@@ -294,7 +282,7 @@ def _ring_candidates(center: Direction, half_angle: float) -> list[tuple[float, 
     """The center, then the RING_SIZE candidates at ``half_angle`` around it: one row each."""
     e1, e2 = _tangent_basis(center)
     (a1, a2, a3), (b1, b2, b3) = e1.tolist(), e2.tolist()
-    x, y, z = float(center.x), float(center.y), float(center.z)  # Python floats for any component type
+    x, y, z = center.x, center.y, center.z
     ch, sh = math.cos(half_angle), math.sin(half_angle)
     cx, cy, cz = ch * x, ch * y, ch * z
     # ch*c + sh*(cos_j*e1 + sin_j*e2) on Python floats, in the order numpy evaluates it over the ring
@@ -316,7 +304,7 @@ def transfer_direction(alice_direction: Direction, params: ProtocolParams) -> Tr
     hemisphere; restricting candidates instead would trap the search at
     the hemisphere boundary whenever the target sits near the equator.
     """
-    _checked_direction(alice_direction, "alice_direction")
+    _checked_instance(alice_direction, Direction, "alice_direction")
     rows = list(zip(*_trial_layout(params.n_trials, params.prior, params.jitter_seed).T.tolist()))  # tuple rows
     scores, counts = _score_rows(alice_direction, rows, params, _STREAM_COARSE)
     phases = [(_STREAM_COARSE, 0)] * len(rows)
@@ -359,7 +347,8 @@ def transfer_frame(
     only up to inversion, so the triad's handedness may be -1.
     """
     _check_orthonormal(alice_frame, "alice_frame")
-    if priors is not None and len(priors) != 3:
+    _checked_instance(orthonormalize, bool, "orthonormalize")
+    if priors is not None and len(_checked_instance(priors, (tuple, list), "priors")) != 3:
         raise ValueError("priors must contain exactly three entries")
 
     priors = priors if priors is not None else (params.prior,) * 3

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INT64_MAX, UINT64_MAX, CountTable, Direction, _checked_cos, _checked_direction, _checked_int
+from .core import INT64_MAX, UINT64_MAX, CountTable, Direction, _checked_cos, _checked_instance, _checked_int
 from .core import _checked_outcomes, _dots, _singlet_cells, cos_angle
 
 __all__ = [
@@ -50,8 +50,7 @@ def _splitmix64(x: int) -> int:
 def _fold(stream_id: int, path) -> int:
     """Fold a substream index path into ``stream_id`` with splitmix64."""
     for k in path:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ValueError(f"substream indices must be nonnegative integers, got {k!r}")
+        k = _checked_int(k, "substream indices", 0, UINT64_MAX)
         stream_id = _splitmix64((stream_id + _splitmix64(k)) & UINT64_MAX)
     return stream_id
 
@@ -75,9 +74,9 @@ class SamplerConfig:
     def child(self, *path: int) -> "SamplerConfig":
         """Derive a config for an independent substream.
 
-        Folds the index path into ``stream_id`` with splitmix64, so e.g.
-        per-trial streams do not depend on evaluation order and distinct
-        paths give distinct streams.
+        Folds the index path, each index a uint64 like ``stream_id``, into
+        ``stream_id`` with splitmix64, so e.g. per-trial streams do not
+        depend on evaluation order and distinct paths give distinct streams.
         """
         return SamplerConfig(self.seed, _fold(self.stream_id, path))
 
@@ -97,8 +96,8 @@ class OutcomeRecord:
     y: Direction
 
     def __post_init__(self):
-        _checked_direction(self.x, "x")
-        _checked_direction(self.y, "y")
+        _checked_instance(self.x, Direction, "x")
+        _checked_instance(self.y, Direction, "y")
         # private copies: freezing them leaves the caller's arrays writable
         a = _checked_outcomes(self.a).copy()
         b = _checked_outcomes(self.b).copy()
@@ -138,6 +137,13 @@ def tally(record: OutcomeRecord) -> CountTable:
     return CountTable(*np.bincount(2 * (record.a < 0) + (record.b < 0), minlength=4).tolist())
 
 
+def _checked_settings(x, y, config) -> None:
+    """The type rule of a public draw's arguments: two Directions and a SamplerConfig."""
+    _checked_instance(x, Direction, "x")
+    _checked_instance(y, Direction, "y")
+    _checked_instance(config, SamplerConfig, "config")
+
+
 def _category_bounds(c: float) -> tuple[float, float, float]:
     # cumulative boundaries after (+,+), (+,-), (-,+) under the fixed ordering
     return ((1.0 - c) / 4.0, 0.5, (3.0 + c) / 4.0)
@@ -156,6 +162,7 @@ def run_measurement_batch(x: Direction, y: Direction, batch_size: int, config: S
     batches for distinct configs are independent of evaluation order.
     """
     _checked_int(batch_size, "batch_size", 1)
+    _checked_settings(x, y, config)
     c = cos_angle(x, y)
     low, half, high = _category_bounds(c)
     u = config.generator().random(batch_size)
@@ -177,6 +184,7 @@ def sample_joint_counts(
     (the two consume ``config``'s stream differently, so their values
     differ).  Deterministic in ``config``.
     """
+    _checked_settings(x, y, config)
     return tuple(_joint_counts(x, ((y.x, y.y, y.z),), batch_size, config)[0].tolist())
 
 

@@ -232,7 +232,7 @@ def test_criterion_10_antipodal_ambiguity():
         signs = set()
         for _ in range(50):
             truth = random_direction(rng)
-            params = sf.ProtocolParams(50, 1, 6, sf.HemispherePrior.none(), mode="exact")
+            params = sf.ProtocolParams(50, 1, 6, sf.HemispherePrior(None), mode="exact")
             res = sf.transfer_direction(truth, params)
             dot = sf.cos_angle(res.direction, truth)
             assert abs(dot) > math.cos(params.resolution())

@@ -580,7 +580,7 @@ class TestParseConfig:
         assert cfg["alice_direction"] == {"theta": 1.5, "phi": 2.1}
         assert cfg["refine_rounds"] == 3  # default
         assert cfg["stream"] == 0
-        assert cfg["prior"] == {"enabled": False} and axis_priors(cfg) == (HemispherePrior.none(),)
+        assert cfg["prior"] == {"enabled": False} and axis_priors(cfg) == (HemispherePrior(None),)
 
     def test_exact_mode_needs_no_seed(self):
         data = _minimal(mode="exact")

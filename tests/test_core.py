@@ -175,12 +175,12 @@ class TestCosAngle:
 
     @pytest.mark.parametrize("dot", [math.nan, math.inf, -math.inf, 1.5, -1.0 - 1e-9])
     def test_bad_dot_product_rejected(self, dot):
-        class Setting:  # duck-typed: only ``dot`` is used
+        class Setting(Direction):  # a Direction whose dot product is ``dot``
             def dot(self, other):
                 return dot
 
         with pytest.raises(DomainError):
-            cos_angle(Setting(), Direction(1.0, 0.0, 0.0))
+            cos_angle(Setting(1.0, 0.0, 0.0), Direction(1.0, 0.0, 0.0))
 
 
 class TestJointOutcomeProbability:

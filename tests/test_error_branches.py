@@ -175,7 +175,7 @@ def test_posterior_family_needs_a_tally(tmp_path):
 @pytest.mark.parametrize("count", [2, 4])
 def test_transfer_frame_needs_three_priors(count):
     axes = (Direction(1.0, 0.0, 0.0), Direction(0.0, 1.0, 0.0), Direction(0.0, 0.0, 1.0))
-    params = ProtocolParams(10, 10, 1, HemispherePrior.none(), mode="exact")
+    params = ProtocolParams(10, 10, 1, HemispherePrior(None), mode="exact")
     with pytest.raises(ValueError) as err:
         transfer_frame(axes, params, priors=(HemispherePrior.around(axes[2]),) * count)
     assert str(err.value) == "priors must contain exactly three entries"

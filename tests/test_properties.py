@@ -131,7 +131,7 @@ def test_count_table_dict_form(counts):
     jitter_seed=st.none() | st.integers(min_value=0, max_value=2**64 - 1),
 )
 def test_transfer_search_follows_each_phase_first_maximum(truth, pole, n_trials, batch, rounds, config, jitter_seed):
-    prior = HemispherePrior.none() if pole is None else HemispherePrior.around(pole)
+    prior = HemispherePrior(None) if pole is None else HemispherePrior.around(pole)
     params = ProtocolParams(n_trials, batch, rounds, prior, config=config, jitter_seed=jitter_seed)
     res = transfer_direction(truth, params)
     starts = [i for i, phase in enumerate(res.phases) if i == 0 or phase != res.phases[i - 1]] + [len(res.phases)]

@@ -193,14 +193,14 @@ class TestRunMeasurementBatch:
         assert rec.b.tolist() == [-1, 1, -1, -1, -1, -1, 1, 1, -1, -1, -1, 1]
 
 
-class _FixedDot:
-    """Setting stand-in (value, 0, 0), which no Direction can hold: its dot product with X is ``value``."""
+class _FixedDot(Direction):
+    """Setting (value, 0, 0), which a Direction cannot hold unscaled: its dot product with X is ``value``."""
 
     def __init__(self, value):
-        self.x, self.y, self.z = value, 0.0, 0.0
+        super().__init__(value, 0.0, 0.0)
 
-    def dot(self, other):
-        return self.x * other.x + self.y * other.y + self.z * other.z
+    def __post_init__(self):
+        pass  # keep the components as given
 
 
 class TestSampleJointCounts:

@@ -31,7 +31,7 @@ I64 = 2**63 - 1
 
 
 def _params(**overrides):
-    kwargs = {"n_trials": 10, "batch_size": 10, "refine_rounds": 1, "prior": HemispherePrior.none(), "mode": "exact"}
+    kwargs = {"n_trials": 10, "batch_size": 10, "refine_rounds": 1, "prior": HemispherePrior(None), "mode": "exact"}
     kwargs.update(overrides)
     return ProtocolParams(**kwargs)
 
@@ -55,8 +55,8 @@ INT_FIELDS = [
     ("jitter_seed", 0, U64, lambda v: _params(jitter_seed=v)),
     ("n_plus", 0, I64, lambda v: SignTally(v, 1)),
     ("n_minus", 0, I64, lambda v: SignTally(1, v)),
-    ("substream indices", 0, None, lambda v: SamplerConfig(1).child(v)),
-    ("count", 1, None, lambda v: generate_trial_directions(v, HemispherePrior.none())),
+    ("substream indices", 0, U64, lambda v: SamplerConfig(1).child(v)),
+    ("count", 1, None, lambda v: generate_trial_directions(v, HemispherePrior(None))),
     ("'trials'", 1, None, lambda v: _config(trials=v)),
     ("'batch'", 1, None, lambda v: _config(batch=v)),
     ("'refine_rounds'", 0, None, lambda v: _config(refine_rounds=v)),
@@ -88,12 +88,21 @@ def test_integer_rule_accepts_bounds(name, low, high, build):
         build(high)
 
 
+@pytest.mark.parametrize("path", [(2**64,), (3, 2**64)], ids=["first", "second"])
+def test_substream_index_beyond_uint64_is_refused(path):
+    # splitmix64 folds an index modulo 2**64, so child(2**64) drew child(0)'s counts
+    message = r"^substream indices must be an integer in \[0, 2\*\*64 - 1\], got 18446744073709551616$"
+    with pytest.raises(ValueError, match=message):
+        SamplerConfig(1).child(*path)
+    assert SamplerConfig(1).child(*path[:-1], U64) != SamplerConfig(1).child(*path[:-1], 0)
+
+
 @pytest.mark.parametrize("pole", [(0, 0, 1), np.array([0.0, 0.0, 1.0]), "z"], ids=["tuple", "array", "str"])
 def test_hemisphere_prior_pole_must_be_a_direction(pole):
     # a prior with a tuple pole used to fail only inside transfer_direction
     with pytest.raises(ValueError, match="pole"):
         HemispherePrior(pole)
-    assert HemispherePrior(Z).enabled and not HemispherePrior(None).enabled
+    assert HemispherePrior(Z).pole is Z and HemispherePrior(None).pole is None
 
 
 @pytest.mark.parametrize("prior", [None, Z], ids=["None", "Direction"])
@@ -107,7 +116,7 @@ def test_protocol_params_checks_prior(prior):
 def test_protocol_params_checks_config(config, mode):
     # a tuple config used to fail only inside the transfer, as an AttributeError
     with pytest.raises(ValueError, match="config must be a SamplerConfig or None"):
-        ProtocolParams(10, 100, 1, HemispherePrior.none(), config=config, mode=mode)
+        ProtocolParams(10, 100, 1, HemispherePrior(None), config=config, mode=mode)
 
 
 FRAME = (Direction(1.0, 0.0, 0.0), Direction(0.0, 1.0, 0.0), Z)
@@ -130,6 +139,45 @@ def test_settings_must_be_directions(entry, value):
     with pytest.raises(ValueError, match=f"^{name} must be (a Direction|three orthonormal Directions)"):
         call(value)
     call(Z)
+
+
+XYZ = (0.0, 0.0, 1.0)
+# (argument named at the start of the message, call given a bad value for it); each used to raise
+# AttributeError or TypeError, or to be accepted as given
+BAD_ARGUMENTS = {
+    "resolve_sign.estimate": ("estimate", lambda: protocol.resolve_sign(XYZ, HemispherePrior(Z))),
+    "resolve_sign.prior": ("prior", lambda: protocol.resolve_sign(Z, None)),
+    "generate_trial_directions.prior": ("prior", lambda: generate_trial_directions(5, None)),
+    "sample_joint_counts.x": ("x", lambda: sample_joint_counts(XYZ, Z, 10, SamplerConfig(1))),
+    "sample_joint_counts.y": ("y", lambda: sample_joint_counts(Z, XYZ, 10, SamplerConfig(1))),
+    "sample_joint_counts.config": ("config", lambda: sample_joint_counts(Z, Z, 10, (1, 0))),
+    "run_measurement_batch.x": ("x", lambda: run_measurement_batch(XYZ, Z, 10, SamplerConfig(1))),
+    "run_measurement_batch.y": ("y", lambda: run_measurement_batch(Z, XYZ, 10, SamplerConfig(1))),
+    "run_measurement_batch.config": ("config", lambda: run_measurement_batch(Z, Z, 10, 7)),
+    "cos_angle.u": ("u", lambda: core.cos_angle(XYZ, Z)),
+    "cos_angle.v": ("v", lambda: core.cos_angle(Z, XYZ)),
+    "posterior_summary.tally": ("tally", lambda: bayes.posterior_summary((5, 6))),
+    "transfer_frame.orthonormalize": ("orthonormalize", lambda: transfer_frame(FRAME, _params(), orthonormalize="yes")),
+    "transfer_frame.priors": (
+        "priors", lambda: transfer_frame(FRAME, _params(), priors=(HemispherePrior(None) for _ in range(3)))),
+}
+
+
+@pytest.mark.parametrize("entry", BAD_ARGUMENTS)
+def test_library_entry_point_names_a_bad_argument(entry):
+    name, call = BAD_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+
+
+@pytest.mark.parametrize("component", ["1", b"1", "a", 1j, np.complex128(1.0), np.complex64(1.0), None, [1.0]], ids=repr)
+@pytest.mark.parametrize("place", range(3))
+def test_direction_components_must_be_real_numbers(place, component):
+    # float() parsed text, so Direction("1", 0, 0) was (1, 0, 0); "a", 1j and None raised bare errors
+    components = [0.0, 0.0, 1.0]
+    components[place] = component
+    with pytest.raises(core.DomainError, match="^direction components must be real numbers"):
+        Direction(*components)
 
 
 # each bad entry equals neither -1 nor +1, yet a cast to int8 or int64 would have made it one
