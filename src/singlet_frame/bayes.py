@@ -101,6 +101,7 @@ def sign_tally_from_arrays(a, b) -> SignTally:
 
 def sign_tally(record: OutcomeRecord) -> SignTally:
     """Sign counts of the outcome products of one record."""
+    _checked_instance(record, OutcomeRecord, "record")
     return sign_tally_from_arrays(record.a, record.b)
 
 
@@ -110,11 +111,14 @@ def log_likelihood(tally: SignTally, cos_theta: float) -> float:
     Returns -inf when a zero-probability factor is hit (|cos| = 1 with a
     count on the forbidden side); an empty tally gives 0.
     """
-    return float(_log_density_1d(_checked_cos(cos_theta), tally, -2 * tally.n_total * LN2))
+    _checked_instance(tally, SignTally, "tally")
+    with np.errstate(divide="ignore"):
+        return float(_log_density_1d(_checked_cos(cos_theta), tally, -2 * tally.n_total * LN2))
 
 
 def log_normalization_d(tally: SignTally) -> float:
     """log of d(n_plus, n_minus), via the Beta closed form."""
+    _checked_instance(tally, SignTally, "tally")
     n1, n2 = tally.n_plus, tally.n_minus
     log_beta = math.lgamma(n1 + 1) + math.lgamma(n2 + 1) - math.lgamma(n1 + n2 + 2)
     return (n1 + n2 + 1) * LN2 + log_beta
@@ -126,7 +130,9 @@ def posterior_density(cos_theta, tally: SignTally):
     Accepts a scalar or an array.  Finite everywhere, including the
     endpoints when the corresponding count is zero.
     """
-    logp = _log_density_1d(_checked_cos_array(cos_theta), tally, -LOG_8PI2 - log_normalization_d(tally))
+    c = _checked_cos_array(cos_theta)
+    with np.errstate(divide="ignore"):
+        logp = _log_density_1d(c, tally, -LOG_8PI2 - log_normalization_d(tally))
     return _shaped(np.exp(logp), cos_theta)
 
 
@@ -140,7 +146,7 @@ def posterior_theta_density(theta, tally: SignTally):
     t = _float_array(theta, "angle must be finite")
     if not np.isfinite(t).all():
         raise DomainError("angle must be finite")
-    n = tally.n_total
+    n = _checked_instance(tally, SignTally, "tally").n_total
     logp = np.full(t.shape, n * LN2 - LOG_8PI2 - log_normalization_d(tally))
     with np.errstate(divide="ignore"):
         if tally.n_plus:
@@ -152,7 +158,7 @@ def posterior_theta_density(theta, tally: SignTally):
 
 def posterior_peak(tally: SignTally) -> float:
     """MAP cosine of the relative angle: (n_minus - n_plus) / N."""
-    if tally.n_total < 1:
+    if _checked_instance(tally, SignTally, "tally").n_total < 1:
         raise ValueError("posterior peak is undefined for an empty tally (flat posterior)")
     return (tally.n_minus - tally.n_plus) / tally.n_total
 
@@ -166,18 +172,22 @@ def conditional_direction_density(x: Direction, tally: SignTally, y: Direction) 
     return 4.0 * math.pi * posterior_density(cos_angle(x, y), tally)
 
 
-def _log_density_1d(c: np.ndarray, tally: SignTally, offset: float) -> np.ndarray:
+def _log_density_1d(c, tally: SignTally, offset: float):
     """``offset`` plus the log of the unnormalized density in cos: n_plus*log(1 - c) + n_minus*log(1 + c).
 
     With offset -log(d) it integrates to 1 on [-1, 1]; with -log(8 pi^2 d) it is
-    the density per double solid angle.
+    the density per double solid angle.  ``c`` is a float64 scalar or an array,
+    and the result is of the same kind.  At c = +/-1 a log is -inf with a divide
+    warning, so a caller that can pass an end point enters
+    ``np.errstate(divide="ignore")`` once around its calls.
     """
-    logp = np.full(np.shape(c), offset)
-    with np.errstate(divide="ignore"):
-        if tally.n_plus:
-            logp = logp + tally.n_plus * np.log1p(-c)
-        if tally.n_minus:
-            logp = logp + tally.n_minus * np.log1p(c)
+    if not tally.n_total:
+        return np.full(np.shape(c), offset)
+    logp = offset
+    if tally.n_plus:
+        logp = logp + tally.n_plus * np.log1p(-c)
+    if tally.n_minus:
+        logp = logp + tally.n_minus * np.log1p(c)
     return logp
 
 
@@ -202,7 +212,12 @@ def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
     steps), and the interval endpoints are then refined by bisection on
     the (unimodal) density, so the mass matches ``level`` to grid
     accuracy.  Always contains the MAP point.
+
+    The bisection evaluates the density on float64 scalars and stops at
+    its float fixed point, where the midpoint equals an end: every later
+    step would keep both ends, so the edge is that of 60 full steps.
     """
+    _checked_instance(tally, SignTally, "tally")
     if not isinstance(level, float) or not 0.0 < level < 1.0:
         raise ValueError(f"credible level must lie strictly in (0, 1), got {level!r}")
     if tally.n_total < 1:
@@ -212,7 +227,8 @@ def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
     offset = -log_normalization_d(tally)
     window_lo, window_hi = _posterior_window(tally)
     grid = np.linspace(window_lo, window_hi, CI_GRID_SIZE)
-    dens = np.exp(_log_density_1d(grid, tally, offset))
+    with np.errstate(divide="ignore"):
+        dens = np.exp(_log_density_1d(grid, tally, offset))
     step = grid[1] - grid[0]
     weights = np.full(CI_GRID_SIZE, step)
     weights[0] = weights[-1] = step / 2.0  # trapezoid ends, exact for boundary-peaked tallies
@@ -227,12 +243,15 @@ def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
     lo_i, hi_i = int(included[0]), int(included[-1])
 
     def density(c: float) -> float:
-        return float(np.exp(_log_density_1d(np.asarray(c), tally, offset)))
+        return float(np.exp(_log_density_1d(np.float64(c), tally, offset)))
 
     def bisect_edge(inside: float, outside: float) -> float:
-        # density is monotone between an included point and its excluded neighbor
+        # density is monotone between an included point and its excluded neighbor; a midpoint equal to
+        # an end means no float lies between the ends, so every later step would keep both
         for _ in range(60):
             mid = 0.5 * (inside + outside)
+            if mid == inside or mid == outside:
+                break
             if density(mid) >= threshold:
                 inside = mid
             else:
@@ -246,7 +265,7 @@ def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
 
 def posterior_summary(tally: SignTally, level: float = 0.95) -> PosteriorSummary:
     """MAP point, +/- angle pair, credible interval, and log normalization."""
-    peak = posterior_peak(_checked_instance(tally, SignTally, "tally"))
+    peak = posterior_peak(tally)
     theta_star = math.acos(min(1.0, max(-1.0, peak)))
     return PosteriorSummary(
         n_plus=tally.n_plus,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from singlet_frame import (
     sign_tally,
     tally,
 )
-from singlet_frame.bayes import CI_MAX_TALLY
+from singlet_frame.bayes import CI_MAX_TALLY, _posterior_window
 
 X = Direction(1.0, 0.0, 0.0)
 Z = Direction(0.0, 0.0, 1.0)
@@ -80,8 +81,9 @@ class TestLogLikelihood:
         assert log_likelihood(t, 0.0) == pytest.approx(7 * math.log(0.25), abs=1e-12)
 
     def test_forbidden_outcome_sentinel(self):
-        assert log_likelihood(SignTally(1, 0), 1.0) == float("-inf")
-        assert log_likelihood(SignTally(0, 1), -1.0) == float("-inf")
+        # log(0) at an end point is -inf without a RuntimeWarning (filterwarnings = error)
+        for t, c in ((SignTally(1, 0), 1.0), (SignTally(0, 1), -1.0), (SignTally(3, 5), 1.0), (SignTally(3, 5), -1.0)):
+            assert log_likelihood(t, c) == float("-inf")
 
     def test_boundary_with_zero_count_is_finite(self):
         assert math.isfinite(log_likelihood(SignTally(0, 5), 1.0))
@@ -147,6 +149,11 @@ class TestPosteriorDensity:
     def test_boundary_zero_when_count_positive(self):
         assert posterior_density(1.0, SignTally(3, 5)) == 0.0
         assert posterior_density(-1.0, SignTally(3, 5)) == 0.0
+        c = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        for t, forbidden in ((SignTally(3, 0), 4), (SignTally(0, 3), 0)):
+            dens = posterior_density(c, t)
+            assert dens[forbidden] == 0.0
+            assert (np.delete(dens, forbidden) > 0.0).all()
 
     def test_peak_dominates_grid(self):
         # density at cos = 1/11 beats every point of a 1001-point grid
@@ -255,6 +262,14 @@ class TestCredibleInterval:
             lo, hi = credible_interval(t, 0.9)
             assert lo <= posterior_peak(t) <= hi
 
+    @pytest.mark.parametrize("n_plus, n_minus", [(0, 100), (10**7, 0), (5, 6), (1, 1)])
+    def test_window_reaching_an_end(self, n_plus, n_minus):
+        # the grid then holds c = -1 or +1, where a log is -inf; a RuntimeWarning would fail the test
+        t = SignTally(n_plus, n_minus)
+        assert {-1.0, 1.0} & set(_posterior_window(t))
+        lo, hi = credible_interval(t, 0.95)
+        assert -1.0 <= lo <= posterior_peak(t) <= hi <= 1.0
+
     def test_level_near_one_covers_support(self):
         lo, hi = credible_interval(SignTally(1, 1), 1.0 - 1e-9)
         assert lo < -0.999 and hi > 0.999
@@ -348,6 +363,28 @@ class TestCredibleInterval:
             credible_interval(SignTally(n_plus, n_minus), 0.95)
         with pytest.raises(DomainError, match=message):
             posterior_summary(SignTally(n_plus, n_minus))
+
+
+def _sweep_tallies():
+    """400 tallies drawn like the posterior-sweep benchmark, every tally of N <= 30, and three large ones."""
+    rng = np.random.default_rng(2311)
+    n = np.floor(10.0 ** rng.uniform(1.0, 8.0, 400)).astype(np.int64)
+    cosines = rng.uniform(-1.0, 1.0, 400)
+    edge = rng.random(400) < 0.1
+    cosines[edge] = rng.choice([-1.0, 1.0], size=int(edge.sum()))
+    n_plus = rng.binomial(n, (1.0 - cosines) / 2.0)
+    drawn = [(int(p), int(k - p)) for p, k in zip(n_plus, n)]
+    small = [(p, k - p) for k in range(1, 31) for p in range(k + 1)]
+    return [SignTally(*t) for t in drawn + small + [(10**7, 0), (0, 9 * 10**10), (10031, 700)]]
+
+
+def test_interval_bytes_pinned():
+    # the summary holds credible_interval's tuple as returned, so one call per case pins both
+    digest = hashlib.sha256()
+    for t in _sweep_tallies():
+        for level in (0.05, 0.5, 0.95, 0.99):
+            digest.update(repr(posterior_summary(t, level).to_dict()).encode())
+    assert digest.hexdigest() == "08d50fcc4dc99214e5320462fcf8dcb7511e07243c9c34d599200afd2d61cef2"
 
 
 class TestPosteriorSummary:

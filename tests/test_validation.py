@@ -157,6 +157,14 @@ BAD_ARGUMENTS = {
     "cos_angle.u": ("u", lambda: core.cos_angle(XYZ, Z)),
     "cos_angle.v": ("v", lambda: core.cos_angle(Z, XYZ)),
     "posterior_summary.tally": ("tally", lambda: bayes.posterior_summary((5, 6))),
+    "credible_interval.tally": ("tally", lambda: bayes.credible_interval((5, 6), 0.95)),
+    "posterior_peak.tally": ("tally", lambda: bayes.posterior_peak((5, 6))),
+    "log_likelihood.tally": ("tally", lambda: bayes.log_likelihood((5, 6), 0.3)),
+    "posterior_density.tally": ("tally", lambda: bayes.posterior_density(0.3, (5, 6))),
+    "posterior_theta_density.tally": ("tally", lambda: bayes.posterior_theta_density(0.3, (5, 6))),
+    "log_normalization_d.tally": ("tally", lambda: bayes.log_normalization_d((5, 6))),
+    "conditional_direction_density.tally": ("tally", lambda: bayes.conditional_direction_density(Z, (5, 6), Z)),
+    "sign_tally.record": ("record", lambda: bayes.sign_tally(None)),
     "transfer_frame.orthonormalize": ("orthonormalize", lambda: transfer_frame(FRAME, _params(), orthonormalize="yes")),
     "transfer_frame.priors": (
         "priors", lambda: transfer_frame(FRAME, _params(), priors=(HemispherePrior(None) for _ in range(3)))),
