@@ -162,12 +162,17 @@ class Direction:
     z: float
 
     def __post_init__(self):
-        components = (self.x, self.y, self.z)
+        x, y, z = self.x, self.y, self.z
+        # a unit vector of Python floats is kept as given, which is what the converting path below stores
+        if type(x) is float and type(y) is float and type(z) is float:
+            if abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-12:
+                return
+        components = (x, y, z)
         try:
-            if isinstance(self.x, _NOT_REAL) or isinstance(self.y, _NOT_REAL) or isinstance(self.z, _NOT_REAL):
+            if isinstance(x, _NOT_REAL) or isinstance(y, _NOT_REAL) or isinstance(z, _NOT_REAL):
                 raise TypeError
             # Python floats square silently where numpy floats warn on overflow
-            x, y, z = float(self.x), float(self.y), float(self.z)
+            x, y, z = float(x), float(y), float(z)
         except OverflowError:  # an int component too large for a float
             raise DomainError(f"direction must be a nonzero finite vector, got {components}") from None
         except TypeError:  # text, a complex, None or any other value that is no real number

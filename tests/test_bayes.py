@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import hyp2f1, roots_legendre
 
@@ -25,7 +27,7 @@ from singlet_frame import (
     sign_tally,
     tally,
 )
-from singlet_frame.bayes import CI_MAX_TALLY, _posterior_window
+from singlet_frame.bayes import CI_GRID_SIZE, CI_MAX_TALLY, _log_density_1d, _posterior_window
 
 X = Direction(1.0, 0.0, 0.0)
 Z = Direction(0.0, 0.0, 1.0)
@@ -385,6 +387,76 @@ def test_interval_bytes_pinned():
         for level in (0.05, 0.5, 0.95, 0.99):
             digest.update(repr(posterior_summary(t, level).to_dict()).encode())
     assert digest.hexdigest() == "08d50fcc4dc99214e5320462fcf8dcb7511e07243c9c34d599200afd2d61cef2"
+
+
+def _full_sort_intervals(tally, levels):
+    """credible_interval at each level, its threshold found by a full argsort and a full cumsum of the grid."""
+    offset = -log_normalization_d(tally)
+    window_lo, window_hi = _posterior_window(tally)
+    grid = np.linspace(window_lo, window_hi, CI_GRID_SIZE)
+    with np.errstate(divide="ignore"):
+        dens = np.exp(_log_density_1d(grid, tally, offset))
+    step = grid[1] - grid[0]
+    weights = np.full(CI_GRID_SIZE, step)
+    weights[0] = weights[-1] = step / 2.0
+    order = np.argsort(dens)[::-1]
+    mass = np.cumsum((dens * weights)[order])
+
+    def density(c):
+        return float(np.exp(_log_density_1d(np.float64(c), tally, offset)))
+
+    def bisect_edge(inside, outside):
+        for _ in range(60):
+            mid = 0.5 * (inside + outside)
+            if mid == inside or mid == outside:
+                break
+            if density(mid) >= threshold:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    intervals = []
+    for level in levels:
+        threshold = dens[order[min(int(np.searchsorted(mass, level)), CI_GRID_SIZE - 1)]]
+        included = np.nonzero(dens >= threshold)[0]
+        lo_i, hi_i = int(included[0]), int(included[-1])
+        lo = window_lo if lo_i == 0 else bisect_edge(float(grid[lo_i]), float(grid[lo_i - 1]))
+        hi = window_hi if hi_i == CI_GRID_SIZE - 1 else bisect_edge(float(grid[hi_i]), float(grid[hi_i + 1]))
+        intervals.append((float(lo), float(hi)))
+    return intervals
+
+
+# 1 - 1e-9 is reached only by a prefix of the whole grid
+ORACLE_LEVELS = (0.05, 0.5, 0.95, 0.99, 1.0 - 1e-9)
+ORACLE_TALLIES = (
+    [(p, n - p) for n in range(1, 41) for p in range(n + 1)]
+    + [(0, 10**k) for k in range(9)] + [(10**k, 0) for k in range(9)]
+    # windows clipped to [-1, 1] at both ends, whose two half-weight end points tie at density 0
+    + [(n, n) for n in (60, 100, 250, 500)]
+    + [(4 * 10**10, 5 * 10**10), (9 * 10**10, 0)]
+)
+
+
+def _assert_matches_full_sort(tally, levels):
+    expected = _full_sort_intervals(tally, levels)
+    assert [credible_interval(tally, level) for level in levels] == expected, tally
+
+
+def test_interval_matches_full_sort_oracle():
+    for n_plus, n_minus in ORACLE_TALLIES:
+        _assert_matches_full_sort(SignTally(n_plus, n_minus), ORACLE_LEVELS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_total=st.integers(1, CI_MAX_TALLY),
+    plus_share=st.floats(0.0, 1.0),
+    level=st.floats(1e-6, 1.0 - 1e-12),
+)
+def test_interval_matches_full_sort_oracle_on_random_tallies(n_total, plus_share, level):
+    n_plus = round(n_total * plus_share)
+    _assert_matches_full_sort(SignTally(n_plus, n_total - n_plus), [level])
 
 
 class TestPosteriorSummary:

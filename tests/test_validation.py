@@ -178,6 +178,13 @@ def test_library_entry_point_names_a_bad_argument(entry):
         call()
 
 
+@pytest.mark.parametrize("level", [np.float32(0.95), 1, True, "0.95"], ids=repr)
+def test_credible_level_must_be_a_float(level):
+    # a float32 0.95 lies inside (0, 1), so the message states the whole rule, not just the range
+    with pytest.raises(ValueError, match=r"^credible level must be a float strictly inside \(0, 1\), got "):
+        bayes.credible_interval(SignTally(5, 6), level)
+
+
 @pytest.mark.parametrize("component", ["1", b"1", "a", 1j, np.complex128(1.0), np.complex64(1.0), None, [1.0]], ids=repr)
 @pytest.mark.parametrize("place", range(3))
 def test_direction_components_must_be_real_numbers(place, component):
