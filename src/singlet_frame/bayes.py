@@ -115,7 +115,7 @@ def log_likelihood(tally: SignTally, cos_theta: float) -> float:
     """
     _checked_instance(tally, SignTally, "tally")
     with np.errstate(divide="ignore"):
-        return float(_log_density_1d(_checked_cos(cos_theta), tally, -2 * tally.n_total * LN2))
+        return float(_log_kernel(tally, -2 * tally.n_total * LN2)(_checked_cos(cos_theta)))
 
 
 def log_normalization_d(tally: SignTally) -> float:
@@ -134,7 +134,7 @@ def posterior_density(cos_theta, tally: SignTally):
     """
     c = _checked_cos_array(cos_theta)
     with np.errstate(divide="ignore"):
-        logp = _log_density_1d(c, tally, -LOG_8PI2 - log_normalization_d(tally))
+        logp = _log_kernel(tally, -LOG_8PI2 - log_normalization_d(tally))(c)
     return _shaped(np.exp(logp), cos_theta)
 
 
@@ -145,7 +145,7 @@ def posterior_theta_density(theta, tally: SignTally):
     so it is exactly even in theta.  Accepts a scalar or an array of
     finite angles; a NaN or infinite one is a DomainError.
     """
-    t = _float_array(theta, "angle must be finite")
+    t = _float_array(theta, "angles")
     if not np.isfinite(t).all():
         raise DomainError("angle must be finite")
     n = _checked_instance(tally, SignTally, "tally").n_total
@@ -174,22 +174,28 @@ def conditional_direction_density(x: Direction, tally: SignTally, y: Direction) 
     return 4.0 * math.pi * posterior_density(cos_angle(x, y), tally)
 
 
-def _log_density_1d(c, tally: SignTally, offset: float):
-    """``offset`` plus the log of the unnormalized density in cos: n_plus*log(1 - c) + n_minus*log(1 + c).
+def _log_kernel(tally: SignTally, offset: float):
+    """``logp(c)``: ``offset`` plus the log of the unnormalized density in cos, n_plus*log(1-c) + n_minus*log(1+c).
 
     With offset -log(d) it integrates to 1 on [-1, 1]; with -log(8 pi^2 d) it is
     the density per double solid angle.  ``c`` is a float64 scalar or an array,
-    and the result is of the same kind.  At c = +/-1 a log is -inf with a divide
-    warning, so a caller that can pass an end point enters
-    ``np.errstate(divide="ignore")`` once around its calls.
+    and the result is of the same kind.  The counts, the offset and ``log1p``
+    are bound once.  At c = +/-1 a log is -inf with a divide warning, so a
+    caller that can pass an end point enters ``np.errstate(divide="ignore")``
+    once around its calls.
     """
-    if not tally.n_total:
-        return np.full(np.shape(c), offset)
-    logp = offset
-    if tally.n_plus:
-        logp = logp + tally.n_plus * np.log1p(-c)
-    if tally.n_minus:
-        logp = logp + tally.n_minus * np.log1p(c)
+    n_plus, n_minus, log1p = tally.n_plus, tally.n_minus, np.log1p
+    if not n_plus + n_minus:
+        return lambda c: np.full(np.shape(c), offset)
+
+    def logp(c):
+        out = offset
+        if n_plus:
+            out = out + n_plus * log1p(-c)
+        if n_minus:
+            out = out + n_minus * log1p(c)
+        return out
+
     return logp
 
 
@@ -235,11 +241,11 @@ def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
         raise ValueError("credible interval is undefined for an empty tally")
     if tally.n_total > CI_MAX_TALLY:
         raise DomainError(f"credible interval needs a tally of at most {CI_MAX_TALLY} pairs, got {tally.n_total}")
-    offset = -log_normalization_d(tally)
+    logp, exp = _log_kernel(tally, -log_normalization_d(tally)), np.exp
     window_lo, window_hi = _posterior_window(tally)
     grid = np.linspace(window_lo, window_hi, CI_GRID_SIZE)
     with np.errstate(divide="ignore"):
-        dens = np.exp(_log_density_1d(grid, tally, offset))
+        dens = exp(logp(grid))
     step = grid[1] - grid[0]
     cell_mass = dens * step
     cell_mass[0] = dens[0] * (step / 2.0)  # trapezoid ends, exact for boundary-peaked tallies
@@ -258,18 +264,6 @@ def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
     included = np.nonzero(dens >= threshold)[0]
     lo_i, hi_i = int(included[0]), int(included[-1])
 
-    # _log_density_1d's operations in its order, with the counts and the offset bound once
-    n_plus, n_minus = tally.n_plus, tally.n_minus
-    log1p, exp = np.log1p, np.exp
-
-    def density(c: float):
-        logp = offset
-        if n_plus:
-            logp = logp + n_plus * log1p(-c)
-        if n_minus:
-            logp = logp + n_minus * log1p(c)
-        return exp(logp)
-
     def bisect_edge(inside: float, outside: float) -> float:
         # density is monotone between an included point and its excluded neighbor; a midpoint equal to
         # an end means no float lies between the ends, so every later step would keep both
@@ -277,7 +271,7 @@ def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
             mid = 0.5 * (inside + outside)
             if mid == inside or mid == outside:
                 break
-            if density(mid) >= threshold:
+            if exp(logp(mid)) >= threshold:
                 inside = mid
             else:
                 outside = mid

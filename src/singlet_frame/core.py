@@ -46,6 +46,8 @@ _FLOAT_MAX = sys.float_info.max
 
 # values float() takes that are no real number: it parses text and drops a numpy imaginary part
 _NOT_REAL = (str, bytes, bytearray, np.complexfloating)
+# numpy dtype kinds of real numbers: bool, signed and unsigned int, float
+_REAL_KINDS = "biuf"
 
 # tolerance for "is a probability distribution" checks
 DISTRIBUTION_TOL = 1e-12
@@ -74,32 +76,53 @@ def _checked_int(value, name: str, low: int = 0, high: int | None = None) -> int
     return value
 
 
+def _real(value, what: str, error: type = DomainError) -> float:
+    """``value`` as a Python float if it is a real number, else ``error`` naming ``what`` and the value.
+
+    Text, bytes, numpy complex values and arrays other than 0-d real ones are
+    rejected before ``float()``, which would parse the text, drop the imaginary
+    part or take a one-entry array's entry; None, Python complex values and
+    containers fail in ``float()`` itself.  An int too large for a float is
+    +/-inf, which each caller's finiteness test rejects.
+    """
+    if type(value) is float:
+        return value
+    if not isinstance(value, _NOT_REAL) and not (
+            isinstance(value, np.ndarray) and (value.ndim or value.dtype.kind not in _REAL_KINDS)):
+        try:
+            return float(value)
+        except OverflowError:  # an int too large for a float
+            return math.inf if value > 0 else -math.inf
+        except TypeError:
+            pass
+    raise error(f"{what} must be real numbers, got {value!r}")
+
+
 def _checked_cos(value: float) -> float:
     """Validate a cosine argument and clamp float drift into [-1, 1]."""
-    try:
-        c = float(value)
-    except OverflowError:  # an int too large for a float
-        raise DomainError("cosine of an angle must lie in [-1, 1], got an int too large for a float") from None
+    c = value if type(value) is float else _real(value, "cosines")
     # NaN fails every comparison, so this one test also rejects NaN and inf
     if not abs(c) <= _COS_LIMIT:
-        raise DomainError(f"cosine of an angle must lie in [-1, 1], got {value!r}")
+        raise DomainError(f"cosine of an angle must lie in [-1, 1], got {c!r}")
     return 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
 
 
-def _float_array(values, message: str) -> np.ndarray:
-    """``values`` (a scalar or array) as a float array of ndim >= 1; an int too large for a float is a DomainError."""
-    try:
-        return np.atleast_1d(np.asarray(values, dtype=float))
-    except OverflowError:
-        raise DomainError(message) from None
+def _float_array(values, what: str) -> np.ndarray:
+    """``values``, a real number or an array of them by ``_real``'s rule, as a float array of ndim >= 1."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind == "O":  # ints beyond int64, None or text among numbers, ...: each entry by the scalar rule
+        arr = np.array([_real(v, what) for v in arr.flat]).reshape(arr.shape)
+    elif kind not in _REAL_KINDS:
+        raise DomainError(f"{what} must be real numbers, got {values!r}")
+    return np.atleast_1d(np.asarray(arr, dtype=float))
 
 
 def _checked_cos_array(cos_theta) -> np.ndarray:
     """Array form of ``_checked_cos``: a scalar or array in, the clipped values as an array of ndim >= 1 out."""
-    message = "cosine of an angle must lie in [-1, 1]"
-    arr = _float_array(cos_theta, message)
+    arr = _float_array(cos_theta, "cosines")
     if not (np.abs(arr) <= _COS_LIMIT).all():
-        raise DomainError(message)
+        raise DomainError("cosine of an angle must lie in [-1, 1]")
     return np.minimum(np.maximum(arr, -1.0), 1.0)
 
 
@@ -167,16 +190,9 @@ class Direction:
         if type(x) is float and type(y) is float and type(z) is float:
             if abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-12:
                 return
-        components = (x, y, z)
-        try:
-            if isinstance(x, _NOT_REAL) or isinstance(y, _NOT_REAL) or isinstance(z, _NOT_REAL):
-                raise TypeError
-            # Python floats square silently where numpy floats warn on overflow
-            x, y, z = float(x), float(y), float(z)
-        except OverflowError:  # an int component too large for a float
-            raise DomainError(f"direction must be a nonzero finite vector, got {components}") from None
-        except TypeError:  # text, a complex, None or any other value that is no real number
-            raise DomainError(f"direction components must be real numbers, got {components}") from None
+        # Python floats square silently where numpy floats warn on overflow
+        what = "direction components"
+        x, y, z = _real(x, what), _real(y, what), _real(z, what)
         n = math.sqrt(x * x + y * y + z * z)
         if not math.isfinite(n) or n == 0.0:
             # the squared norm of a tiny or huge finite vector under- or overflows: scale by its largest entry
@@ -205,6 +221,7 @@ class Direction:
 
 def direction_from_polar(theta: float, phi: float) -> Direction:
     """Unit vector (sin t cos p, sin t sin p, cos t) from polar angles in radians; both must be finite."""
+    theta, phi = _real(theta, "polar angles"), _real(phi, "polar angles")
     if not (abs(theta) <= _FLOAT_MAX and abs(phi) <= _FLOAT_MAX):
         raise DomainError(f"polar angles must be finite, got theta={theta!r}, phi={phi!r}")
     st = math.sin(theta)
@@ -229,7 +246,8 @@ class JointDistribution2x2:
     p_mm: float
 
     def __post_init__(self):
-        entries = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
+        entries = tuple(_real(p, "probabilities", DistributionError)
+                        for p in (self.p_pp, self.p_pm, self.p_mp, self.p_mm))
         if any(not abs(p) <= _FLOAT_MAX for p in entries):
             raise DistributionError(f"non-finite probability in {entries}")
         if any(p < 0.0 for p in entries):

@@ -161,7 +161,7 @@ def run_measurement_batch(x: Direction, y: Direction, batch_size: int, config: S
     Deterministic in ``config``; a fresh generator is keyed from it, so
     batches for distinct configs are independent of evaluation order.
     """
-    _checked_int(batch_size, "batch_size", 1)
+    _checked_int(batch_size, "batch_size", 1, INT64_MAX)
     _checked_settings(x, y, config)
     c = cos_angle(x, y)
     low, half, high = _category_bounds(c)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from singlet_frame import Direction
+from singlet_frame import CountTable, Direction
 
 
 @pytest.fixture
@@ -49,3 +49,16 @@ def first_difference(got: str, want: str):
     got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
     i = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w), min(len(got_lines), len(want_lines)))
     return i + 1, got_lines[i:i + 1], want_lines[i:i + 1]
+
+
+def reference_trials(rows, include_counts: bool) -> list[dict]:
+    """A report's ``trials`` list as dicts, one per ``(direction, score, counts)`` row, with ``CountTable(*c).to_dict()``."""
+    return [
+        {
+            "trial_index": i,
+            "direction": list(d),
+            "mi_estimate": s,
+            "counts": CountTable(*c).to_dict() if (include_counts and c is not None) else None,
+        }
+        for i, (d, s, c) in enumerate(rows)
+    ]

@@ -27,7 +27,7 @@ from singlet_frame import (
     sign_tally,
     tally,
 )
-from singlet_frame.bayes import CI_GRID_SIZE, CI_MAX_TALLY, _log_density_1d, _posterior_window
+from singlet_frame.bayes import CI_GRID_SIZE, CI_MAX_TALLY, _log_kernel, _posterior_window
 
 X = Direction(1.0, 0.0, 0.0)
 Z = Direction(0.0, 0.0, 1.0)
@@ -391,11 +391,11 @@ def test_interval_bytes_pinned():
 
 def _full_sort_intervals(tally, levels):
     """credible_interval at each level, its threshold found by a full argsort and a full cumsum of the grid."""
-    offset = -log_normalization_d(tally)
+    logp = _log_kernel(tally, -log_normalization_d(tally))
     window_lo, window_hi = _posterior_window(tally)
     grid = np.linspace(window_lo, window_hi, CI_GRID_SIZE)
     with np.errstate(divide="ignore"):
-        dens = np.exp(_log_density_1d(grid, tally, offset))
+        dens = np.exp(logp(grid))
     step = grid[1] - grid[0]
     weights = np.full(CI_GRID_SIZE, step)
     weights[0] = weights[-1] = step / 2.0
@@ -403,7 +403,7 @@ def _full_sort_intervals(tally, levels):
     mass = np.cumsum((dens * weights)[order])
 
     def density(c):
-        return float(np.exp(_log_density_1d(np.float64(c), tally, offset)))
+        return float(np.exp(logp(np.float64(c))))
 
     def bisect_edge(inside, outside):
         for _ in range(60):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import first_difference
+from conftest import first_difference, reference_trials
 from singlet_frame import Direction, __version__, cos_angle, transfer_direction, transfer_frame
 from singlet_frame import cli
 from singlet_frame.cli import build_parser, main
@@ -688,15 +688,7 @@ def _reference_report(cfg, include_counts: bool) -> str:
             "mi_score": res.mi_score,
             "sign_resolved": res.sign_resolved,
             "error": {"angle_to_truth_rad": math.acos(dot), "angle_up_to_sign_rad": math.acos(abs(dot))},
-            "trials": [
-                {
-                    "trial_index": i,
-                    "direction": list(d),
-                    "mi_estimate": s,
-                    "counts": CountTable(*c).to_dict() if (include_counts and c is not None) else None,
-                }
-                for i, (d, s, c) in enumerate(res.coarse_rows())
-            ],
+            "trials": reference_trials(res.coarse_rows(), include_counts),
             "refine_evaluations": res.refine_evaluations,
             "singlets_used": res.singlets_used,
         }

@@ -9,9 +9,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_trials
 from singlet_frame import (
     CountTable,
     Direction,
@@ -194,6 +196,8 @@ json_text = st.text(
     alphabet=st.sampled_from(list('"\\[]{},: \n\x00\x1f/a\u00e9\u2603\ud800\U0001f600')) | st.characters(),
     max_size=8,
 )
+# no drawn key holds "trials", so the only "trials": null entries are the slots placed below
+json_keys = json_text.filter(lambda k: "trials" not in k)
 json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -201,19 +205,75 @@ json_values = st.recursive(
     | st.floats()
     | json_text
     | st.sampled_from([[], {}, [[]], {"": {}}, [{}, []]]),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_text, children, max_size=4),
-    max_leaves=30,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_keys, children, max_size=4),
+    max_leaves=20,
 )
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+four_counts = st.tuples(*[st.integers(min_value=0, max_value=2**63 - 1)] * 4).filter(any)
+# coarse rows of finite floats for a slot, each with four counts (key True) or four counts or None (key False)
+row_directions = st.tuples(finite_floats, finite_floats, finite_floats)
+trial_rows = {
+    counts: st.lists(st.tuples(row_directions, finite_floats, table), min_size=1, max_size=3)
+    for counts, table in ((True, four_counts), (False, four_counts | st.none()))
+}
+
+
+def _dicts(value):
+    """Every dict inside ``value``, itself included."""
+    if isinstance(value, dict):
+        yield value
+        value = list(value.values())
+    if isinstance(value, list):
+        for child in value:
+            yield from _dicts(child)
+
+
+@st.composite
+def slotted_json(draw):
+    """A ``json_values`` value holding 0 to 3 ``"trials": None`` slots at random depths, and a
+    ``(rows, counts)`` pair per slot, its rows drawn from ``trial_rows[counts]``."""
+    # a tree of fresh containers: sampled_from hands out shared ones, which may repeat within a value
+    value = json.loads(json.dumps(draw(json_values)))
+    trials = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        free = [d for d in _dicts(value) if "trials" not in d]
+        if free and draw(st.booleans()):
+            draw(st.sampled_from(free))["trials"] = None
+        else:
+            # one key on each side of "trials" in sorted order; a drawn text key costs milliseconds
+            value = {"trials": None, draw(st.sampled_from(["result", "x"])): value}
+        counts = draw(st.booleans())
+        trials.append((draw(trial_rows[counts]), counts))
+    return value, trials
+
+
+def _filled(value, trials):
+    """``value`` with each slot, in the order sorted keys write them, holding its trials as dicts."""
+    if isinstance(value, list):
+        return [_filled(v, trials) for v in value]
+    if not isinstance(value, dict):
+        return value
+    out = {}
+    for key, v in sorted(value.items()):
+        if key == "trials" and v is None:
+            v = reference_trials(*trials.pop(0))
+        out[key] = _filled(v, trials)
+    return out
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("json")
 
 
 @settings(deadline=None, max_examples=500)
-@given(value=json_values)
-def test_json_bytes_are_the_indented_encoder_bytes(value):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "v.json"
-        write_json_atomic(path, value)
-        data = path.read_bytes()
-    assert data == (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
+@given(drawn=slotted_json())
+def test_json_trial_slots_are_the_dumped_trial_dicts(json_dir, drawn):
+    value, trials = drawn
+    path = json_dir / "v.json"
+    write_json_atomic(path, value, trials=trials)
+    expected = json.dumps(_filled(value, list(trials)), sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode()
 
 
 angle_values = st.floats(min_value=-10.0, max_value=10.0) | st.integers(min_value=-10, max_value=10)

@@ -228,8 +228,10 @@ class TestSampleJointCounts:
         m_pp, m_pm, m_mp, m_mm = sample_joint_counts(Z, -Z, 10_000, SamplerConfig(8))
         assert m_pm == 0 and m_mp == 0 and m_pp + m_mm == 10_000
 
+    # above 2**63 - 1 the record sampler used to hand the size to numpy ("Maximum allowed dimension exceeded");
+    # no size between about 2**40 and that bound is tried, since numpy would allocate it
     @pytest.mark.parametrize("draw", [sample_joint_counts, run_measurement_batch])
-    @pytest.mark.parametrize("batch_size", [0, -3, 2.5, 1.0, True, "10", None])
+    @pytest.mark.parametrize("batch_size", [0, -3, 2.5, 1.0, True, "10", None, 2**63, 2**64])
     def test_bad_batch_size_rejected_by_both_samplers(self, draw, batch_size):
         with pytest.raises(ValueError, match="batch_size"):
             draw(Z, X, batch_size, SamplerConfig(1))

@@ -185,7 +185,14 @@ def test_credible_level_must_be_a_float(level):
         bayes.credible_interval(SignTally(5, 6), level)
 
 
-@pytest.mark.parametrize("component", ["1", b"1", "a", 1j, np.complex128(1.0), np.complex64(1.0), None, [1.0]], ids=repr)
+NOT_REAL = ["1", b"1", "a", np.array("1"), 1j, np.complex128(1.0), np.complex64(1.0), None]
+# where one number is expected, a list or array of numbers is none either
+NOT_ONE_REAL = NOT_REAL + [[1.0], np.array([0.5])]
+# an entry point that takes an array takes a list of numbers, but not one that holds text or None
+NOT_REAL_ARRAYS = NOT_REAL + [[0.5, "1"], [0.5, None], np.array([0.5, "1"], dtype=object)]
+
+
+@pytest.mark.parametrize("component", NOT_ONE_REAL, ids=repr)
 @pytest.mark.parametrize("place", range(3))
 def test_direction_components_must_be_real_numbers(place, component):
     # float() parsed text, so Direction("1", 0, 0) was (1, 0, 0); "a", 1j and None raised bare errors
@@ -265,7 +272,10 @@ FLOAT_ENTRY_POINTS = [
     ("posterior_density", core.DomainError, lambda v: bayes.posterior_density(v, SignTally(3, 4))),
     ("posterior_theta_density", core.DomainError, lambda v: bayes.posterior_theta_density(v, SignTally(3, 4))),
     ("log_likelihood", core.DomainError, lambda v: bayes.log_likelihood(SignTally(3, 4), v)),
+    ("sample_outcome_pair", core.DomainError, lambda v: sampler.sample_outcome_pair(v, SamplerConfig(1).generator())),
 ]
+# the entry points above that take an array as well as a scalar
+ARRAY_ENTRY_POINTS = {"analytic_mutual_information", "posterior_density", "posterior_theta_density"}
 
 
 @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["+10**400", "-10**400"])
@@ -274,6 +284,23 @@ def test_int_too_large_for_a_float_is_a_domain_error(error, call, value):
     # float(10**400) raises OverflowError, which is not a ValueError
     with pytest.raises(error):
         call(value)
+
+
+def _not_real_cases():
+    # Direction, and so cos_angle, is test_direction_components_must_be_real_numbers's
+    for name, error, call in FLOAT_ENTRY_POINTS:
+        if name not in ("Direction", "cos_angle"):
+            for value in NOT_REAL_ARRAYS if name in ARRAY_ENTRY_POINTS else NOT_ONE_REAL:
+                yield pytest.param(error, call, value, id=f"{name}-{value!r}")
+
+
+@pytest.mark.parametrize("error, call, value", _not_real_cases())
+def test_float_entry_point_rejects_a_value_that_is_no_real_number(error, call, value):
+    # float() parsed text, so log_likelihood(t, "0.5") was a number, and dropped a numpy imaginary part
+    # with a ComplexWarning; None, a list or a Python complex raised a bare TypeError
+    with pytest.raises(error, match=" must be real numbers, got "):
+        call(value)
+
 
 class TestPublicNames:
     MODULES = (core, sampler, protocol, bayes)
