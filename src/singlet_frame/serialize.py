@@ -25,6 +25,7 @@ import io
 import itertools
 import json
 import os
+import re
 import secrets
 from functools import lru_cache
 from pathlib import Path
@@ -99,10 +100,9 @@ def write_csv_atomic(path, header: list[str], rows) -> None:
     write_text_atomic(path, buf.getvalue())
 
 
-# a "trials" entry to be filled from rows.  The encoder escapes every quote
-# inside a string, so the quote after `trials` closes a key, and no string
-# value (a config "out" path, say) can hold these bytes
-_TRIALS_SLOT = b'"trials": null'
+# a "trials": None entry to be filled from rows, its group the entry's indent.  With
+# indent=2 every member starts its own line and no encoded string holds a raw LF
+_TRIALS_SLOT = re.compile(rb'^( *)"trials": null', re.MULTILINE)
 
 
 @lru_cache(maxsize=8)
@@ -150,11 +150,10 @@ def write_json_atomic(path, obj, trials=()) -> None:
     """
     data = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
     if trials:
-        head, *tails = data.split(_TRIALS_SLOT)
+        head, *slots = _TRIALS_SLOT.split(data)
         parts = [head]
-        for (rows, counts), tail in zip(trials, tails, strict=True):
-            indent = len(parts[-1]) - parts[-1].rindex(b"\n") - 1
-            parts += [b'"trials": ', _trials_json(rows, indent, counts).encode("ascii"), tail]
+        for (rows, counts), indent, tail in zip(trials, slots[::2], slots[1::2], strict=True):
+            parts += [indent, b'"trials": ', _trials_json(rows, len(indent), counts).encode("ascii"), tail]
         data = b"".join(parts)
     _write_bytes_atomic(path, [data])
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import first_difference
+from conftest import first_difference, reference_trials
 from singlet_frame import (
     Direction, HemispherePrior, OutcomeRecord, SamplerConfig, direction_from_polar, run_measurement_batch,
 )
@@ -274,6 +274,15 @@ class TestJsonBytes:
         path = tmp_path / "v.json"
         write_json_atomic(path, value)
         assert path.read_bytes() == (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("key", ['x"trials', '"trials": null', 'a\n  "trials": null'])
+    def test_only_a_trials_key_is_a_slot(self, tmp_path, key):
+        # the encoder writes the key x"trials as "x\"trials", which holds the bytes "trials": null
+        rows = [((0.6, 0.0, 0.8), 0.25, (1, 2, 3, 4))]
+        path = tmp_path / "v.json"
+        write_json_atomic(path, {key: None, "trials": None}, trials=[(rows, False)])
+        filled = {key: None, "trials": reference_trials(rows, False)}
+        assert path.read_text() == json.dumps(filled, sort_keys=True, indent=2) + "\n"
 
     def test_record_dict_pinned(self, tmp_path):
         rec = run_measurement_batch(X, direction_from_polar(2.0, 0.5), 10_000, SamplerConfig(7))

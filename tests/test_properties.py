@@ -240,8 +240,9 @@ def slotted_json(draw):
         if free and draw(st.booleans()):
             draw(st.sampled_from(free))["trials"] = None
         else:
-            # one key on each side of "trials" in sorted order; a drawn text key costs milliseconds
-            value = {"trials": None, draw(st.sampled_from(["result", "x"])): value}
+            # one key on each side of "trials" in sorted order, two of them holding its slot's bytes
+            # in an escaped string; a drawn text key costs milliseconds
+            value = {"trials": None, draw(st.sampled_from(["result", "x", 'x"trials', '"trials": null'])): value}
         counts = draw(st.booleans())
         trials.append((draw(trial_rows[counts]), counts))
     return value, trials

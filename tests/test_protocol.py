@@ -558,6 +558,29 @@ class TestTransferDirection:
         # the counters see every construction, draw and fold
         assert (len(built), len(draws), len(folds)) == (first[0] + 1, 2 * per_transfer + 1, 2 * per_transfer + 1)
 
+    def test_one_philox_per_record_thread(self, monkeypatch):
+        # the record sampler re-keys the same bit generator: only a thread's
+        # first draw builds one, and a fresh thread shows that build
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        y = direction_from_polar(0.9, 0.2)
+
+        def counted_draws():
+            sampler.run_measurement_batch(Z, y, 10, SamplerConfig(5))
+            first = len(built)
+            for i in range(3):
+                sampler.run_measurement_batch(Z, y, 3 * sampler._DRAW_PAIRS + 5, SamplerConfig(6, i))
+            return first, len(built)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:  # one new thread makes every draw
+            assert pool.submit(counted_draws).result(timeout=60) == (1, 1)
+
     def test_concurrent_threads_give_the_serial_results(self):
         # each thread re-keys its own Philox, so draws made at the same time cannot take each other's key
         prior = HemispherePrior.around(direction_from_polar(0.7, 0.5))

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from singlet_frame import (
     singlet_joint_distribution,
     tally,
 )
-from singlet_frame.sampler import _joint_counts, _keyed_generator
+from singlet_frame import sampler
+from singlet_frame.sampler import _DRAW_PAIRS, _joint_counts, _keyed_generator
 
 Z = Direction(0.0, 0.0, 1.0)
 X = Direction(1.0, 0.0, 0.0)
@@ -153,10 +156,43 @@ class TestRunMeasurementBatch:
         bounds = ((1.0 - c) / 4.0, 0.5, (3.0 + c) / 4.0)
         u = [0.0, *bounds, *(np.nextafter(v, 0.0) for v in bounds), np.nextafter(1.0, 0.0)]
         u = [v for v in u if 0.0 <= v < 1.0]
-        monkeypatch.setattr(SamplerConfig, "generator", lambda self: _FixedUniform(u))
+        monkeypatch.setattr(sampler, "_keyed_generator", lambda seed, stream_id: _FixedUniform(u))
         rec = run_measurement_batch(X, Direction(c, 0.0, math.sqrt(1.0 - c * c)), len(u), SamplerConfig(1))
         singles = [sample_outcome_pair(c, _FixedUniform([v])) for v in u]
         assert list(rec.pairs()) == singles
+
+    @pytest.mark.parametrize("size", [1, _DRAW_PAIRS - 1, _DRAW_PAIRS, _DRAW_PAIRS + 1, 3 * _DRAW_PAIRS + 5])
+    def test_block_draws_are_one_draw(self, size):
+        # successive blocks continue one stream: the pairs are those of one draw of every uniform
+        c = 0.3
+        y = Direction(c, 0.0, math.sqrt(1.0 - c * c))
+        cfg = SamplerConfig(2**64 - 9, 2**63 + 7)
+        rec = run_measurement_batch(X, y, size, cfg)
+        cells = np.searchsorted(((1.0 - c) / 4.0, 0.5, (3.0 + c) / 4.0), cfg.generator().random(size), side="right")
+        assert rec.a.tolist() == [(1, 1, -1, -1)[k] for k in cells]
+        assert rec.b.tolist() == [(1, -1, 1, -1)[k] for k in cells]
+
+    def test_concurrent_threads_draw_the_serial_records(self):
+        # each thread re-keys its own Philox, so a record's blocks cannot take another draw's key
+        y = direction_from_polar(0.4, 2.0)
+
+        def draws():
+            out = []
+            for i in range(6):
+                rec = run_measurement_batch(Z, y, 3 * _DRAW_PAIRS + 5, SamplerConfig(40 + i, i))
+                out.append((rec.a.tobytes(), rec.b.tobytes(), sample_joint_counts(Z, y, 1000, SamplerConfig(i))))
+            return out
+
+        serial = draws()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                running = [pool.submit(draws) for _ in range(4)]
+                concurrent = [f.result(timeout=60) for f in running]
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == [serial] * 4
 
     def test_zero_batch_rejected(self):
         with pytest.raises(ValueError):
