@@ -48,8 +48,9 @@ CI_GRID_SIZE = 8193
 # largest tally N given a credible interval: up to it a scipy sweep kept the mass of one- and two-sided
 # tallies' 95% intervals within 1e-3 of the level; from about 1e11 the float grid is too coarse for that
 CI_MAX_TALLY = 9 * 10**10
-# grid points in the first prefix of the density order whose mass is summed; it grows fourfold up to the grid
-_CI_PREFIX = 1024
+# half-width of the first grid slice on which the credible interval's density is evaluated, in posterior
+# standard deviations of c; it grows fourfold up to the whole grid
+_CI_SLICE_SDS = 4.0
 
 
 @dataclass(frozen=True)
@@ -199,16 +200,19 @@ def _log_kernel(tally: SignTally, offset: float):
     return logp
 
 
+def _posterior_sd(tally: SignTally) -> float:
+    """Posterior standard deviation of c: u = (1 - c)/2 follows Beta(n_plus + 1, n_minus + 1)."""
+    alpha, beta = tally.n_plus + 1, tally.n_minus + 1
+    total = alpha + beta
+    return 2.0 * math.sqrt(alpha * beta / (total * total * (total + 1)))
+
+
 def _posterior_window(tally: SignTally) -> tuple[float, float]:
     """MAP cosine +/- CI_WINDOW_SDS posterior standard deviations, clipped to [-1, 1].
 
-    u = (1 - c)/2 follows Beta(n_plus + 1, n_minus + 1), so the window
-    holds all but a negligible share of the mass at any N.
+    The window holds all but a negligible share of the mass at any N.
     """
-    alpha, beta = tally.n_plus + 1, tally.n_minus + 1
-    total = alpha + beta
-    sd_c = 2.0 * math.sqrt(alpha * beta / (total * total * (total + 1)))
-    peak = posterior_peak(tally)
+    sd_c, peak = _posterior_sd(tally), posterior_peak(tally)
     return max(-1.0, peak - CI_WINDOW_SDS * sd_c), min(1.0, peak + CI_WINDOW_SDS * sd_c)
 
 
@@ -222,13 +226,17 @@ def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
     accuracy.  Always contains the MAP point.
 
     The threshold is the density of the grid point at which the grid's
-    trapezoid mass, summed from the highest density down, first reaches
-    ``level``.  The densities are ordered by a stable sort, which finds
-    the unimodal grid's rising and falling runs, and the running sum is
-    taken only over a prefix of that order, grown fourfold from
-    ``_CI_PREFIX`` points until it reaches ``level`` or holds the whole
-    grid.  A running sum is sequential and the order differs only among
-    equal densities, so the threshold is the one of a full sort and sum.
+    trapezoid mass, summed from the highest density down (a stable sort
+    orders the densities), first reaches ``level``.  The density is
+    evaluated only on a slice of the grid: the MAP cell +/- _CI_SLICE_SDS
+    posterior standard deviations, its points those of ``np.linspace``
+    over the window.  The slice is kept once its mass reaches ``level``
+    and each of its ends that is not a window end has less than half the
+    threshold's density: the density falls away from the MAP, so no
+    point outside the slice could enter the order up to the threshold,
+    the included points or an edge's bracket, and the threshold and
+    edges are those of the whole grid.  Otherwise the slice grows
+    fourfold, at the last to the whole grid.
 
     The bisection evaluates the density on float64 scalars and stops at
     its float fixed point, where the midpoint equals an end: every later
@@ -243,23 +251,30 @@ def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
         raise DomainError(f"credible interval needs a tally of at most {CI_MAX_TALLY} pairs, got {tally.n_total}")
     logp, exp = _log_kernel(tally, -log_normalization_d(tally)), np.exp
     window_lo, window_hi = _posterior_window(tally)
-    grid = np.linspace(window_lo, window_hi, CI_GRID_SIZE)
-    with np.errstate(divide="ignore"):
-        dens = exp(logp(grid))
-    step = grid[1] - grid[0]
-    cell_mass = dens * step
-    cell_mass[0] = dens[0] * (step / 2.0)  # trapezoid ends, exact for boundary-peaked tallies
-    cell_mass[-1] = dens[-1] * (step / 2.0)
-
-    order = np.argsort(dens, kind="stable")[::-1]
-    size = _CI_PREFIX
+    last = CI_GRID_SIZE - 1
+    step = (window_hi - window_lo) / last  # np.linspace's point i is i * step + window_lo, its last window_hi
+    cell = (step + window_lo) - window_lo  # its grid[1] - grid[0]
+    peak_i = round((posterior_peak(tally) - window_lo) / step)
+    half = math.ceil(_CI_SLICE_SDS * _posterior_sd(tally) / step)
     while True:
-        mass = np.cumsum(cell_mass[order[:size]])
-        idx = int(np.searchsorted(mass, level))
-        if idx < size or size >= CI_GRID_SIZE:
+        k0, k1 = max(0, peak_i - half), min(last, peak_i + half)
+        grid = np.arange(k0, k1 + 1, dtype=np.float64) * step + window_lo
+        if k1 == last:
+            grid[-1] = window_hi
+        with np.errstate(divide="ignore"):
+            dens = exp(logp(grid))
+        cell_mass = dens * cell
+        if k0 == 0:
+            cell_mass[0] = dens[0] * (cell / 2.0)  # trapezoid ends, exact for boundary-peaked tallies
+        if k1 == last:
+            cell_mass[-1] = dens[-1] * (cell / 2.0)
+        order = np.argsort(dens, kind="stable")[::-1]
+        idx = int(np.searchsorted(np.cumsum(cell_mass[order]), level))
+        threshold = dens[order[min(idx, dens.size - 1)]]
+        bounded = (k0 == 0 or dens[0] < threshold / 2) and (k1 == last or dens[-1] < threshold / 2)
+        if bounded and (idx < dens.size or dens.size == CI_GRID_SIZE):
             break
-        size *= 4
-    threshold = dens[order[min(idx, CI_GRID_SIZE - 1)]]
+        half *= 4
 
     included = np.nonzero(dens >= threshold)[0]
     lo_i, hi_i = int(included[0]), int(included[-1])
@@ -277,8 +292,8 @@ def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
                 outside = mid
         return inside
 
-    lo = window_lo if lo_i == 0 else bisect_edge(float(grid[lo_i]), float(grid[lo_i - 1]))
-    hi = window_hi if hi_i == CI_GRID_SIZE - 1 else bisect_edge(float(grid[hi_i]), float(grid[hi_i + 1]))
+    lo = window_lo if k0 + lo_i == 0 else bisect_edge(float(grid[lo_i]), float(grid[lo_i - 1]))
+    hi = window_hi if k0 + hi_i == last else bisect_edge(float(grid[hi_i]), float(grid[hi_i + 1]))
     return (float(lo), float(hi))
 
 

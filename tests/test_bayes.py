@@ -14,6 +14,7 @@ from singlet_frame import (
     OutcomeRecord,
     SamplerConfig,
     SignTally,
+    bayes,
     conditional_direction_density,
     credible_interval,
     direction_from_polar,
@@ -457,6 +458,93 @@ def test_interval_matches_full_sort_oracle():
 def test_interval_matches_full_sort_oracle_on_random_tallies(n_total, plus_share, level):
     n_plus = round(n_total * plus_share)
     _assert_matches_full_sort(SignTally(n_plus, n_total - n_plus), [level])
+
+
+def _recorded_grids(monkeypatch):
+    """Wrap the log-density that bayes builds; the list gets a copy of every array it evaluates (not scalars)."""
+    grids = []
+    kernel = bayes._log_kernel
+
+    def recording_kernel(tally, offset):
+        logp = kernel(tally, offset)
+
+        def recording_logp(c):
+            if np.ndim(c):
+                grids.append(np.array(c))
+            return logp(c)
+
+        return recording_logp
+
+    monkeypatch.setattr(bayes, "_log_kernel", recording_kernel)
+    return grids
+
+
+# each widens the first grid slice at least once: a level near 1 at N >= 1e4, small skewed tallies whose window
+# is clipped at both ends or one, one-sided tallies whose slice holds a window end, and one that needs the whole grid
+WIDENING_CASES = [
+    ((5000, 6000), 1.0 - 1e-9), ((4 * 10**10, 5 * 10**10), 1.0 - 1e-9), ((6000, 5000), 1.0 - 1e-9),
+    ((72, 30), 1.0 - 1e-9), ((30, 72), 1.0 - 1e-9), ((10, 3), 1.0 - 1e-9), ((200, 20), 1.0 - 1e-9),
+    ((1000, 3), 0.99), ((10**4, 0), 0.99), ((0, 10**4), 0.99), ((0, 10**6), 1.0 - 1e-9),
+    ((9 * 10**10, 0), 1.0 - 1e-9),
+]
+
+
+@pytest.mark.parametrize("counts, level", WIDENING_CASES)
+def test_widened_slice_matches_full_sort_oracle(monkeypatch, counts, level):
+    tally = SignTally(*counts)
+    expected = _full_sort_intervals(tally, [level])
+    grids = _recorded_grids(monkeypatch)
+    assert [credible_interval(tally, level)] == expected
+    assert len(grids) >= 2
+
+
+@pytest.mark.parametrize(
+    "counts, level, reaches_lo, reaches_hi",
+    [
+        ((5000, 6000), 0.95, False, False),
+        ((5000, 6000), 1.0 - 1e-9, False, False),
+        ((0, 10**6), 0.99, False, True),
+        # i * step + window_lo at i = 8192 is 0.9999999999999999 here; the last point is window_hi, 1.0
+        ((1, 69), 0.95, False, True),
+        ((0, 9 * 10**10), 0.95, False, True),
+        ((10**4, 0), 0.99, True, False),
+        ((72, 30), 1.0 - 1e-9, True, True),
+    ],
+)
+def test_grid_slices_are_linspace_slices(monkeypatch, counts, level, reaches_lo, reaches_hi):
+    tally = SignTally(*counts)
+    full = np.linspace(*_posterior_window(tally), CI_GRID_SIZE)
+    grids = _recorded_grids(monkeypatch)
+    credible_interval(tally, level)
+    for points in grids:
+        k0 = int(np.flatnonzero(full == points[0])[0])
+        assert points.tobytes() == full[k0:k0 + points.size].tobytes()
+    # the last slice is the one the interval is taken from
+    assert (k0 == 0, k0 + points.size == CI_GRID_SIZE) == (reaches_lo, reaches_hi)
+
+
+def test_interval_evaluates_only_a_grid_slice(monkeypatch):
+    # a silent fall-back to the whole 8193-point grid would still give the same bytes, only slower
+    grids = _recorded_grids(monkeypatch)
+    credible_interval(SignTally(5000, 6000), 0.95)
+    assert 0 < max(points.size for points in grids) < 2000
+
+
+# worst |mass - level| over _sweep_tallies() against scipy, as measured for the grid interval (rounded up in the
+# fourth digit); an interval with exact mass may lower these, but nothing may raise them
+WORST_MASS_ERROR = {0.05: 3.289e-3, 0.5: 2.440e-3, 0.95: 4.248e-4}
+
+
+@pytest.mark.parametrize("level", sorted(WORST_MASS_ERROR))
+def test_interval_mass_error_does_not_grow(level):
+    from scipy.stats import beta
+
+    tallies = _sweep_tallies()
+    a = np.array([t.n_plus + 1 for t in tallies], dtype=np.float64)
+    b = np.array([t.n_minus + 1 for t in tallies], dtype=np.float64)
+    lo, hi = np.array([credible_interval(t, level) for t in tallies]).T
+    mass = beta.cdf((1.0 - lo) / 2.0, a, b) - beta.cdf((1.0 - hi) / 2.0, a, b)
+    assert np.max(np.abs(mass - level)) <= WORST_MASS_ERROR[level]
 
 
 class TestPosteriorSummary:
