@@ -41,16 +41,14 @@ __all__ = [
 ]
 
 LOG_8PI2 = math.log(8.0 * math.pi**2)
-# half-width of the credible-interval grid window, in posterior standard deviations of c
-CI_WINDOW_SDS = 40.0
-# points of the credible-interval grid laid over that window
-CI_GRID_SIZE = 8193
-# largest tally N given a credible interval: up to it a scipy sweep kept the mass of one- and two-sided
-# tallies' 95% intervals within 1e-3 of the level; from about 1e11 the float grid is too coarse for that
+# largest tally N given a credible interval: one float step of c next to +/-1 holds about N * 5.5e-17 of a
+# one-sided posterior's mass, so a scipy sweep found the mass within 6e-6 of the level up to it and 2e-4 at 1e13
 CI_MAX_TALLY = 9 * 10**10
-# half-width of the first grid slice on which the credible interval's density is evaluated, in posterior
-# standard deviations of c; it grows fourfold up to the whole grid
-_CI_SLICE_SDS = 4.0
+# the credible interval's 48-point Gauss-Legendre rule, by Golub-Welsch (numpy.polynomial's leggauss would add 0.7 MB
+# more to the import); its density points, as fractions of the interval's width, are both edges, then the rule's nodes
+_CI_NODES, _CI_VECTORS = np.linalg.eigh(np.diag([k / math.sqrt(4.0 * k * k - 1.0) for k in range(1, 48)], -1))
+_CI_POINTS, _CI_WEIGHTS = np.concatenate(([0.0, 1.0], (1.0 + _CI_NODES) / 2.0)), 2.0 * _CI_VECTORS[0] ** 2
+_CI_MAX_STEPS = 60  # the interval's Newton steps at most: levels 0.05 to 0.99 took 2 to 10, a few next to 1 all 60
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,8 @@ class PosteriorSummary:
         lo, hi = self.credible_interval_cos
         if not -1.0 <= self.map_cos_theta <= 1.0:
             raise ValueError("map_cos_theta must lie in [-1, 1]")
+        if not (-1.0 <= lo and hi <= 1.0):
+            raise ValueError("credible interval must lie in [-1, 1]")
         if not lo <= self.map_cos_theta <= hi:
             raise ValueError("credible interval must contain the MAP point")
 
@@ -175,72 +175,56 @@ def conditional_direction_density(x: Direction, tally: SignTally, y: Direction) 
     return 4.0 * math.pi * posterior_density(cos_angle(x, y), tally)
 
 
-def _log_kernel(tally: SignTally, offset: float):
-    """``logp(c)``: ``offset`` plus the log of the unnormalized density in cos, n_plus*log(1-c) + n_minus*log(1+c).
+def _log_kernel(tally: SignTally, offset: float, peak: float = 0.0):
+    """``logp(x)``: ``offset`` plus the log of the unnormalized density in cos at c = peak + x, less its log at peak.
 
-    With offset -log(d) it integrates to 1 on [-1, 1]; with -log(8 pi^2 d) it is
-    the density per double solid angle.  ``c`` is a float64 scalar or an array,
-    and the result is of the same kind.  The counts, the offset and ``log1p``
-    are bound once.  At c = +/-1 a log is -inf with a divide warning, so a
-    caller that can pass an end point enters ``np.errstate(divide="ignore")``
-    once around its calls.
+    That is offset + n_plus*log1p(-x/(1 - peak)) + n_minus*log1p(x/(1 + peak)): with peak 0 and offset -log(d)
+    it integrates to 1 on [-1, 1], with -log(8 pi^2 d) it is the density per double solid angle, and centred on
+    the MAP it keeps the fall near the peak that rounding takes from the large terms at peak 0.  ``x`` is a float64
+    scalar or an array, like the result.  At c = +/-1 a log is -inf with a divide warning (use ``np.errstate``).
     """
     n_plus, n_minus, log1p = tally.n_plus, tally.n_minus, np.log1p
     if not n_plus + n_minus:
-        return lambda c: np.full(np.shape(c), offset)
+        return lambda x: np.full(np.shape(x), offset)
+    above, below = 1.0 - peak, 1.0 + peak
 
-    def logp(c):
+    def logp(x):
         out = offset
         if n_plus:
-            out = out + n_plus * log1p(-c)
+            out = out + n_plus * log1p(-x / above)
         if n_minus:
-            out = out + n_minus * log1p(c)
+            out = out + n_minus * log1p(x / below)
         return out
 
     return logp
 
 
-def _posterior_sd(tally: SignTally) -> float:
-    """Posterior standard deviation of c: u = (1 - c)/2 follows Beta(n_plus + 1, n_minus + 1)."""
-    alpha, beta = tally.n_plus + 1, tally.n_minus + 1
-    total = alpha + beta
-    return 2.0 * math.sqrt(alpha * beta / (total * total * (total + 1)))
+def _log_peak_density(tally: SignTally) -> float:
+    """log of the normalized density in cos at the MAP of a tally with both counts positive.
 
-
-def _posterior_window(tally: SignTally) -> tuple[float, float]:
-    """MAP cosine +/- CI_WINDOW_SDS posterior standard deviations, clipped to [-1, 1].
-
-    The window holds all but a negligible share of the mass at any N.
+    -log(d) + n_plus*log(1 - MAP) + n_minus*log(1 + MAP), with Stirling's form taken out of each log-factorial,
+    so that the terms of order N cancel exactly rather than leave N times 1e-16 of rounding.
     """
-    sd_c, peak = _posterior_sd(tally), posterior_peak(tally)
-    return max(-1.0, peak - CI_WINDOW_SDS * sd_c), min(1.0, peak + CI_WINDOW_SDS * sd_c)
+
+    def remainder(k):  # log(k!) less (k + 1/2) log(k) - k + log(2 pi)/2, to about 1e-13: exact, then two series terms
+        exact = math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(2.0 * math.pi)
+        return exact if k < 100 else (1.0 - 1.0 / (30.0 * k * k)) / (12.0 * k)
+
+    n_plus, n_minus, n = tally.n_plus, tally.n_minus, tally.n_total
+    remainders = remainder(n) - remainder(n_plus) - remainder(n_minus)
+    return math.log((n + 1) / 2.0) + 0.5 * math.log(n / (2.0 * math.pi * n_plus * n_minus)) + remainders
 
 
 def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
-    """Highest-density interval of the 1-d cosine posterior.
+    """Highest-density interval of the 1-d cosine posterior; it always contains the MAP point.
 
-    The threshold is located on a uniform grid over the posterior window
-    (so a posterior narrowed by a large N still spans thousands of grid
-    steps), and the interval endpoints are then refined by bisection on
-    the (unimodal) density, so the mass matches ``level`` to grid
-    accuracy.  Always contains the MAP point.
-
-    The threshold is the density of the grid point at which the grid's
-    trapezoid mass, summed from the highest density down (a stable sort
-    orders the densities), first reaches ``level``.  The density is
-    evaluated only on a slice of the grid: the MAP cell +/- _CI_SLICE_SDS
-    posterior standard deviations, its points those of ``np.linspace``
-    over the window.  The slice is kept once its mass reaches ``level``
-    and each of its ends that is not a window end has less than half the
-    threshold's density: the density falls away from the MAP, so no
-    point outside the slice could enter the order up to the threshold,
-    the included points or an edge's bracket, and the threshold and
-    edges are those of the whole grid.  Otherwise the slice grows
-    fourfold, at the last to the whole grid.
-
-    The bisection evaluates the density on float64 scalars and stops at
-    its float fixed point, where the midpoint equals an end: every later
-    step would keep both ends, so the edge is that of 60 full steps.
+    A one-sided tally's density (1 -/+ c)^N is monotone, so its interval is the tail at its peak, in closed
+    form.  Otherwise the log-density is concave, and Newton solves for the edges c1 < MAP < c2: the mass
+    between them, one Gauss-Legendre rule, is ``level``, and their log-densities (``_log_kernel`` centred on
+    the MAP) are equal.  A step keeps each edge within half to twice its distance from the MAP and half way
+    to the end of [-1, 1] behind it.  Newton stops when both equations hold to rounding, when a step moves
+    the edges by less than 1e-9 of the width, or when rounding puts the level out of reach: the mass rounds
+    to 1, or the edges hold no density.
     """
     _checked_instance(tally, SignTally, "tally")
     if not isinstance(level, float) or not 0.0 < level < 1.0:
@@ -249,52 +233,43 @@ def credible_interval(tally: SignTally, level: float) -> tuple[float, float]:
         raise ValueError("credible interval is undefined for an empty tally")
     if tally.n_total > CI_MAX_TALLY:
         raise DomainError(f"credible interval needs a tally of at most {CI_MAX_TALLY} pairs, got {tally.n_total}")
-    logp, exp = _log_kernel(tally, -log_normalization_d(tally)), np.exp
-    window_lo, window_hi = _posterior_window(tally)
-    last = CI_GRID_SIZE - 1
-    step = (window_hi - window_lo) / last  # np.linspace's point i is i * step + window_lo, its last window_hi
-    cell = (step + window_lo) - window_lo  # its grid[1] - grid[0]
-    peak_i = round((posterior_peak(tally) - window_lo) / step)
-    half = math.ceil(_CI_SLICE_SDS * _posterior_sd(tally) / step)
-    while True:
-        k0, k1 = max(0, peak_i - half), min(last, peak_i + half)
-        grid = np.arange(k0, k1 + 1, dtype=np.float64) * step + window_lo
-        if k1 == last:
-            grid[-1] = window_hi
-        with np.errstate(divide="ignore"):
-            dens = exp(logp(grid))
-        cell_mass = dens * cell
-        if k0 == 0:
-            cell_mass[0] = dens[0] * (cell / 2.0)  # trapezoid ends, exact for boundary-peaked tallies
-        if k1 == last:
-            cell_mass[-1] = dens[-1] * (cell / 2.0)
-        order = np.argsort(dens, kind="stable")[::-1]
-        idx = int(np.searchsorted(np.cumsum(cell_mass[order]), level))
-        threshold = dens[order[min(idx, dens.size - 1)]]
-        bounded = (k0 == 0 or dens[0] < threshold / 2) and (k1 == last or dens[-1] < threshold / 2)
-        if bounded and (idx < dens.size or dens.size == CI_GRID_SIZE):
-            break
-        half *= 4
-
-    included = np.nonzero(dens >= threshold)[0]
-    lo_i, hi_i = int(included[0]), int(included[-1])
-
-    def bisect_edge(inside: float, outside: float) -> float:
-        # density is monotone between an included point and its excluded neighbor; a midpoint equal to
-        # an end means no float lies between the ends, so every later step would keep both
-        for _ in range(60):
-            mid = 0.5 * (inside + outside)
-            if mid == inside or mid == outside:
+    peak, n = posterior_peak(tally), tally.n_total
+    if not tally.n_plus or not tally.n_minus:
+        edge = 1.0 + 2.0 * math.expm1(math.log1p(-level) / (n + 1))  # [edge, 1] holds level of (1 + c)^N
+        lo, hi = (edge, 1.0) if tally.n_minus else (-1.0, -edge)
+    else:
+        below, above = 1.0 + peak, 1.0 - peak  # distances from the MAP to c = -1 and c = 1
+        logp = _log_kernel(tally, _log_peak_density(tally), peak)
+        # y1, y2: the edges' distances below and above the MAP, from a normal start (Winitzki's erfinv, within 0.2%)
+        log_tail, sd = math.log1p(-level * level), 2.0 * math.sqrt(tally.n_plus * tally.n_minus / n**3)
+        middle = 2.0 / (math.pi * 0.147) + log_tail / 2.0
+        normal_edge = sd * math.sqrt(2.0 * -log_tail / 0.147 / (math.sqrt(middle**2 - log_tail / 0.147) + middle))
+        y1, y2 = min(normal_edge, below / 2.0), min(normal_edge, above / 2.0)
+        for _ in range(_CI_MAX_STEPS):
+            points = _CI_POINTS * (y1 + y2) - y1
+            points[1] = y2  # the sum above can round past the upper edge, and so past c = 1
+            log_f = logp(points)
+            f = np.exp(log_f)
+            f1, f2, mass = float(f[0]), float(f[1]), (y1 + y2) / 2.0 * float(_CI_WEIGHTS @ f[2:])
+            if mass >= 1.0 or f1 * y1 + f2 * y2 < 1e-16:  # rounding leaves no mass to gain or to lose
                 break
-            if exp(logp(mid)) >= threshold:
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
-    lo = window_lo if k0 + lo_i == 0 else bisect_edge(float(grid[lo_i]), float(grid[lo_i - 1]))
-    hi = window_hi if k0 + hi_i == last else bisect_edge(float(grid[hi_i]), float(grid[hi_i + 1]))
-    return (float(lo), float(hi))
+            g1, g2 = n * y1 / ((below - y1) * (above + y1)), n * y2 / ((above - y2) * (below + y2))  # |d log f/dc|
+            # log(1 - mass) against log(1 - level), scaled to mass - level near it: near linear in a tail for Newton
+            miss = (1.0 - mass) * math.log((1.0 - level) / (1.0 - mass))
+            gap = float(log_f[0] - log_f[1])
+            gap = 0.0 if abs(gap) <= 1e-9 + 1e-15 * (g1 * y1 + g2 * y2) else gap  # 1e-9, or the edges' rounding
+            if abs(miss) <= 1e-12 and not gap:
+                break
+            det = f1 * g2 + f2 * g1
+            step1, step2 = (gap * f2 - miss * g2) / det, -(gap * f1 + miss * g1) / det
+            new1 = min(max(y1 + step1, y1 / 2.0), 2.0 * y1, math.nextafter((y1 + below) / 2.0, 0.0))
+            new2 = min(max(y2 + step2, y2 / 2.0), 2.0 * y2, math.nextafter((y2 + above) / 2.0, 0.0))
+            y1, y2, moved = new1, new2, abs(new1 - y1) + abs(new2 - y2)
+            if moved <= 1e-9 * (y1 + y2):
+                break
+        lo, hi = peak - y1, peak + y2
+    # an interval narrower than the floats next to the MAP is widened to them
+    return float(min(lo, np.nextafter(peak, -1.0))), float(max(hi, np.nextafter(peak, 1.0)))
 
 
 def posterior_summary(tally: SignTally, level: float = 0.95) -> PosteriorSummary:

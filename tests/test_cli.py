@@ -299,10 +299,10 @@ class TestBayesCommand:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            (["--tally", "5000,6000"], "640c27a0d27536e90f3559da0c453442fb2fcc129fb6fb740d61d8046cc796e0"),
+            (["--tally", "5000,6000"], "4de3e5a09a573b4f4f971a0dc014868bc3f161bd31bda06849d7ef4a8ebcbb9e"),
             (
                 ["--tally", "10000000,0", "--level", "0.99"],
-                "d8d83b7847cac5811b7471e180a8c50c4bdd6d2f563b632a6a19d45605adbacd",
+                "d358c8c543f4f92791c55474fab2ea4827df19a189d2449b2d90d43ddfe5a21c",
             ),
         ],
     )

@@ -210,6 +210,9 @@ def _summary(map_cos, interval):
         (0.5, (-0.2, 0.3), "credible interval must contain the MAP point"),
         (-0.5, (-0.2, 0.3), "credible interval must contain the MAP point"),
         (0.0, (0.1, -0.1), "credible interval must contain the MAP point"),
+        (0.5, (-1.5, 0.6), "credible interval must lie in [-1, 1]"),
+        (0.5, (0.4, 1.0 + 1e-12), "credible interval must lie in [-1, 1]"),
+        (0.0, (math.nan, 0.5), "credible interval must lie in [-1, 1]"),
     ],
 )
 def test_posterior_summary_checks_its_map_point(map_cos, interval, message):
