@@ -132,11 +132,19 @@ def _dots(x: "Direction", rows) -> list[float]:
     return [ax * a + ay * b + az * c for a, b, c in rows]
 
 
-def _singlet_cells(cos_theta: float) -> tuple[float, float, float, float]:
-    """The singlet's (p_pp, p_pm, p_mp, p_mm) at a cosine, checked and clamped by ``_checked_cos``."""
-    c = _checked_cos(cos_theta)
-    same, anti = (1.0 - c) / 4.0, (1.0 + c) / 4.0
-    return same, anti, anti, same
+def _singlet_cells(cosines) -> list[tuple[float, float, float, float]]:
+    """The singlet's (p_pp, p_pm, p_mp, p_mm) at each cosine, in one loop.
+
+    Only a cosine that is not a float in [-1, 1] goes through ``_checked_cos``,
+    which rejects it or clamps its drift; the cells are those of the clamped value.
+    """
+    cells = []
+    for c in cosines:
+        if type(c) is not float or not -1.0 <= c <= 1.0:
+            c = _checked_cos(c)
+        same, anti = (1.0 - c) / 4.0, (1.0 + c) / 4.0
+        cells.append((same, anti, anti, same))
+    return cells
 
 
 def _shaped(out: np.ndarray, like):
@@ -327,7 +335,7 @@ class CountTable:
 
 def singlet_joint_distribution(cos_theta: float) -> JointDistribution2x2:
     """The four joint outcome probabilities at a given relative-angle cosine."""
-    return JointDistribution2x2(*_singlet_cells(cos_theta))
+    return JointDistribution2x2(*_singlet_cells((cos_theta,))[0])
 
 
 def _plug_in_mi(pp, pm, mp, mm, total) -> float:

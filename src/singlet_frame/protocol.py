@@ -181,19 +181,22 @@ def _cross(a, b) -> tuple[float, float, float]:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _tangent_basis(d: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal basis of the plane perpendicular to ``d``.
+def _tangent_basis(d: Direction) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Deterministic orthonormal basis of the plane perpendicular to ``d``, as two rows of Python floats.
 
     The helper axis is the first one along which ``d`` is smallest (as
-    ``np.argmin`` picks it); the norm is ``np.linalg.norm``'s sqrt(e1.dot(e1)).
+    ``np.argmin`` picks it); the norm is ``np.linalg.norm``'s sqrt(e1.dot(e1)),
+    on an array, since a Python sum of the three squares need not round alike.
     """
     v = (d.x, d.y, d.z)
     magnitudes = [abs(t) for t in v]
     helper = [0.0, 0.0, 0.0]
     helper[magnitudes.index(min(magnitudes))] = 1.0
-    e1 = np.array(_cross(v, helper))
-    e1 /= math.sqrt(e1.dot(e1))
-    return e1, np.array(_cross(v, e1.tolist()))
+    e1 = _cross(v, helper)
+    row = np.array(e1)
+    n = math.sqrt(row.dot(row))
+    e1 = (e1[0] / n, e1[1] / n, e1[2] / n)
+    return e1, _cross(v, e1)
 
 
 def generate_trial_directions(
@@ -231,9 +234,8 @@ def _trial_layout(count: int, prior: HemispherePrior, jitter_seed: int | None) -
     _checked_int(count, "count", 1)
     local = _unit_spiral(count, prior.pole is not None)
     if prior.pole is not None:
-        e1, e2 = _tangent_basis(prior.pole)
-        frame = np.vstack([e1, e2, prior.pole.as_array()])
-        points = local @ frame
+        pole = prior.pole
+        points = local @ np.array([*_tangent_basis(pole), (pole.x, pole.y, pole.z)])
     else:
         points = local
 
@@ -280,8 +282,7 @@ def resolve_sign(estimate: Direction, prior: HemispherePrior) -> tuple[Direction
 
 def _ring_candidates(center: Direction, half_angle: float) -> list[tuple[float, float, float]]:
     """The center, then the RING_SIZE candidates at ``half_angle`` around it: one row each."""
-    e1, e2 = _tangent_basis(center)
-    (a1, a2, a3), (b1, b2, b3) = e1.tolist(), e2.tolist()
+    (a1, a2, a3), (b1, b2, b3) = _tangent_basis(center)
     x, y, z = center.x, center.y, center.z
     ch, sh = math.cos(half_angle), math.sin(half_angle)
     cx, cy, cz = ch * x, ch * y, ch * z

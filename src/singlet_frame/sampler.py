@@ -23,6 +23,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,9 @@ __all__ = [
 # pairs per block of uniforms in run_measurement_batch; of 4K-64K, 16K drew 1e7 pairs fastest
 _DRAW_PAIRS = 16_384
 
+# folded stream ids kept: a transfer folds 1 + refine_rounds constant paths, a frame 3 + 3 times that
+_FOLD_CACHE_SIZE = 256
+
 
 def _splitmix64(x: int) -> int:
     """One step of the splitmix64 mixer (used only to derive stream ids)."""
@@ -51,9 +55,17 @@ def _splitmix64(x: int) -> int:
 
 
 def _fold(stream_id: int, path) -> int:
-    """Fold a substream index path into ``stream_id`` with splitmix64."""
+    """Fold a substream index path into ``stream_id`` with splitmix64, once per (stream_id, path).
+
+    The indices are checked before the cache is read: True hashes equal to 1
+    and 1.0, so a cache keyed on the raw path would hand them 1's entry.
+    """
+    return _folded(stream_id, tuple([_checked_int(k, "substream indices", 0, UINT64_MAX) for k in path]))
+
+
+@lru_cache(maxsize=_FOLD_CACHE_SIZE)
+def _folded(stream_id: int, path: tuple[int, ...]) -> int:
     for k in path:
-        k = _checked_int(k, "substream indices", 0, UINT64_MAX)
         stream_id = _splitmix64((stream_id + _splitmix64(k)) & UINT64_MAX)
     return stream_id
 
@@ -237,5 +249,5 @@ def _joint_counts(x: Direction, ys, batch_size: int, config: SamplerConfig, *pat
     builds a bit generator.
     """
     _checked_int(batch_size, "batch_size", 1, INT64_MAX)  # numpy's multinomial takes a C long
-    pvals = list(map(_singlet_cells, _dots(x, ys)))
+    pvals = _singlet_cells(_dots(x, ys))
     return _keyed_generator(config.seed, _fold(config.stream_id, path)).multinomial(batch_size, pvals)

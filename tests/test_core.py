@@ -19,6 +19,7 @@ from singlet_frame import (
     mutual_information_from_joint,
     singlet_joint_distribution,
 )
+from singlet_frame import core
 from conftest import random_direction
 
 # hand evaluation of the mutual information at cos = 0.5:
@@ -242,6 +243,16 @@ class TestSingletJointDistribution:
             for a in (-1, 1):
                 for b in (-1, 1):
                     assert d.prob(a, b) == (1.0 - a * b * float(c)) / 4.0  # the paper's p(a, b)
+
+    def test_cells_of_many_cosines_are_the_checked_ones(self):
+        # a float in [-1, 1] skips _checked_cos; any other value is checked and clamped by it
+        cosines = [0.5, -0.0, 1.0 + 1e-13, -1.0 - 1e-13, np.float64(-0.25), 1, np.int64(-1)]
+        cells = [((1.0 - c) / 4.0, (1.0 + c) / 4.0, (1.0 + c) / 4.0, (1.0 - c) / 4.0)
+                 for c in map(core._checked_cos, cosines)]
+        assert repr(core._singlet_cells(cosines)) == repr(cells)
+        for bad in (math.nan, math.inf, 1.5, "0.5", None):
+            with pytest.raises(DomainError):
+                core._singlet_cells([0.0, bad])
 
 
 class TestJointDistributionValidation:

@@ -24,7 +24,8 @@ from singlet_frame import (
     transfer_direction,
     transfer_frame,
 )
-from singlet_frame import protocol, sampler
+from singlet_frame import core, protocol, sampler
+from singlet_frame.core import _dots
 from singlet_frame.protocol import (
     RING_SIZE,
     _STREAM_COARSE,
@@ -186,7 +187,7 @@ class TestGeometryBits:
         # orthonormal_tangents is the np.cross / np.linalg.norm formulation
         for d in EDGE_DIRECTIONS + [random_direction(rng) for _ in range(500)]:
             for got, want in zip(_tangent_basis(d), orthonormal_tangents(d)):
-                assert got.tobytes() == want.tobytes()
+                assert np.array(got).tobytes() == want.tobytes()
 
     def test_ring_matches_per_candidate_formula(self, rng):
         for d in EDGE_DIRECTIONS + [random_direction(rng) for _ in range(200)]:
@@ -557,6 +558,31 @@ class TestTransferDirection:
         SamplerConfig(1).child(4)
         # the counters see every construction, draw and fold
         assert (len(built), len(draws), len(folds)) == (first[0] + 1, 2 * per_transfer + 1, 2 * per_transfer + 1)
+
+    def test_cell_rule_runs_once_per_phase(self, monkeypatch):
+        # guards the fixed cost around each phase's draw: one call of the cell
+        # rule builds every row's cells, and only a cosine that is not a float
+        # in [-1, 1] pays for core._checked_cos; the target is the prior's pole,
+        # so the first coarse row's cosine drifts to 1 + 2**-52
+        calls, checked = [], []
+        rule, check = sampler._singlet_cells, core._checked_cos
+
+        def counting_rule(*args):
+            calls.append(args)
+            return rule(*args)
+
+        def counting_check(value):
+            checked.append(value)
+            return check(value)
+
+        monkeypatch.setattr(sampler, "_singlet_cells", counting_rule)
+        monkeypatch.setattr(core, "_checked_cos", counting_check)
+        alice = Direction(-0.3189955931121168, -0.9151276456241726, -0.24654249895181915)
+        params = ProtocolParams(50, 1000, 3, HemispherePrior.around(alice), config=SamplerConfig(9))
+        res = transfer_direction(alice, params)
+        assert len(calls) == 1 + params.refine_rounds
+        drift = [c for c in _dots(alice, res.directions) if not -1.0 <= c <= 1.0]
+        assert drift and checked == drift
 
     def test_one_philox_per_record_thread(self, monkeypatch):
         # the record sampler re-keys the same bit generator: only a thread's

@@ -1,4 +1,4 @@
-"""The package, its tests and its benchmark parse as Python 3.10, the oldest version pyproject.toml allows."""
+"""The package, its tests, its benchmark and its tools parse as Python 3.10, the oldest version pyproject.toml allows."""
 
 import ast
 import re
@@ -9,8 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 FLOOR = (3, 10)
 SOURCES = sorted((ROOT / "src" / "singlet_frame").glob("*.py"))
-# the test and benchmark scripts run under the same interpreters as the package
-SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+# the test, benchmark and tool scripts run under the same interpreters as the package
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 
 
 def test_floor_is_the_declared_requires_python():

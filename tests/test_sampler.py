@@ -64,6 +64,16 @@ class TestSamplerConfig:
         with pytest.raises(ValueError, match="substream"):
             SamplerConfig(42).child(0, index)
 
+    @pytest.mark.parametrize("index", [True, 1.0, -1, 2**64])
+    def test_fold_cache_cannot_skip_validation(self, index):
+        # True and 1.0 hash equal to 1: a cache keyed on the raw path would hand them the (1,) entry
+        SamplerConfig(1).child(1)
+        hits = sampler._folded.cache_info().hits
+        assert SamplerConfig(1).child(1) == SamplerConfig(1, sampler._splitmix64(sampler._splitmix64(1)))
+        assert sampler._folded.cache_info().hits == hits + 1
+        with pytest.raises(ValueError, match="substream"):
+            SamplerConfig(1).child(index)
+
     def test_generator_keeps_full_64_bit_key(self):
         # keys at or above 2**63 must reach Philox exactly, not through float64
         for seed, stream in ((2**64 - 1, 2**63 + 1), (2**63 - 1, 2**63), (5, 2**64 - 2)):
