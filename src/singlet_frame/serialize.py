@@ -13,7 +13,8 @@ Outcome-record CSV: header ``index,a,b``; one row per pair with a 0-based
 index and outcomes in {-1, +1}; the settings are not carried.  Rows are
 written in blocks, each rendered from a NUL-padded matrix of fixed-width
 rows, and read back in blocks of whole lines; a file is read as bytes
-only when re-writing each block's outcomes gives back the same block.
+only when every row is ``[0-9]{1,19},(-?1),(-?1)`` and LF, which
+``csv.reader`` parses to the same outcomes (the index is not checked).
 Memory is O(block) to write, and O(block) plus the two int8 output
 arrays to read.
 """
@@ -46,7 +47,9 @@ __all__ = [
 
 RECORD_CSV_HEADER = ["index", "a", "b"]
 _RECORD_HEADER_LINE = (",".join(RECORD_CSV_HEADER) + "\n").encode("ascii")
-_MINUS, _NEWLINE = b"-\n"
+_NEWLINE, _COMMA, _MINUS, _ZERO, _ONE, _NINE = b"\n,-019"
+# longest index a record line may have to be read as bytes
+_INDEX_DIGITS = 19
 # a row's tail after its index as one NUL-padded word, at 2 * (a < 0) + (b < 0)
 _RECORD_TAILS = np.frombuffer(b",1,1\n\0\0\0,1,-1\n\0\0,-1,1\n\0\0,-1,-1\n\0", dtype=np.uint64)
 # r in 0..999 as the last three bytes of a NUL-padded word: unpadded ("7"), and
@@ -193,43 +196,78 @@ def record_to_csv(record: OutcomeRecord, path) -> None:
     _write_bytes_atomic(path, itertools.chain([_RECORD_HEADER_LINE], blocks))
 
 
-def _record_blocks(fh) -> tuple[np.ndarray, np.ndarray] | None:
-    """(a, b) if binary file ``fh`` holds exactly what ``record_to_csv`` writes for them, else None.
+def _grammar_signs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(a, b) of a uint8 block of whole lines if every line is ``[0-9]{1,19},(-?1),(-?1)`` and LF, else None.
 
-    A missing final LF is allowed.  The file is read ``_READ_BYTES`` at a
-    time and checked in blocks of whole lines.  A block's outcomes are read
-    back from each row's LF: b is negative if the byte two before the LF
-    is ``-``, and a if the byte just before a's ``1`` is (clipped to the
-    block: a line too short for that cannot be written).  The block is
-    accepted only if writing those outcomes, from the running row index,
-    gives back the same bytes.
+    From each LF a position walks back over the two fields before it,
+    which must each be ``1`` or ``-1`` after a ``,``; a ``-`` makes that
+    outcome -1.  The index before a's comma must be 1 to 19 bytes.  No
+    byte may be above ``9``, and the bytes below ``0`` must be just the
+    LFs, commas and ``-`` signs found, so the index is digits.  Positions
+    are clipped to the block: a line too short for them fails the index
+    length.
     """
-    data = fh.read(_READ_BYTES)
-    if not data.startswith(_RECORD_HEADER_LINE):
+    ends = np.flatnonzero(block == _NEWLINE)
+    at = ends.copy()
+    ok = np.ones(ends.size, dtype=bool)
+    signs = []
+    for _ in "ba":
+        at -= 1
+        ok &= block.take(at, mode="clip") == _ONE
+        at -= 1
+        neg = block.take(at, mode="clip") == _MINUS
+        at -= neg
+        ok &= block.take(at, mode="clip") == _COMMA
+        signs.append(neg)
+    neg_b, neg_a = signs
+    at[1:] -= ends[:-1]  # a's comma less the LF before it: the index's length + 1
+    at[0] += 1
+    if not (
+        at.min() >= 2
+        and at.max() <= _INDEX_DIGITS + 1
+        and ok.all()
+        and block.max() <= _NINE
+        and np.count_nonzero(block < _ZERO) == 3 * ends.size + np.count_nonzero(neg_a) + np.count_nonzero(neg_b)
+    ):
         return None
-    data = data[len(_RECORD_HEADER_LINE) :]
+    return 1 - 2 * neg_a.view(np.int8), 1 - 2 * neg_b.view(np.int8)
+
+
+def _record_blocks(fh) -> tuple[np.ndarray, np.ndarray] | None:
+    """(a, b) if binary file ``fh`` is the header and lines of the record grammar, else None.
+
+    A missing final LF is allowed.  The file is read into one buffer of
+    ``_READ_BYTES``, each read after the part of a line the last one left,
+    and checked by ``_grammar_signs`` in blocks of whole lines.
+    """
+    buf = bytearray(_READ_BYTES)
+    view = memoryview(buf)
+    filled = fh.readinto(buf)
+    start = len(_RECORD_HEADER_LINE)
+    if buf[:start] != _RECORD_HEADER_LINE:
+        return None
     a_parts, b_parts = [], []
-    rows = 0
-    while data:
-        cut = data.rfind(b"\n") + 1
-        buf = np.frombuffer(data, dtype=np.uint8, count=cut)
-        ends = np.flatnonzero(buf == _NEWLINE)
-        neg_b = buf.take(ends - 2, mode="clip") == _MINUS
-        ends -= 4
-        ends -= neg_b
-        neg_a = buf.take(ends, mode="clip") == _MINUS
-        a = 1 - 2 * neg_a.view(np.int8)
-        b = 1 - 2 * neg_b.view(np.int8)
-        if a.size and _record_rows(a, b, rows) != buf.data:  # no rows: the last one's LF is still to come
+    while True:
+        cut = buf.rfind(_NEWLINE, start, filled) + 1
+        if cut:
+            signs = _grammar_signs(np.frombuffer(buf, dtype=np.uint8, count=cut - start, offset=start))
+            if signs is None:
+                return None
+            a_parts.append(signs[0])
+            b_parts.append(signs[1])
+            start = cut
+        rest = filled - start
+        if rest == len(buf):  # no grammar line is that long
             return None
-        rows += a.size
-        a_parts.append(a)
-        b_parts.append(b)
-        rest = data[cut:]
-        if len(rest) >= _READ_BYTES:  # no row of a written file is that long
-            return None
-        data = rest + (fh.read(_READ_BYTES) or (rest and b"\n"))  # at the end, close a last row with no LF
-    if not rows:
+        buf[:rest] = buf[start:filled]
+        filled = rest + fh.readinto(view[rest:])
+        if filled == rest:
+            if not rest:
+                break
+            buf[rest] = _NEWLINE  # at the end, close a last line with no LF
+            filled += 1
+        start = 0
+    if not a_parts:
         return None
     return np.concatenate(a_parts), np.concatenate(b_parts)
 
@@ -254,11 +292,12 @@ def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
     Accepts what ``csv.reader`` accepts, with an ``index,a,b`` header and
     rows whose outcomes parse as -1 or +1.  Raises ParseError naming the
     1-based line of the first offending row, or only the file when it is
-    not UTF-8.  Files laid out exactly as
-    ``record_to_csv`` writes them are parsed in byte blocks
-    (``_record_blocks``); any other file is read again from its start by
-    the row loop below, which defines the format and gives the error
-    messages.  A file that cannot seek (a pipe) is read whole first.
+    not UTF-8.  Files whose rows all match ``[0-9]{1,19},(-?1),(-?1)``
+    and LF under the exact header, as ``record_to_csv`` writes them, are
+    parsed in byte blocks (``_record_blocks``); any other file is read
+    again from its start by the row loop below, which defines the format
+    and gives the error messages.  A file that cannot seek (a pipe) is
+    read whole first.
     """
     path = Path(path)
     a_vals: list[int] = []

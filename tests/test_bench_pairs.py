@@ -1,6 +1,7 @@
-"""The pair summary of tools/bench_pairs.py: medians, IQRs and wins by each metric's better direction."""
+"""tools/bench_pairs.py: medians, IQRs, paired ratios and wins by each metric's better direction, and failed runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,40 @@ def test_bad_pair_counts_are_refused(pairs):
     argv = ["--parent", "HEAD", "--seconds", "1", "--out", "x.json"] + [a for p in pairs for a in ("--pairs", p)]
     with pytest.raises(SystemExit):
         bench_pairs.parse_args(argv)
+
+
+def test_ratio_p50_is_the_median_of_paired_ratios():
+    runs = [{"parent": _run(op_p50_ms=p), "change": _run(op_p50_ms=c)}
+            for p, c in ((10.0, 9.0), (12.0, 10.2), (11.0, 8.8), (9.0, 9.9))]
+    got = bench_pairs.summarize(runs, METRICS)["op_p50_ms"]
+    assert got["ratio_p50"] == pytest.approx(0.875)  # ratios 0.9, 0.85, 0.8 and 1.1
+    assert got["change"]["median"] / got["parent"]["median"] == pytest.approx(0.9)
+
+
+def test_a_failed_run_keeps_the_other_pairs(tmp_path, monkeypatch):
+    results = iter([_run(op_p50_ms=1.0), _run(op_p50_ms=0.9),
+                    {"exit_code": 2, "stderr_tail": ["Traceback", "boom"]}, _run(op_p50_ms=1.2),
+                    _run(op_p50_ms=1.1), _run(op_p50_ms=1.0)])
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: next(results))
+    monkeypatch.setattr(bench_pairs, "extract", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD", "--pairs", "direction-1e5=3", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    report = json.loads(out.read_text())["workloads"]["direction-1e5"]
+    assert report["failed_pairs"] == 1
+    # pair 2 runs the change first, so its change side is the failed run
+    assert report["runs"][1]["change"] == {"exit_code": 2, "stderr_tail": ["Traceback", "boom"]}
+    assert report["runs"][1]["parent"]["metrics"]["op_p50_ms"]["value"] == 1.2
+    got = report["metrics"]["op_p50_ms"]
+    assert (got["pairs"], got["wins"], got["losses"]) == (2, 2, 0)
+    assert got["ratio_p50"] == pytest.approx((0.9 + 1.0 / 1.1) / 2)
+    assert list(report["metrics"]) == ["op_p50_ms"]
+
+
+def test_a_failing_run_gives_its_exit_code_and_stderr_tail(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nfor i in range(25):\n    print('line', i, file=sys.stderr)\nsys.exit(3)\n")
+    got = bench_pairs.run_once(tmp_path, "direction-1e5", 1, 1.0)
+    assert got == {"exit_code": 3, "stderr_tail": [f"line {i}" for i in range(5, 25)]}

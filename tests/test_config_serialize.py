@@ -228,6 +228,22 @@ class TestRecordCsvDigitBoundaries:
         assert write_peak <= 2 * 2**20
         assert read_peak <= 4 * n + 2 * 2**20
 
+    def test_reading_holds_less_than_the_file(self, tmp_path):
+        # a reader that holds the whole file fails this; a pipe is still read whole, as documented
+        n = 2 * 10**6
+        rec = _random_record(n, 4)
+        path = tmp_path / "rec.csv"
+        record_to_csv(rec, path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            a, b = read_record_arrays_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(a, rec.a) and np.array_equal(b, rec.b)
+        assert size > 24 * 10**6 and peak < size
+
 
 class TestAtomicWriteMode:
     """Atomic writes give a new file the mode ``open`` gives it: 0o666 less the umask."""
@@ -325,8 +341,9 @@ _LONG_BODY = "".join(f"{i},{1 - 2 * (i % 3 == 0)},{1 - 2 * (i % 7 == 0)}\n" for 
 
 
 class TestRecordCsvReader:
-    """Files written by record_to_csv parse without a row loop; every other
-    layout goes through the csv.reader loop, and both must agree."""
+    """Files of the header and ``[0-9]{1,19},(-?1),(-?1)`` LF lines parse
+    without a row loop; every other layout goes through the csv.reader
+    loop, and both must agree."""
 
     REC = run_measurement_batch(X, direction_from_polar(1.0, 2.0), 2000, SamplerConfig(11))
     AFTER_LF = _record_ending_a_row_at(_READ_BYTES, 3000, 1)
@@ -398,8 +415,8 @@ class TestRecordCsvReader:
         [
             pytest.param(REC, _record_text(REC), True, id="as-written"),
             pytest.param(REC, _record_text(REC).rstrip("\n"), True, id="no-final-newline"),
-            pytest.param(REC, _record_text(REC).replace("\n5,", "\n05,", 1), False, id="padded-index"),
-            pytest.param(REC, _record_text(REC).replace("\n5,", "\n6,", 1), False, id="repeated-index"),
+            pytest.param(REC, _record_text(REC).replace("\n5,", "\n05,", 1), True, id="padded-index"),
+            pytest.param(REC, _record_text(REC).replace("\n5,", "\n6,", 1), True, id="repeated-index"),
             pytest.param(REC, _record_text(REC).replace("\n", "\n\n", 1), False, id="blank-line"),
             pytest.param(REC, _record_text(REC, end="\r\n"), False, id="crlf"),
             pytest.param(_BIG, _BIG_TEXT, True, id="multi-block"),
@@ -408,9 +425,20 @@ class TestRecordCsvReader:
             pytest.param(AT_READ_SIZE, _record_text(AT_READ_SIZE)[:-1], True, id="no-final-newline-at-read-size"),
             pytest.param(_BIG, _BIG_TEXT[: _BIG_TEXT.rindex("\n70000,") + 1] + _PLUS_ROW, False, id="late-plus-sign"),
             pytest.param(_BIG, _BIG_TEXT[:-1] + "\r\n", False, id="late-crlf"),
+            pytest.param(REC, _record_text(REC).replace("\n5,", "\n,", 1), False, id="empty-index"),
+            pytest.param(REC, _record_text(REC).replace("\n5,", "\n-5,", 1), False, id="minus-index"),
+            pytest.param(REC, _record_text(REC).replace("\n5,", "\n+5,", 1), False, id="plus-index"),
+            pytest.param(REC, _record_text(REC).replace("\n5,", f"\n{10**19},", 1), False, id="20-digit-index"),
+            pytest.param(REC, _record_text(REC).replace("\n5,", f"\n{10**18},", 1), True, id="19-digit-index"),
+            pytest.param(
+                REC,
+                "index,a,b\n" + "".join(f"{7 * i % 1000},{a},{b}\n" for i, (a, b) in enumerate(REC.pairs())),
+                True,
+                id="non-monotone-index",
+            ),
         ],
     )
-    def test_only_bytes_record_to_csv_writes_skip_the_row_loop(self, tmp_path, monkeypatch, rec, text, byte_path):
+    def test_only_grammar_rows_skip_the_row_loop(self, tmp_path, monkeypatch, rec, text, byte_path):
         def no_row_loop(*args, **kwargs):
             raise AssertionError("csv.reader called")
 
@@ -562,6 +590,52 @@ class TestRecordCsvReaderDifferential:
             assert _read_outcome(read_record_arrays_csv, path) == expected, (k, data[:200])
             accepted += expected[0] == np.int8
         assert 100 < accepted < 2000
+
+    def _index(self, rng, previous: str, digits: int, odd: float) -> str:
+        if rng.random() < 0.1:
+            return previous
+        text = "".join(map(str, rng.integers(0, 10, int(rng.integers(1, digits + 1)))))
+        if rng.random() < odd:
+            text = ("-" + text, "+" + text, " " + text, text + " ", "")[int(rng.integers(5))]
+        return text
+
+    def test_any_index_column_reads_as_the_whole_file_reader_reads_it(self, tmp_path, monkeypatch):
+        # random index columns: 0 to 22 digits, leading zeros, repeats, and in some files signs and spaces
+        rng = np.random.default_rng(20261020)
+        path = tmp_path / "rec.csv"
+        row_loop = []
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *args: row_loop.append(1) or reader(*args))
+        byte_path = other_index = 0
+        for k in range(500):
+            n = int(np.exp(rng.uniform(0.0, math.log(1000))))
+            digits = int(rng.integers(1, 23))
+            odd = (0.0, 0.0, 0.002, 0.05)[int(rng.integers(4))]
+            index, lines = "0", []
+            for a, b in rng.choice([-1, 1], (n, 2)).tolist():
+                index = self._index(rng, index, digits, odd)
+                lines.append(f"{index},{a},{b}\n")
+            canonical = [line.split(",")[0] for line in lines] == [str(i) for i in range(n)]
+            data = bytearray(("index,a,b\n" + "".join(lines)).encode())
+            for _ in range(int(rng.integers(0, 3)) if rng.random() < 0.5 else 0):
+                at = int(rng.integers(len(data)))
+                byte = self.MUTATION_BYTES[int(rng.integers(len(self.MUTATION_BYTES)))]
+                if rng.random() < 0.5:
+                    data[at] = byte
+                else:
+                    data.insert(at, byte)
+            if rng.random() < 0.2:
+                data = data.rstrip(b"\n")
+            size = _READ_BYTES if rng.random() < 0.2 else int(rng.integers(64, len(data) + 65))
+            monkeypatch.setattr(serialize, "_READ_BYTES", size)
+            path.write_bytes(bytes(data))
+            expected = _read_outcome(_whole_file_read, path)
+            calls = len(row_loop)
+            assert _read_outcome(read_record_arrays_csv, path) == expected, (k, bytes(data[:200]))
+            if len(row_loop) == calls:
+                byte_path += 1
+                other_index += not canonical
+        assert 100 < byte_path < 450 and other_index > 100
 
 
 class TestDensityCurveCsv:

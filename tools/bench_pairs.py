@@ -11,8 +11,12 @@ before any run starts and written to the output.  The tree that goes first
 alternates from pair to pair, so a drift of the host's speed within a pair
 favours neither side.  For each workload and end-to-end metric of
 ``BENCHMARK.json`` the output holds the parent's and the change's medians
-and inter-quartile ranges, the pairs the change won, tied and lost, and the
-metric's bound.
+and inter-quartile ranges, the median over pairs of the change/parent ratio
+(``ratio_p50``, which a drift of the host between pairs blurs less than the
+two medians), the pairs the change won, tied and lost, and the metric's
+bound.  A run that fails leaves its exit code and the last lines of its
+stderr in its pair, which the summaries leave out; the other pairs are
+still run and written, and the script exits 1.
 """
 
 import argparse
@@ -63,11 +67,16 @@ def extract(ref: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one ``perfbench/run.py --trace 0`` run in ``tree``."""
+    """The result line of one ``perfbench/run.py --trace 0`` run in ``tree``.
+
+    A run that exits non-zero gives its exit code and the last 20 lines of its stderr instead.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"exit_code": proc.returncode, "stderr_tail": proc.stderr.splitlines()[-20:]}
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def spread(values: list) -> dict:
@@ -75,19 +84,27 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1}
 
 
+def failed(pair: dict) -> bool:
+    return "exit_code" in pair["parent"] or "exit_code" in pair["change"]
+
+
 def summarize(runs: list, metrics: list) -> dict:
-    """Per end-to-end metric: each side's median and IQR, and the change's wins, ties and losses."""
+    """Per end-to-end metric over the pairs whose runs both finished: each side's median and IQR,
+    the median of the change/parent ratios, and the change's wins, ties and losses."""
     out = {}
     for m in metrics:
         pairs = [(r["parent"]["metrics"][m["name"]]["value"], r["change"]["metrics"][m["name"]]["value"])
-                 for r in runs if m["name"] in r["parent"]["metrics"] and m["name"] in r["change"]["metrics"]]
+                 for r in runs
+                 if not failed(r) and m["name"] in r["parent"]["metrics"] and m["name"] in r["change"]["metrics"]]
         if not pairs:
             continue
         sign = 1.0 if m["better"] == "lower" else -1.0
         gaps = [sign * (p - c) for p, c in pairs]
+        ratios = [c / p for p, c in pairs if p]
         out[m["name"]] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"], "pairs": len(pairs),
             "parent": spread([p for p, _ in pairs]), "change": spread([c for _, c in pairs]),
+            "ratio_p50": statistics.median(ratios) if ratios else None,
             "wins": sum(g > 0 for g in gaps), "ties": sum(g == 0 for g in gaps), "losses": sum(g < 0 for g in gaps),
         }
     return out
@@ -119,11 +136,13 @@ def main(argv=None) -> int:
                 for side in order:
                     pair[side] = run_once(parent if side == "parent" else ROOT, name, seed, args.seconds)
                     print(f"{name} pair {i + 1}/{len(seeds[name])} {side}: "
-                          f"op_p50_ms {pair[side]['metrics'].get('op_p50_ms', {}).get('value')}", file=sys.stderr)
+                          f"op_p50_ms {pair[side].get('metrics', {}).get('op_p50_ms', {}).get('value')}",
+                          file=sys.stderr)
                 runs.append(pair)
-            report["workloads"][name] = {"metrics": summarize(runs, bench["end_to_end"]), "runs": runs}
+            report["workloads"][name] = {"metrics": summarize(runs, bench["end_to_end"]),
+                                         "failed_pairs": sum(map(failed, runs)), "runs": runs}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    return 0
+    return 1 if any(w["failed_pairs"] for w in report["workloads"].values()) else 0
 
 
 if __name__ == "__main__":
