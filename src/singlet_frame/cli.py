@@ -1,18 +1,16 @@
 """Command-line harness: figure data, protocol runs, posterior summaries.
 
-Subcommands
------------
-mi-curve          closed-form mutual information vs relative angle, CSV
-mi-surface        mutual information over one party's polar angles, CSV
-posterior-family  angle-form posterior curves for a list of sign tallies, CSV
-run               execute a direction/frame transfer from a config file, JSON report
-bayes             posterior summary for a tally or a recorded outcome file, JSON
+``mi-curve``, ``mi-surface`` and ``posterior-family`` write the paper's
+figure data as CSV, ``run`` a transfer's JSON report and ``bayes`` a
+posterior summary as JSON.  Each subcommand is declared once, on its
+subparser in ``build_parser``: its options, its default file name and
+its handler, which looks its ``cmd_*`` function up when it runs.
 
 Exit codes: 0 success, 1 validation, 2 runtime, 3 I/O.  Reports carry no
 timestamps (timing goes to a ``.log`` sidecar) so identical inputs yield
 byte-identical outputs.  When ``--out`` is omitted, files land in
-``$SINGLET_FRAME_OUT_DIR`` (default: current directory) under a
-per-command default name; ``run`` first takes the config's ``out``.  An
+``$SINGLET_FRAME_OUT_DIR`` (default: current directory) under the
+command's default name; ``run`` first takes the config's ``out``.  An
 empty path is a validation error.
 """
 
@@ -36,14 +34,6 @@ from .protocol import TransferResult, transfer_direction, transfer_frame
 from .serialize import format_float, read_record_arrays_csv, write_csv_atomic, write_json_atomic, write_text_atomic
 
 OUT_DIR_ENV = "SINGLET_FRAME_OUT_DIR"
-
-_DEFAULT_OUT = {
-    "mi-curve": "mi_curve.csv",
-    "mi-surface": "mi_surface.csv",
-    "posterior-family": "posterior_family.csv",
-    "run": "run_report.json",
-    "bayes": "posterior_summary.json",
-}
 
 
 def _write_float_columns(out_path, header: list[str], *columns) -> None:
@@ -188,27 +178,37 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mi-curve", parents=[common], help="mutual information vs relative angle (CSV)")
     p.add_argument("--resolution", type=int, default=1801, help="number of rows incl. endpoints")
+    p.set_defaults(default_out="mi_curve.csv", handler=lambda a, cfg, out: cmd_mi_curve(a.resolution, out))
 
     p = sub.add_parser("mi-surface", parents=[common], help="mutual information over the search sphere (CSV)")
     p.add_argument("--theta-x", type=float, default=1.5, help="fixed direction polar angle")
     p.add_argument("--phi-x", type=float, default=2.1, help="fixed direction azimuth")
     p.add_argument("--resolution", type=int, default=181, help="polar rows (azimuth columns = 2x)")
+    p.set_defaults(default_out="mi_surface.csv", handler=lambda a, cfg, out: cmd_mi_surface(
+        a.theta_x, a.phi_x, a.resolution, out))
 
     p = sub.add_parser("posterior-family", parents=[common], help="angle-form posterior curves (CSV)")
     p.add_argument("--tally", action="append", required=True, metavar="N_PLUS,N_MINUS")
     p.add_argument("--resolution", type=int, default=2001, help="angle grid points on [-pi, pi]")
+    p.set_defaults(default_out="posterior_family.csv", handler=lambda a, cfg, out: cmd_posterior_family(
+        [_parse_tally(t) for t in a.tally], out, a.resolution))
 
     p = sub.add_parser("run", parents=[common], help="execute a transfer described by a config file")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--mode", choices=("exact", "sampled"), default=None, help="override the config mode")
     p.add_argument("--no-counts", action="store_true", help="omit per-trial count tables from the report")
+    p.set_defaults(default_out="run_report.json", handler=lambda a, cfg, out: cmd_run(
+        cfg, out, include_counts=not a.no_counts))
 
     p = sub.add_parser("bayes", parents=[common], help="posterior summary for a tally or record file")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--tally", metavar="N_PLUS,N_MINUS")
     g.add_argument("--record", help="outcome CSV (header index,a,b)")
     p.add_argument("--level", type=float, default=0.95, help="credible level in (0, 1)")
+    p.set_defaults(default_out="posterior_summary.json", handler=lambda a, cfg, out: cmd_bayes(
+        _parse_tally(a.tally) if a.tally is not None else sign_tally_from_arrays(*read_record_arrays_csv(a.record)),
+        a.level, out))
 
     return parser
 
@@ -223,23 +223,8 @@ def _dispatch(args) -> int:
     out = args.out if args.out is not None else cfg.get("out")
     if out == "":
         raise ConfigError("field 'out': must not be empty")
-    out = Path(os.environ.get(OUT_DIR_ENV, ".")) / _DEFAULT_OUT[args.command] if out is None else Path(out)
-    if args.command == "mi-curve":
-        cmd_mi_curve(args.resolution, out)
-    elif args.command == "mi-surface":
-        cmd_mi_surface(args.theta_x, args.phi_x, args.resolution, out)
-    elif args.command == "posterior-family":
-        cmd_posterior_family([_parse_tally(t) for t in args.tally], out, args.resolution)
-    elif args.command == "run":
-        cmd_run(cfg, out, include_counts=not args.no_counts)
-    elif args.command == "bayes":
-        if args.tally is not None:
-            tally = _parse_tally(args.tally)
-        else:
-            tally = sign_tally_from_arrays(*read_record_arrays_csv(args.record))
-        cmd_bayes(tally, args.level, out)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ConfigError(f"unknown command {args.command!r}")
+    out = Path(os.environ.get(OUT_DIR_ENV, ".")) / args.default_out if out is None else Path(out)
+    args.handler(args, cfg, out)
     return 0
 
 

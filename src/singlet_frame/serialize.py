@@ -21,6 +21,7 @@ arrays to read.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
 import itertools
@@ -300,8 +301,7 @@ def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
     read whole first.
     """
     path = Path(path)
-    a_vals: list[int] = []
-    b_vals: list[int] = []
+    a_vals, b_vals = array.array("b"), array.array("b")  # one byte per outcome
     with open(path, "rb", buffering=0) as raw:
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
         plain = _record_blocks(fh)
@@ -329,4 +329,4 @@ def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 b_vals.append(b)
     if not a_vals:
         raise ParseError(f"{path}: no outcome rows")
-    return np.array(a_vals, dtype=np.int8), np.array(b_vals, dtype=np.int8)
+    return np.frombuffer(a_vals, dtype=np.int8), np.frombuffer(b_vals, dtype=np.int8)

@@ -1,7 +1,10 @@
-"""tools/bench_pairs.py: medians, IQRs, paired ratios and wins by each metric's better direction, and failed runs."""
+"""tools/bench_pairs.py: medians, IQRs, paired ratios and wins by each metric's better direction, failed runs and
+source sizes."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -85,3 +88,32 @@ def test_a_failing_run_gives_its_exit_code_and_stderr_tail(tmp_path):
         "import sys\nfor i in range(25):\n    print('line', i, file=sys.stderr)\nsys.exit(3)\n")
     got = bench_pairs.run_once(tmp_path, "direction-1e5", 1, 1.0)
     assert got == {"exit_code": 3, "stderr_tail": [f"line {i}" for i in range(5, 25)]}
+
+
+def _tree(root: Path, files: dict) -> Path:
+    (root / "src" / "singlet_frame" / "sub").mkdir(parents=True)
+    for name, text in files.items():
+        (root / "src" / "singlet_frame" / name).write_text(text)
+    return root
+
+
+def test_src_lines_of_each_tree(tmp_path, monkeypatch):
+    # wc -l counts LFs: a last line without one is not counted; other files and subdirectories are not read
+    parent = _tree(tmp_path / "parent", {"a.py": "x\ny\n", "b.py": "z\n", "notes.txt": "1\n", "sub/c.py": "3\n"})
+    change = _tree(tmp_path / "change", {"a.py": "x\n", "b.py": "no final newline"})
+    shutil.copy(bench_pairs.ROOT / "BENCHMARK.json", change)
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    monkeypatch.setattr(bench_pairs, "extract", lambda ref, dest: shutil.copytree(parent, dest, dirs_exist_ok=True))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: _run(op_p50_ms=1.0))
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD", "--pairs", "direction-1e5=1", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert (report["parent"]["src_lines"], report["change"]["src_lines"]) == (3, 1)
+
+
+def test_src_lines_is_the_wc_total():
+    files = sorted(str(p) for p in (bench_pairs.ROOT / "src" / "singlet_frame").glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *files], check=True, capture_output=True, text=True).stdout
+    assert bench_pairs.src_lines(bench_pairs.ROOT) == int(wc.splitlines()[-1].split()[0])

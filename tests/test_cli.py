@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -11,7 +12,8 @@ from conftest import first_difference, reference_trials
 from singlet_frame import Direction, __version__, cos_angle, transfer_direction, transfer_frame
 from singlet_frame import cli
 from singlet_frame.cli import build_parser, main
-from singlet_frame.config import axis_priors, parse_config, protocol_params, target_axes
+from singlet_frame.bayes import SignTally
+from singlet_frame.config import axis_priors, load_config, parse_config, protocol_params, target_axes
 from singlet_frame.core import CountTable
 
 TRUTH_THETA, TRUTH_PHI = 1.5, 2.1
@@ -671,6 +673,100 @@ class TestCliBasics:
         assert json.loads(out.read_text())["credible_level"] == 0.9
         assert _run(["bayes", "--tally", "5,6", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["credible_level"] == 0.95
+
+
+# the outcome arrays the recorded record reader returns
+_A, _B = object(), object()
+RECORDED = {
+    "cmd_mi_curve": None,
+    "cmd_mi_surface": None,
+    "cmd_posterior_family": None,
+    "cmd_run": None,
+    "cmd_bayes": None,
+    "read_record_arrays_csv": (_A, _B),
+    "sign_tally_from_arrays": SignTally(3, 4),
+}
+# argv without --out, and the calls it makes as (name, args, kwargs) given the loaded cfg.json and the out path
+COMMAND_CALLS = {
+    "mi-curve": (["mi-curve"], lambda cfg, out: [("cmd_mi_curve", (1801, out), {})]),
+    "mi-curve-options": (["mi-curve", "--resolution", "7"], lambda cfg, out: [("cmd_mi_curve", (7, out), {})]),
+    "mi-surface": (["mi-surface"], lambda cfg, out: [("cmd_mi_surface", (1.5, 2.1, 181, out), {})]),
+    "mi-surface-options": (
+        ["mi-surface", "--theta-x", "0.5", "--phi-x", "-1", "--resolution", "9"],
+        lambda cfg, out: [("cmd_mi_surface", (0.5, -1.0, 9, out), {})],
+    ),
+    "posterior-family": (
+        ["posterior-family", "--tally", "5,6", "--tally", "1,0"],
+        lambda cfg, out: [("cmd_posterior_family", ([SignTally(5, 6), SignTally(1, 0)], out, 2001), {})],
+    ),
+    "posterior-family-options": (
+        ["posterior-family", "--tally", "2,3", "--resolution", "11"],
+        lambda cfg, out: [("cmd_posterior_family", ([SignTally(2, 3)], out, 11), {})],
+    ),
+    "run": (["run", "--config", "cfg.json"], lambda cfg, out: [("cmd_run", (cfg, out), {})]),
+    "run-options": (
+        ["run", "--config", "cfg.json", "--seed", "5", "--mode", "exact", "--no-counts"],
+        lambda cfg, out: [
+            ("cmd_run", (parse_config({**cfg, "seed": 5, "mode": "exact"}), out), {"include_counts": False}),
+        ],
+    ),
+    "bayes-tally": (["bayes", "--tally", "5,6"], lambda cfg, out: [("cmd_bayes", (SignTally(5, 6), 0.95, out), {})]),
+    "bayes-record": (
+        ["bayes", "--record", "rec.csv", "--level", "0.9"],
+        lambda cfg, out: [
+            ("read_record_arrays_csv", ("rec.csv",), {}),
+            ("sign_tally_from_arrays", (_A, _B), {}),
+            ("cmd_bayes", (SignTally(3, 4), 0.9, out), {}),
+        ],
+    ),
+}
+
+
+class TestCommandCalls:
+    """Each command calls its ``cmd_*`` function with the parsed arguments, looked up on ``cli`` when it runs.
+
+    The parser is built before the names are replaced, as the benchmark's
+    tracer replaces them; calls compare bound to the original signature,
+    defaults applied, so a positional and a keyword argument are the same.
+    """
+
+    @pytest.mark.parametrize("case", list(COMMAND_CALLS))
+    def test_each_command_calls_its_handler(self, tmp_path, monkeypatch, case):
+        argv, expected = COMMAND_CALLS[case]
+        monkeypatch.chdir(tmp_path)
+        _sampled_config(tmp_path)  # cfg.json
+        build_parser()
+        calls = []
+
+        def recorder(name, result):
+            def record(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                return result
+            return record
+
+        originals = {name: getattr(cli, name) for name in RECORDED}
+        for name, result in RECORDED.items():
+            monkeypatch.setattr(cli, name, recorder(name, result))
+
+        def bound(name, args, kwargs):
+            arguments = inspect.signature(originals[name]).bind(*args, **kwargs)
+            arguments.apply_defaults()
+            return name, arguments.arguments
+
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 0
+        want = expected(load_config("cfg.json"), out)
+        assert [bound(*c) for c in calls] == [bound(*c) for c in want]
+
+    def test_runtime_error_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "posterior_summary", boom)
+        out = tmp_path / "s.json"
+        assert _run(["bayes", "--tally", "5,6", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "runtime error: boom\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 # a config `out` string with control characters, non-ASCII text and the

@@ -244,6 +244,24 @@ class TestRecordCsvDigitBoundaries:
         assert np.array_equal(a, rec.a) and np.array_equal(b, rec.b)
         assert size > 24 * 10**6 and peak < size
 
+    def test_row_loop_holds_one_byte_per_outcome(self, tmp_path):
+        # CRLF lines fail the row grammar, so the csv.reader row loop reads this copy; with the read block
+        # and the decoder's chunks its traced peak stays below 4 bytes per row
+        n = 2 * 10**5
+        rec = _random_record(n, 5)
+        path = tmp_path / "rec.csv"
+        record_to_csv(rec, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        tracemalloc.start()
+        try:
+            a, b = read_record_arrays_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(a, rec.a) and np.array_equal(b, rec.b)
+        assert a.dtype == b.dtype == np.int8 and a.flags.writeable and b.flags.writeable
+        assert peak < 4 * n
+
 
 class TestAtomicWriteMode:
     """Atomic writes give a new file the mode ``open`` gives it: 0o666 less the umask."""

@@ -16,7 +16,8 @@ and inter-quartile ranges, the median over pairs of the change/parent ratio
 two medians), the pairs the change won, tied and lost, and the metric's
 bound.  A run that fails leaves its exit code and the last lines of its
 stderr in its pair, which the summaries leave out; the other pairs are
-still run and written, and the script exits 1.
+still run and written, and the script exits 1.  Each tree's ``src_lines``
+is the total ``wc -l src/singlet_frame/*.py`` gives for it.
 """
 
 import argparse
@@ -64,6 +65,11 @@ def extract(ref: str, dest: Path) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"git archive {ref} failed")
+
+
+def src_lines(tree: Path) -> int:
+    """The total ``wc -l src/singlet_frame/*.py`` gives in ``tree``: its modules' LF count."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "singlet_frame").glob("*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -118,7 +124,8 @@ def main(argv=None) -> int:
     seeds = {name: [random.SystemRandom().randrange(2**31) for _ in range(n)] for name, n in args.pairs}
     report = {
         "parent": {"ref": args.parent, "sha": git("rev-parse", args.parent)},
-        "change": {"tree": "checkout", "head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+        "change": {"tree": "checkout", "head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain")),
+                   "src_lines": src_lines(ROOT)},
         "seconds": args.seconds,
         "host": {"cpu_count": os.cpu_count(), "cpus_usable": len(os.sched_getaffinity(0)),
                  "machine": platform.machine(), "python": platform.python_version(),
@@ -128,6 +135,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp)
         extract(args.parent, parent)
+        report["parent"]["src_lines"] = src_lines(parent)
         for name, _ in args.pairs:
             runs = []
             for i, seed in enumerate(seeds[name]):
