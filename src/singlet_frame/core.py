@@ -287,7 +287,7 @@ class CountTable:
     """The four joint outcome counts of one batch.
 
     Suffixes name the (a, b) signs: ``m_pm`` counts pairs with a=+1, b=-1.
-    The marginal counts and the total are derived from the joint ones.
+    ``total`` is their sum, the batch size.
     """
 
     m_pp: int
@@ -303,34 +303,8 @@ class CountTable:
             raise ValueError("count table must cover at least one pair")
 
     @property
-    def m_a_plus(self) -> int:
-        return self.m_pp + self.m_pm
-
-    @property
-    def m_a_minus(self) -> int:
-        return self.m_mp + self.m_mm
-
-    @property
-    def m_b_plus(self) -> int:
-        return self.m_pp + self.m_mp
-
-    @property
-    def m_b_minus(self) -> int:
-        return self.m_pm + self.m_mm
-
-    @property
     def total(self) -> int:
         return self.m_pp + self.m_pm + self.m_mp + self.m_mm
-
-    def to_dict(self) -> dict:
-        return {
-            "m_joint": {"pp": self.m_pp, "pm": self.m_pm, "mp": self.m_mp, "mm": self.m_mm},
-            "m_a_plus": self.m_a_plus,
-            "m_a_minus": self.m_a_minus,
-            "m_b_plus": self.m_b_plus,
-            "m_b_minus": self.m_b_minus,
-            "total": self.total,
-        }
 
 
 def singlet_joint_distribution(cos_theta: float) -> JointDistribution2x2:

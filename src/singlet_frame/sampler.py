@@ -148,7 +148,7 @@ class OutcomeRecord:
 
 
 def tally(record: OutcomeRecord) -> CountTable:
-    """Exact joint and marginal counts of one outcome record."""
+    """Exact joint counts of one outcome record."""
     return CountTable(*np.bincount(2 * (record.a < 0) + (record.b < 0), minlength=4).tolist())
 
 

@@ -113,12 +113,11 @@ _TRIALS_SLOT = re.compile(rb'^( *)"trials": null', re.MULTILINE)
 def _trial_template(indent: int, counts: bool) -> str:
     """One trial as ``json.dumps`` lays it out, as a ``%`` template indented by ``indent`` spaces.
 
-    Its fields come in sorted-key order: the count table's m_a_minus,
-    m_a_plus, m_b_minus, m_b_plus, joint mm, mp, pm, pp and total (or
-    ``null``), the direction's x, y, z, then mi_estimate and trial_index.
+    Its fields come in sorted-key order: the count table's joint mm, mp,
+    pm, pp (or ``null``), the direction's x, y, z, then mi_estimate and
+    trial_index.
     """
-    table = dict.fromkeys(("m_a_minus", "m_a_plus", "m_b_minus", "m_b_plus", "total"), "%d")
-    table["m_joint"] = dict.fromkeys(("mm", "mp", "pm", "pp"), "%d")
+    table = {"m_joint": dict.fromkeys(("mm", "mp", "pm", "pp"), "%d")}
     trial = {"counts": table if counts else None, "direction": ["%r"] * 3, "mi_estimate": "%r", "trial_index": "%d"}
     text = json.dumps(trial, sort_keys=True, indent=2).replace('"%d"', "%d").replace('"%r"', "%r")
     pad = " " * indent
@@ -130,15 +129,12 @@ def _trials_json(rows, indent: int, counts: bool) -> str:
 
     Each row is a ``TransferResult.coarse_rows()`` row of Python floats and
     ints, so ``%r`` and ``%d`` give the encoder's bytes.  With ``counts``
-    each trial carries its count table, marginals and total derived from
-    the four joint counts (m_pp, m_pm, m_mp, m_mm); without, ``null``.
+    each trial carries its count table, the four joint counts under
+    ``m_joint``; without, ``null``.
     """
     template = _trial_template(indent + 2, counts)
     if counts:
-        items = [
-            template % (mp + mm, pp + pm, pm + mm, pp + mp, mm, mp, pm, pp, pp + pm + mp + mm, x, y, z, s, i)
-            for i, ((x, y, z), s, (pp, pm, mp, mm)) in enumerate(rows)
-        ]
+        items = [template % (mm, mp, pm, pp, x, y, z, s, i) for i, ((x, y, z), s, (pp, pm, mp, mm)) in enumerate(rows)]
     else:
         items = [template % (x, y, z, s, i) for i, ((x, y, z), s, _) in enumerate(rows)]
     return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"

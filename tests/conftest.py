@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from singlet_frame import CountTable, Direction
+from singlet_frame import Direction
 
 
 @pytest.fixture
@@ -52,13 +52,15 @@ def first_difference(got: str, want: str):
 
 
 def reference_trials(rows, include_counts: bool) -> list[dict]:
-    """A report's ``trials`` list as dicts, one per ``(direction, score, counts)`` row, with ``CountTable(*c).to_dict()``."""
+    """A report's ``trials`` list as dicts, one per ``(direction, score, counts)`` row, counts under ``m_joint``."""
     return [
         {
             "trial_index": i,
             "direction": list(d),
             "mi_estimate": s,
-            "counts": CountTable(*c).to_dict() if (include_counts and c is not None) else None,
+            "counts": (
+                {"m_joint": dict(zip(("pp", "pm", "mp", "mm"), c))} if (include_counts and c is not None) else None
+            ),
         }
         for i, (d, s, c) in enumerate(rows)
     ]

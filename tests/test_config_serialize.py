@@ -75,6 +75,21 @@ class TestAtomicWriters:
         with pytest.raises(OSError):
             write_csv_atomic(tmp_path / "nope" / "t.csv", ["a"], [])
 
+    def test_failed_cleanup_raises_the_write_error(self, tmp_path, monkeypatch):
+        # the rename fails and so does removing the temp file: the rename's error propagates
+        def fail(*args):
+            raise OSError("boom")
+
+        def fail_unlink(path):
+            raise OSError("unlink failed")
+
+        monkeypatch.setattr(serialize.os, "replace", fail)
+        monkeypatch.setattr(serialize.os, "unlink", fail_unlink)
+        path = tmp_path / "t.txt"
+        with pytest.raises(OSError, match="boom"):
+            write_text_atomic(path, "x\n")
+        assert not path.exists()
+
     def test_failing_record_stream_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "rec.csv"
         path.write_bytes(b"previous\n")
@@ -866,3 +881,8 @@ class TestOutcomeRecordEquality:
         a = OutcomeRecord(a=np.array([1]), b=np.array([-1]), x=X, y=Z)
         b = OutcomeRecord(a=np.array([1]), b=np.array([-1]), x=Z, y=Z)
         assert a != b
+
+    def test_not_equal_to_a_non_record(self):
+        record = OutcomeRecord(a=np.array([1]), b=np.array([-1]), x=X, y=Z)
+        assert (record == 1) is False
+        assert (record != "x") is True

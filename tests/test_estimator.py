@@ -36,11 +36,12 @@ def _frequencies(t):
 
 
 def _marginal_frequencies(t):
-    """(p(a=+1), p(a=-1), p(b=+1), p(b=-1)) estimated as each marginal count over the total."""
-    return tuple(m / t.total for m in (t.m_a_plus, t.m_a_minus, t.m_b_plus, t.m_b_minus))
+    """(p(a=+1), p(a=-1), p(b=+1), p(b=-1)) estimated as each marginal count, a sum of joint counts, over the total."""
+    marginals = (t.m_pp + t.m_pm, t.m_mp + t.m_mm, t.m_pp + t.m_mp, t.m_pm + t.m_mm)
+    return tuple(m / t.total for m in marginals)
 
 
-FIELDS = ("m_pp", "m_pm", "m_mp", "m_mm", "m_a_plus", "m_a_minus", "m_b_plus", "m_b_minus", "total")
+FIELDS = ("m_pp", "m_pm", "m_mp", "m_mm", "total")
 ONE_PAIR = (1, 0, 0, 0)  # the joint counts of one (+1, +1) pair
 
 
@@ -74,14 +75,14 @@ class TestCountTable:
 
     def test_derived_counts(self):
         t = CountTable(3, 1, 4, 1)
-        assert tuple(getattr(t, key) for key in FIELDS) == (3, 1, 4, 1, 4, 5, 7, 2, 9)
+        assert tuple(getattr(t, key) for key in FIELDS) == (3, 1, 4, 1, 9)
 
 
 class TestTally:
     def test_small_example(self):
         t = tally(_record([1, 1, -1], [-1, 1, 1]))
         assert (t.m_pp, t.m_pm, t.m_mp, t.m_mm) == (1, 1, 1, 0)
-        assert t.m_a_plus == 2 and t.m_b_plus == 2 and t.total == 3
+        assert t.total == 3
 
     def test_single_cell(self):
         t = tally(_record([1] * 10, [-1] * 10))
@@ -150,7 +151,7 @@ class TestEstimateMutualInformation:
         # joint counts equal to the outer product of the marginals
         for (pp, pm, mp, mm) in [(1, 2, 2, 4), (6, 2, 3, 1), (10, 10, 10, 10), (9, 3, 6, 2)]:
             t = CountTable(pp, pm, mp, mm)
-            assert t.m_pp * t.total == t.m_a_plus * t.m_b_plus
+            assert pp * (pp + pm + mp + mm) == (pp + pm) * (pp + mp)
             assert estimate_mutual_information(t) == 0.0
 
     def test_nonnegative_on_random_tables(self, rng):

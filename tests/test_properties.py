@@ -107,21 +107,6 @@ def test_plug_in_mi_matches_the_loop_form(counts, probs, c):
     assert repr(_plug_in_mi(same, anti, anti, same, 1)) == repr(_loop_plug_in_mi(same, anti, anti, same, 1))
 
 
-@given(counts=joint_counts())
-def test_count_table_dict_form(counts):
-    pp, pm, mp, mm = counts
-    expected = {
-        "m_joint": {"pp": pp, "pm": pm, "mp": mp, "mm": mm},
-        "m_a_plus": pp + pm,
-        "m_a_minus": mp + mm,
-        "m_b_plus": pp + mp,
-        "m_b_minus": pm + mm,
-        "total": pp + pm + mp + mm,
-    }
-    table = CountTable(pp, pm, mp, mm)
-    assert table.to_dict() == expected
-
-
 @settings(deadline=None, max_examples=50)
 @given(
     truth=directions,
