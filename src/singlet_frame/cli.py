@@ -204,7 +204,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bayes", parents=[common], help="posterior summary for a tally or record file")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--tally", metavar="N_PLUS,N_MINUS")
-    g.add_argument("--record", help="outcome CSV (header index,a,b)")
+    g.add_argument("--record", help="outcome CSV (header a,b)")
     p.add_argument("--level", type=float, default=0.95, help="credible level in (0, 1)")
     p.set_defaults(default_out="posterior_summary.json", handler=lambda a, cfg, out: cmd_bayes(
         _parse_tally(a.tally) if a.tally is not None else sign_tally_from_arrays(*read_record_arrays_csv(a.record)),

@@ -9,14 +9,13 @@ report's ``trials`` lists are rendered from the transfer's rows, one
 Files are written atomically (temp file + rename in the target directory)
 with the mode ``open`` would give them (0o666 less the umask).
 
-Outcome-record CSV: header ``index,a,b``; one row per pair with a 0-based
-index and outcomes in {-1, +1}; the settings are not carried.  Rows are
-written in blocks, each rendered from a NUL-padded matrix of fixed-width
-rows, and read back in blocks of whole lines; a file is read as bytes
-only when every row is ``[0-9]{1,19},(-?1),(-?1)`` and LF, which
-``csv.reader`` parses to the same outcomes (the index is not checked).
-Memory is O(block) to write, and O(block) plus the two int8 output
-arrays to read.
+Outcome-record CSV: header ``a,b``; one row per pair, its outcomes in
+{-1, +1}; the settings are not carried.  Rows are written in blocks, each
+one NUL-padded word per row with the NULs dropped, and read back in
+blocks of whole lines; a file is read as bytes only when every row is
+``(-?1),(-?1)`` and LF.  Files of the former ``index,a,b`` layout are
+still read, by ``csv.reader``, which ignores the index.  Memory is
+O(block) to write, and O(block) plus the two int8 output arrays to read.
 """
 
 from __future__ import annotations
@@ -46,20 +45,12 @@ __all__ = [
     "read_record_arrays_csv",
 ]
 
-RECORD_CSV_HEADER = ["index", "a", "b"]
+RECORD_CSV_HEADER = ["a", "b"]
 _RECORD_HEADER_LINE = (",".join(RECORD_CSV_HEADER) + "\n").encode("ascii")
-_NEWLINE, _COMMA, _MINUS, _ZERO, _ONE, _NINE = b"\n,-019"
-# longest index a record line may have to be read as bytes
-_INDEX_DIGITS = 19
-# a row's tail after its index as one NUL-padded word, at 2 * (a < 0) + (b < 0)
-_RECORD_TAILS = np.frombuffer(b",1,1\n\0\0\0,1,-1\n\0\0,-1,1\n\0\0,-1,-1\n\0", dtype=np.uint64)
-# r in 0..999 as the last three bytes of a NUL-padded word: unpadded ("7"), and
-# zero-padded ("007") for the low digits of an index of 1000 or more
-_DIGITS, _PADDED_DIGITS = (
-    np.frombuffer(b"".join(text.encode().rjust(8, b"\0") for text in texts), dtype=np.uint64)
-    for texts in ([str(r) for r in range(1000)], ["%03d" % r for r in range(1000)])
-)
-# rows rendered per written block; 4K-16K rows ran alike, 64K (a 1 MiB matrix) was slower
+_NEWLINE, _COMMA, _MINUS, _ONE = b"\n,-1"
+# a row as one NUL-padded word, at 2 * (a < 0) + (b < 0)
+_RECORD_ROWS = np.frombuffer(b"1,1\n\0\0\0\0" b"1,-1\n\0\0\0" b"-1,1\n\0\0\0" b"-1,-1\n\0\0", dtype=np.uint64)
+# rows rendered per written block (8 bytes each before the NULs go); 16K-256K rows ran alike, 4K was slower
 _WRITE_ROWS = 16_384
 # bytes per read of a record file; a row of a written file is far shorter
 _READ_BYTES = 256 * 1024
@@ -158,74 +149,50 @@ def write_json_atomic(path, obj, trials=()) -> None:
     _write_bytes_atomic(path, [data])
 
 
-def _record_rows(a: np.ndarray, b: np.ndarray, start: int) -> bytearray:
-    """Rows ``start`` .. ``start + a.size - 1`` of the record CSV with outcomes ``a``, ``b``.
+def _record_rows(a: np.ndarray, b: np.ndarray) -> bytearray:
+    """The record CSV rows of outcomes ``a``, ``b``, byte-identical to ``csv.writer``.
 
-    Row i is its decimal index, ``,``, ``1`` or ``-1``, ``,``, ``1`` or
-    ``-1`` and LF, byte-identical to ``csv.writer``.  The rows are laid
-    out NUL-padded in a matrix of uint64 words: the index right-aligned in
-    enough words for the block's largest index, then its tail as one word,
-    picked from four by the signs.  The index is i // 1000 as text,
-    built once per run of 1000 rows, ORed with the last three digits from
-    a table (unpadded below 1000).  Dropping the NULs leaves the rows.
+    Row i is ``1`` or ``-1``, ``,``, ``1`` or ``-1`` and LF.  Each row is
+    laid out as one of four NUL-padded uint64 words, picked by the signs;
+    dropping the NULs leaves the rows.
     """
-    m = a.size
-    stop = start + m
-    words = -(-len(str(stop - 1)) // 8)
-    runs = range(start // 1000, (stop - 1) // 1000 + 1)
-    heads = b"".join((b"%d\0\0\0" % q).rjust(8 * words, b"\0") if q else bytes(8 * words) for q in runs)
-    fields = np.frombuffer(heads, dtype=np.uint64).reshape(-1, 1, words).repeat(1000, axis=1)
-    fields[..., -1] |= _PADDED_DIGITS
-    if runs[0] == 0:
-        fields[0, :, -1] = _DIGITS
-    text = bytearray(m * 8 * (words + 1))
-    rows = np.frombuffer(text, dtype=np.uint64).reshape(m, words + 1)
-    rows[:, :words] = fields.reshape(-1, words)[start % 1000 :][:m]
-    rows[:, words] = _RECORD_TAILS.take(2 * (a < 0).view(np.int8) + (b < 0).view(np.int8))
+    text = bytearray(8 * a.size)
+    index = 2 * (a < 0).view(np.int8) + (b < 0).view(np.int8)
+    _RECORD_ROWS.take(index, out=np.frombuffer(text, dtype=np.uint64), mode="clip")  # "raise" would buffer out
     return text.translate(None, b"\0")
 
 
 def record_to_csv(record: OutcomeRecord, path) -> None:
+    """Write ``record``'s outcomes atomically as the ``a,b`` record CSV, ``_WRITE_ROWS`` rows per block."""
     a, b = record.a, record.b
-    blocks = (
-        _record_rows(a[i : i + _WRITE_ROWS], b[i : i + _WRITE_ROWS], i) for i in range(0, a.size, _WRITE_ROWS)
-    )
+    blocks = (_record_rows(a[i : i + _WRITE_ROWS], b[i : i + _WRITE_ROWS]) for i in range(0, a.size, _WRITE_ROWS))
     _write_bytes_atomic(path, itertools.chain([_RECORD_HEADER_LINE], blocks))
 
 
 def _grammar_signs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(a, b) of a uint8 block of whole lines if every line is ``[0-9]{1,19},(-?1),(-?1)`` and LF, else None.
+    """(a, b) of a uint8 block of whole lines if every line is ``(-?1),(-?1)`` and LF, else None.
 
-    From each LF a position walks back over the two fields before it,
-    which must each be ``1`` or ``-1`` after a ``,``; a ``-`` makes that
-    outcome -1.  The index before a's comma must be 1 to 19 bytes.  No
-    byte may be above ``9``, and the bytes below ``0`` must be just the
-    LFs, commas and ``-`` signs found, so the index is digits.  Positions
-    are clipped to the block: a line too short for them fails the index
-    length.
+    From each LF a position walks back over its line: ``1``, an optional
+    ``-`` (b is -1), ``,``, ``1`` and an optional ``-`` (a is -1).  It
+    must then stand on the LF before, or just before the block, so every
+    byte of the block is checked.  Positions are clipped to the block: a
+    first line too short for them ends the walk before it.
     """
     ends = np.flatnonzero(block == _NEWLINE)
-    at = ends.copy()
-    ok = np.ones(ends.size, dtype=bool)
-    signs = []
-    for _ in "ba":
-        at -= 1
-        ok &= block.take(at, mode="clip") == _ONE
-        at -= 1
-        neg = block.take(at, mode="clip") == _MINUS
-        at -= neg
-        ok &= block.take(at, mode="clip") == _COMMA
-        signs.append(neg)
-    neg_b, neg_a = signs
-    at[1:] -= ends[:-1]  # a's comma less the LF before it: the index's length + 1
+    at = ends - 1
+    ok = block.take(at, mode="clip") == _ONE
+    at -= 1
+    neg_b = block.take(at, mode="clip") == _MINUS
+    at -= neg_b
+    ok &= block.take(at, mode="clip") == _COMMA
+    at -= 1
+    ok &= block.take(at, mode="clip") == _ONE
+    at -= 1
+    neg_a = block.take(at, mode="clip") == _MINUS
+    at -= neg_a
+    at[1:] -= ends[:-1]  # 0 where the walk ends on the LF before
     at[0] += 1
-    if not (
-        at.min() >= 2
-        and at.max() <= _INDEX_DIGITS + 1
-        and ok.all()
-        and block.max() <= _NINE
-        and np.count_nonzero(block < _ZERO) == 3 * ends.size + np.count_nonzero(neg_a) + np.count_nonzero(neg_b)
-    ):
+    if at.any() or not ok.all():
         return None
     return 1 - 2 * neg_a.view(np.int8), 1 - 2 * neg_b.view(np.int8)
 
@@ -286,15 +253,16 @@ def _csv_rows(reader, path):
 def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse an outcome CSV back into (a, b) arrays.
 
-    Accepts what ``csv.reader`` accepts, with an ``index,a,b`` header and
-    rows whose outcomes parse as -1 or +1.  Raises ParseError naming the
-    1-based line of the first offending row, or only the file when it is
-    not UTF-8.  Files whose rows all match ``[0-9]{1,19},(-?1),(-?1)``
-    and LF under the exact header, as ``record_to_csv`` writes them, are
-    parsed in byte blocks (``_record_blocks``); any other file is read
-    again from its start by the row loop below, which defines the format
-    and gives the error messages.  A file that cannot seek (a pipe) is
-    read whole first.
+    Accepts what ``csv.reader`` accepts, with an ``a,b`` header and rows
+    of two fields, or the former ``index,a,b`` header and rows of three
+    (the index is not checked), whose outcomes parse as -1 or +1.  Raises
+    ParseError naming the 1-based line of the first offending row, or only
+    the file when it is not UTF-8.  Files whose rows all match
+    ``(-?1),(-?1)`` and LF under the exact ``a,b`` header, as
+    ``record_to_csv`` writes them, are parsed in byte blocks
+    (``_record_blocks``); any other file is read again from its start by
+    the row loop below, which defines the format and gives the error
+    messages.  A file that cannot seek (a pipe) is read whole first.
     """
     path = Path(path)
     a_vals, b_vals = array.array("b"), array.array("b")  # one byte per outcome
@@ -307,16 +275,16 @@ def read_record_arrays_csv(path) -> tuple[np.ndarray, np.ndarray]:
         with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
             rows = _csv_rows(csv.reader(text), path)
             header = next(rows, None)
-            if header != RECORD_CSV_HEADER:
-                raise ParseError(f"{path}: line 1: expected header 'index,a,b', got {header!r}")
+            if header not in (RECORD_CSV_HEADER, ["index", *RECORD_CSV_HEADER]):
+                raise ParseError(f"{path}: line 1: expected header 'a,b' or 'index,a,b', got {header!r}")
             for lineno, row in enumerate(rows, start=2):
                 if not row:
                     continue
-                if len(row) != 3:
-                    raise ParseError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+                if len(row) != len(header):
+                    raise ParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
                 try:
-                    a = int(row[1])
-                    b = int(row[2])
+                    a = int(row[-2])
+                    b = int(row[-1])
                 except ValueError:
                     raise ParseError(f"{path}: line {lineno}: outcomes must be integers") from None
                 if a not in (-1, 1) or b not in (-1, 1):

@@ -259,6 +259,24 @@ class TestBayesCommand:
         assert data["map_cos_theta"] == 1.0  # peak at relative angle 0
         assert data["map_theta_pair"] == [0.0, 0.0]
 
+    def test_record_in_either_layout_gives_the_same_summary(self, tmp_path):
+        # record_to_csv writes a,b rows; a record of the former index,a,b layout still reads
+        rng = np.random.default_rng(8)
+        pairs = rng.choice([-1, 1], (500, 2)).tolist()
+        layouts = {
+            "ab": "a,b\n" + "".join(f"{a},{b}\n" for a, b in pairs),
+            "index": "index,a,b\n" + "".join(f"{i},{a},{b}\n" for i, (a, b) in enumerate(pairs)),
+        }
+        summaries = {}
+        for name, text in layouts.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+            out = tmp_path / f"{name}.json"
+            assert _run(["bayes", "--record", str(tmp_path / f"{name}.csv"), "--out", str(out)]) == 0
+            summaries[name] = out.read_bytes()
+        assert summaries["ab"] == summaries["index"]
+        n_plus = sum(a == b for a, b in pairs)
+        assert (json.loads(summaries["ab"])["n_plus"], json.loads(summaries["ab"])["n_minus"]) == (n_plus, 500 - n_plus)
+
     def test_record_parse_error_line_number(self, tmp_path, capsys):
         rec = tmp_path / "rec.csv"
         rec.write_text("index,a,b\n0,1,-1\n1,3,1\n")
