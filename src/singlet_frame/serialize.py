@@ -3,9 +3,11 @@
 All text output is UTF-8 with LF line endings and a header row on CSV.
 Floats are written with 17 significant digits in CSV; JSON floats use
 Python's shortest round-trip representation.  JSON is
-``json.dumps(obj, sort_keys=True, indent=2)`` plus a final LF; a run
-report's ``trials`` lists are rendered from the transfer's rows, one
-``%`` template per trial, in the bytes that call would give.
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a final LF, rendered
+as one ``%`` of the document's leaves over a layout cached per document
+shape (its containers, keys and kinds of leaf); a run report's
+``trials`` lists are laid out from the transfer's rows, each trial a copy
+of one template, in the bytes that call would give.
 Files are written atomically (temp file + rename in the target directory)
 with the mode ``open`` would give them (0o666 less the umask).
 
@@ -26,7 +28,6 @@ import io
 import itertools
 import json
 import os
-import re
 import secrets
 from functools import lru_cache
 from pathlib import Path
@@ -71,8 +72,13 @@ def _write_bytes_atomic(path, chunks) -> None:
     tmp = target.parent / f"{target.name}.{secrets.token_hex(8)}.tmp"
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
+        try:
+            for chunk in chunks:
+                view = memoryview(chunk)
+                while view:  # a write may take only part of what it is given
+                    view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -95,58 +101,147 @@ def write_csv_atomic(path, header: list[str], rows) -> None:
     write_text_atomic(path, buf.getvalue())
 
 
-# a "trials": None entry to be filled from rows, its group the entry's indent.  With
-# indent=2 every member starts its own line and no encoded string holds a raw LF
-_TRIALS_SLOT = re.compile(rb'^( *)"trials": null', re.MULTILINE)
+_encode_string = json.encoder.encode_basestring_ascii
+# a "trials": None entry filled from rows, as (_SLOT, row count, counts flag) in a shape
+_SLOT = "slot"
+# one trial of a slot, as json.dumps lays out the dict of its fields: the count table's joint mm, mp, pm, pp (or
+# null), the direction's x, y, z and mi_estimate are leaves; the trial index is written into the layout
+_COUNTS_SHAPE = ("{", "m_joint", ("{", "mm", "%d", "mp", "%d", "pm", "%d", "pp", "%d"))
+_TRIAL_FIELDS = ("direction", ("[", "%r", "%r", "%r"), "mi_estimate", "%r", "trial_index")
 
 
-@lru_cache(maxsize=8)
-def _trial_template(indent: int, counts: bool) -> str:
-    """One trial as ``json.dumps`` lays it out, as a ``%`` template indented by ``indent`` spaces.
-
-    Its fields come in sorted-key order: the count table's joint mm, mp,
-    pm, pp (or ``null``), the direction's x, y, z, then mi_estimate and
-    trial_index.
-    """
-    table = {"m_joint": dict.fromkeys(("mm", "mp", "pm", "pp"), "%d")}
-    trial = {"counts": table if counts else None, "direction": ["%r"] * 3, "mi_estimate": "%r", "trial_index": "%d"}
-    text = json.dumps(trial, sort_keys=True, indent=2).replace('"%d"', "%d").replace('"%r"', "%r")
-    pad = " " * indent
-    return pad + text.replace("\n", "\n" + pad)
+def _key_text(key) -> str:
+    """A dict key as the encoder turns it into a string before quoting it: a str, or a scalar's JSON text."""
+    if isinstance(key, str):
+        return str.__str__(key)
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _trials_json(rows, indent: int, counts: bool) -> str:
-    """The ``trials`` list of nonempty ``(direction, mi_estimate, counts)`` rows, its key at ``indent`` spaces.
-
-    Each row is a ``TransferResult.coarse_rows()`` row of Python floats and
-    ints, so ``%r`` and ``%d`` give the encoder's bytes.  With ``counts``
-    each trial carries its count table, the four joint counts under
-    ``m_joint``; without, ``null``.
-    """
-    template = _trial_template(indent + 2, counts)
+def _slot_shape(rows, counts: bool, leaves: list) -> tuple:
+    """A trials slot's shape; appends each row's leaves in the order its trial writes them."""
+    start = len(leaves)
     if counts:
-        items = [template % (mm, mp, pm, pp, x, y, z, s, i) for i, ((x, y, z), s, (pp, pm, mp, mm)) in enumerate(rows)]
+        for (x, y, z), s, (pp, pm, mp, mm) in rows:
+            leaves += (mm, mp, pm, pp, x, y, z, s)
     else:
-        items = [template % (x, y, z, s, i) for i, ((x, y, z), s, _) in enumerate(rows)]
-    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+        for (x, y, z), s, _ in rows:
+            leaves += (x, y, z, s)
+    return (_SLOT, (len(leaves) - start) // (8 if counts else 4), bool(counts))
+
+
+def _shape(value, leaves: list, slots) -> str | tuple:
+    """The shape of ``value``; appends its leaves to ``leaves`` in the order they are written.
+
+    Values are told apart in the encoder's order.  A leaf's shape is its
+    ``%`` field, or its text for ``null``, ``true`` and ``false``: a string
+    is ``%s`` of its encoded text, an int ``%d``, a finite float ``%r``;
+    a float subclass, a NaN or an infinity is ``%s`` of the encoder's
+    text.  A list or tuple is ``("[", *items)``, a dict
+    ``("{", key, value, ...)`` in sorted-key order with each key as its
+    text.  With ``slots`` (an iterator of ``(rows, counts)`` pairs) each
+    ``"trials": None`` entry takes the next pair (``_slot_shape``).
+    """
+    if isinstance(value, str):
+        leaves.append(_encode_string(value))
+        return "%s"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):  # %d writes a subclass as int.__repr__ does
+        leaves.append(value)
+        return "%d"
+    if isinstance(value, float):
+        if type(value) is float and value - value == 0.0:
+            leaves.append(value)
+            return "%r"
+        leaves.append(json.dumps(value))  # NaN, Infinity, -Infinity, or float.__repr__ of a subclass
+        return "%s"
+    if isinstance(value, (list, tuple)):
+        return ("[", *[_shape(item, leaves, slots) for item in value])
+    if isinstance(value, dict):
+        shape = ["{"]
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                key = _key_text(key)
+            if item is None and slots is not None and key == "trials":
+                pair = next(slots, None)
+                if pair is None:
+                    raise ValueError("write_json_atomic: more \"trials\": None entries than trials pairs")
+                shape += (key, _slot_shape(*pair, leaves))
+            else:
+                shape += (key, _shape(item, leaves, slots))
+        return tuple(shape)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _container(kind: str, items: list, indent: int) -> str:
+    """A list (``kind`` ``[``) or dict (``{``) of laid-out ``items`` on a line indented ``indent`` spaces."""
+    close = "]" if kind == "[" else "}"
+    if not items:
+        return kind + close
+    pad = "\n" + " " * (indent + 2)
+    return kind + pad + ("," + pad).join(items) + "\n" + " " * indent + close
+
+
+@lru_cache(maxsize=256)  # a report's axes, and the trials of its slots, repeat one shape
+def _layout(shape, indent: int) -> str:
+    """The ``%`` template of a value of ``shape`` that starts on a line indented ``indent`` spaces.
+
+    It is the text ``json.dumps(..., indent=2)`` gives, with each leaf its
+    ``%`` field and every other ``%`` doubled.  A slot of n rows is laid
+    out as n copies of one trial dict (``_TRIAL_FIELDS``), each with its
+    index.
+    """
+    if isinstance(shape, str):
+        return shape
+    kind, *rest = shape
+    if kind == _SLOT:
+        n, counts = rest
+        trial = ("{", "counts", _COUNTS_SHAPE if counts else "null", *_TRIAL_FIELDS, "\0")
+        head, tail = _layout(trial, indent + 2).split("\0")  # NUL stands for the index: no layout holds one
+        return _container("[", [f"{head}{i}{tail}" for i in range(n)], indent)
+    if kind == "[":
+        return _container(kind, [_layout(item, indent + 2) for item in rest], indent)
+    keys = [_encode_string(key).replace("%", "%%") for key in rest[::2]]
+    return _container(kind, [f"{key}: {_layout(item, indent + 2)}" for key, item in zip(keys, rest[1::2])], indent)
+
+
+@lru_cache(maxsize=32)
+def _document_layout(shape) -> str:
+    """The ``%`` template of a whole document of ``shape``, final LF included."""
+    return _layout(shape, 0) + "\n"
 
 
 def write_json_atomic(path, obj, trials=()) -> None:
     """Canonical JSON: sorted keys, 2-space indent, trailing newline.
 
-    ``trials`` holds one ``(rows, counts)`` pair per ``"trials": None``
-    entry of ``obj``, in the order the entries are written; each entry is
-    written as the list ``_trials_json(rows, ..., counts)`` renders, as if
-    ``obj`` had held that list.
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2)``
+    and LF, rendered as one ``%`` of ``obj``'s leaves over a layout
+    cached per shape (``_shape``, ``_document_layout``).  ``trials`` holds
+    one ``(rows, counts)`` pair per ``"trials": None`` entry of ``obj``, in
+    the order the entries are written; each entry is written as if ``obj``
+    had held the list of its rows' trial dicts: each
+    ``TransferResult.coarse_rows()`` row ``(direction, mi_estimate,
+    counts)`` of Python floats and ints gives ``trial_index``,
+    ``direction``, ``mi_estimate`` and, with ``counts``, its four joint
+    counts under ``m_joint`` (without, ``null``).  An object the encoder
+    refuses raises its error before any file is created.
     """
-    data = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
-    if trials:
-        head, *slots = _TRIALS_SLOT.split(data)
-        parts = [head]
-        for (rows, counts), indent, tail in zip(trials, slots[::2], slots[1::2], strict=True):
-            parts += [indent, b'"trials": ', _trials_json(rows, len(indent), counts).encode("ascii"), tail]
-        data = b"".join(parts)
-    _write_bytes_atomic(path, [data])
+    leaves = []
+    slots = iter(trials) if trials else None
+    try:
+        shape = _shape(obj, leaves, slots)
+        if slots is not None and next(slots, None) is not None:
+            raise ValueError('write_json_atomic: more trials pairs than "trials": None entries')
+    except (TypeError, ValueError, RecursionError):  # a circular reference recurses to the limit
+        json.dumps(obj, sort_keys=True, indent=2)  # raises the encoder's own error, where it has one
+        raise
+    _write_bytes_atomic(path, [(_document_layout(shape) % tuple(leaves)).encode("ascii")])
 
 
 def _record_rows(a: np.ndarray, b: np.ndarray) -> bytearray:

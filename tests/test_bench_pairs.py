@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: medians, IQRs, paired ratios and wins by each metric's better direction, failed runs and
-source sizes."""
+"""tools/bench_pairs.py: medians, IQRs, paired ratios and wins by each metric's better direction, failed runs (an
+error exit, no JSON result line, a result that is not correct or has failed ops) and source sizes."""
 
 import importlib.util
 import json
@@ -88,6 +88,38 @@ def test_a_failing_run_gives_its_exit_code_and_stderr_tail(tmp_path):
         "import sys\nfor i in range(25):\n    print('line', i, file=sys.stderr)\nsys.exit(3)\n")
     got = bench_pairs.run_once(tmp_path, "direction-1e5", 1, 1.0)
     assert got == {"exit_code": 3, "stderr_tail": [f"line {i}" for i in range(5, 25)]}
+
+
+@pytest.mark.parametrize("stdout", ["", "done\n", '{"correct": true}\nnot json\n', "[1, 2]\n", "null\n"])
+def test_a_run_without_a_json_result_line_gives_its_stdout_tail(tmp_path, stdout):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"import sys\nfor i in range(25):\n    print('line', i)\nsys.stdout.write({stdout!r})\n")
+    got = bench_pairs.run_once(tmp_path, "direction-1e5", 1, 1.0)
+    assert got == {"exit_code": 0, "stdout_tail": ([f"line {i}" for i in range(25)] + stdout.splitlines())[-20:]}
+    assert bench_pairs.failed({"parent": _run(op_p50_ms=1.0), "change": got})
+
+
+@pytest.mark.parametrize("bad", [{"correct": False, "failed": 0}, {"correct": True, "failed": 2}])
+def test_a_result_that_is_not_correct_or_has_failed_ops_fails_its_pair(tmp_path, monkeypatch, bad):
+    good = {"correct": True, "attempted": 9, "failed": 0}
+    wrong = {**_run(op_p50_ms=0.5), "attempted": 9, **bad}
+    results = iter([{**_run(op_p50_ms=1.0), **good}, {**_run(op_p50_ms=0.9), **good},
+                    wrong, {**_run(op_p50_ms=1.2), **good},
+                    {**_run(op_p50_ms=1.1), **good}, {"exit_code": 0, "stdout_tail": ["no result"]}])
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: next(results))
+    monkeypatch.setattr(bench_pairs, "extract", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD", "--pairs", "direction-1e5=3", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    report = json.loads(out.read_text())["workloads"]["direction-1e5"]
+    assert report["failed_pairs"] == 2
+    # pair 2 runs the change first, so its change side is the result that failed; pair 3's change gave no result
+    assert report["runs"][1]["change"] == wrong
+    assert report["runs"][2]["change"] == {"exit_code": 0, "stdout_tail": ["no result"]}
+    got = report["metrics"]["op_p50_ms"]
+    assert (got["pairs"], got["wins"], got["change"]["median"]) == (1, 1, 0.9)
 
 
 def _tree(root: Path, files: dict) -> Path:

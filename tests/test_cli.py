@@ -10,7 +10,7 @@ import pytest
 
 from conftest import first_difference, reference_trials
 from singlet_frame import Direction, __version__, cos_angle, transfer_direction, transfer_frame
-from singlet_frame import cli
+from singlet_frame import cli, serialize
 from singlet_frame.cli import build_parser, main
 from singlet_frame.bayes import SignTally
 from singlet_frame.config import axis_priors, load_config, parse_config, protocol_params, target_axes
@@ -554,6 +554,24 @@ class TestRunCommand:
         assert _run(["run", "--config", str(cfg), "--out", str(out), "--no-counts"]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "9fbfb8121e79958945ff4c72e7a25e5217d73a0c9f8f468939efd5cc9ef10872"
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_report_pins_hold_in_either_order(self, tmp_path, order):
+        # the five report pins in one process from a cold layout cache, first to last or last to first, then
+        # again from the layouts the first pass cached: no report may be written by another report's layout
+        pins = [
+            self.test_sampled_frame_report_pinned,
+            self.test_exact_direction_report_pinned,
+            self.test_exact_frame_report_pinned,
+            self.test_sampled_direction_report_pinned,
+            self.test_sampled_frame_no_counts_report_pinned,
+        ][::order]
+        serialize._document_layout.cache_clear()
+        serialize._layout.cache_clear()
+        for i, pin in enumerate(pins * 2):
+            (tmp_path / str(i)).mkdir()
+            pin(tmp_path / str(i))
+        assert serialize._document_layout.cache_info().hits >= len(pins)
 
     @pytest.mark.parametrize("orthonormalize", [True, False])
     @pytest.mark.parametrize("mode", ["exact", "sampled"])

@@ -350,6 +350,138 @@ class TestJsonBytes:
         assert list(tmp_path.iterdir()) == []
 
 
+def _dumped(value) -> bytes:
+    return (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
+
+
+class IntText(int):
+    def __repr__(self):
+        return "IntText()"
+
+    __str__ = __format__ = __repr__
+
+
+class FloatText(float):
+    def __repr__(self):
+        return "FloatText()"
+
+    __str__ = __format__ = __repr__
+
+
+class TestJsonLayoutCache:
+    """Documents written one after another in one process, each against ``json.dumps``: a layout is
+    cached per shape, and no two documents that the encoder writes apart may share one."""
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_hash_equal_keys_and_values_render_apart(self, tmp_path, order):
+        # True == 1 == 1.0 and 0.0 == -0.0, with equal hashes, as keys and as values
+        docs = [
+            {True: 0}, {1: 0}, {1.0: 0}, {0.0: 0}, {-0.0: 0}, {False: 0}, {0: 0}, {None: 0},
+            {"a": True}, {"a": 1}, {"a": 1.0}, {"a": -0.0}, {"a": IntText(1)}, {"a": FloatText(1.0)},
+            [True, 1, 1.0], [1, 1.0, True], [1.0, True, 1], [False, 0, 0.0, None],
+            {9: [1], 10: [True]}, {9.5: 1.0, 10.5: 1}, {IntText(2): 2, 3: IntText(3)}, {FloatText(0.5): FloatText(2.0)},
+        ][::order]
+        path = tmp_path / "v.json"
+        for doc in docs:
+            write_json_atomic(path, doc)
+            assert path.read_bytes() == _dumped(doc), doc
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_keys_that_hold_placeholder_or_structural_text(self, tmp_path, order):
+        keys = ["%s", "%d", "%r", "%%", "%", "%(x)s", "100%", '"%d"', "null", "true", "0", "[", "{", "}", "]",
+                ": ", ",\n  ", "\x00", "slot", "{}", "[]", "\\", '"', "☃", "\ud800"]
+        docs = [{key: 1.5} for key in keys]
+        docs += [{key: [key, {key: None}]} for key in keys]
+        docs += [dict.fromkeys(keys, "%d %s %r"), ["%s", "%", {"%": "%%"}], {"[": ["{", "slot"]}, ["slot", 1, True]]
+        path = tmp_path / "v.json"
+        for doc in docs[::order]:
+            write_json_atomic(path, doc)
+            assert path.read_bytes() == _dumped(doc), doc
+
+    def test_documents_that_differ_only_in_their_leaves_share_a_layout(self, tmp_path):
+        def doc(i):
+            return {"a": [i, 0.5 * i, f"s{i}%d"], "b": {"c": -1.25e-300 * i, "d": [10**30 + i]}, "e": None}
+
+        path = tmp_path / "v.json"
+        write_json_atomic(path, doc(0))
+        hits = serialize._document_layout.cache_info().hits
+        for i in range(1, 6):
+            write_json_atomic(path, doc(i))
+            assert path.read_bytes() == _dumped(doc(i))
+        assert serialize._document_layout.cache_info().hits == hits + 5
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_special_floats_in_one_place_render_apart(self, tmp_path, order):
+        values = [1.5, float("nan"), float("inf"), -float("inf"), -0.0, 1e300, FloatText(-2.5)][::order]
+        path = tmp_path / "v.json"
+        for value in values:
+            for doc in ({"x": value}, {value: "x"}, [value, value]):
+                write_json_atomic(path, doc)
+                assert path.read_bytes() == _dumped(doc), doc
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_slots_of_other_row_counts_and_counts_flags_render_apart(self, tmp_path, order):
+        row = ((0.6, 0.0, 0.8), 0.25, (1, 2, 3, 4))
+        cases = [([row] * n, counts) for n in (1, 2, 3) for counts in (True, False)][::order]
+        path = tmp_path / "v.json"
+        for rows, counts in cases:
+            write_json_atomic(path, {"trials": None, "x": 1}, trials=[(rows, counts)])
+            assert path.read_bytes() == _dumped({"trials": reference_trials(rows, counts), "x": 1})
+
+
+def _short_writes(monkeypatch, limit=7, fail_at=None):
+    """Patch ``os.write`` to take at most ``limit`` bytes a call, and to fail on call ``fail_at``; returns the calls."""
+    write = os.write
+    calls = []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        if len(calls) == fail_at:
+            raise OSError(28, "No space left on device")
+        return write(fd, bytes(memoryview(data)[:limit]))
+
+    monkeypatch.setattr(serialize.os, "write", short_write)
+    return calls
+
+
+_FRAME_ROWS = [((0.6, 0.0, 0.8), 0.25, (1, 2, 3, 4)), ((-0.0, 1.0, 1e-300), 0.125, (9, 0, 0, 91))]
+_SHORT_WRITERS = {
+    "text.txt": lambda p: write_text_atomic(p, "x☃\n" * 40),
+    "table.csv": lambda p: write_csv_atomic(p, ["h", "v"], [[i, f"{i / 7!r}"] for i in range(60)]),
+    "report.json": lambda p: write_json_atomic(
+        p, {"axes": [{"trials": None}, {"trials": None}], "v": "%s"},
+        trials=[(_FRAME_ROWS, True), (_FRAME_ROWS, False)],
+    ),
+    "rec.csv": lambda p: record_to_csv(_random_record(_WRITE_ROWS + 5, 3), p),
+}
+
+
+class TestShortWrites:
+    """Each atomic writer gives the same bytes when ``os.write`` takes only part of each chunk, and a write
+    that fails in mid-file leaves the previous file and no temp file."""
+
+    @pytest.mark.parametrize("name", list(_SHORT_WRITERS))
+    def test_short_writes_give_unchanged_bytes(self, tmp_path, monkeypatch, name):
+        _SHORT_WRITERS[name](tmp_path / "whole")
+        whole = (tmp_path / "whole").read_bytes()
+        calls = _short_writes(monkeypatch)
+        _SHORT_WRITERS[name](tmp_path / name)
+        assert (tmp_path / name).read_bytes() == whole
+        assert len(calls) >= len(whole) / 7 > 10
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "whole"])
+
+    @pytest.mark.parametrize("name", list(_SHORT_WRITERS))
+    def test_failure_in_mid_file_keeps_the_previous_file(self, tmp_path, monkeypatch, name):
+        path = tmp_path / name
+        path.write_bytes(b"previous\n")
+        calls = _short_writes(monkeypatch, fail_at=4)
+        with pytest.raises(OSError, match="No space left"):
+            _SHORT_WRITERS[name](path)
+        assert len(calls) == 4
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def _record_ending_a_row_at(size: int, tail: int, seed: int) -> OutcomeRecord:
     """A random record whose CSV, header included, has a row ending at byte ``size``, then ``tail`` more rows."""
     k = (size - len("a,b\n")) // len("1,1\n")

@@ -14,10 +14,14 @@ favours neither side.  For each workload and end-to-end metric of
 and inter-quartile ranges, the median over pairs of the change/parent ratio
 (``ratio_p50``, which a drift of the host between pairs blurs less than the
 two medians), the pairs the change won, tied and lost, and the metric's
-bound.  A run that fails leaves its exit code and the last lines of its
-stderr in its pair, which the summaries leave out; the other pairs are
-still run and written, and the script exits 1.  Each tree's ``src_lines``
-is the total ``wc -l src/singlet_frame/*.py`` gives for it.
+bound.  A pair fails when either run does: a run that exits non-zero
+leaves its exit code and the last lines of its stderr in the pair; one
+whose last stdout line is not a JSON object leaves its exit code and the
+last lines of its stdout; one whose result line says ``correct: false`` or
+``failed`` above 0 leaves that line.  The summaries leave failed pairs
+out; the other pairs are still run and written, and the script exits 1.
+Each tree's ``src_lines`` is the total ``wc -l src/singlet_frame/*.py``
+gives for it.
 """
 
 import argparse
@@ -75,14 +79,22 @@ def src_lines(tree: Path) -> int:
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one ``perfbench/run.py --trace 0`` run in ``tree``.
 
-    A run that exits non-zero gives its exit code and the last 20 lines of its stderr instead.
+    A run that exits non-zero gives its exit code and the last 20 lines of its stderr instead, and one whose
+    last stdout line is not a JSON object its exit code and the last 20 lines of its stdout.
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"exit_code": proc.returncode, "stderr_tail": proc.stderr.splitlines()[-20:]}
-    return json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = None
+    if not isinstance(result, dict):
+        return {"exit_code": proc.returncode, "stdout_tail": lines[-20:]}
+    return result
 
 
 def spread(values: list) -> dict:
@@ -91,7 +103,9 @@ def spread(values: list) -> dict:
 
 
 def failed(pair: dict) -> bool:
-    return "exit_code" in pair["parent"] or "exit_code" in pair["change"]
+    """Whether either run gave no result line, or one that says ``correct: false`` or ``failed`` above 0."""
+    return any("metrics" not in run or run.get("correct") is False or run.get("failed", 0) > 0
+               for run in (pair["parent"], pair["change"]))
 
 
 def summarize(runs: list, metrics: list) -> dict:
